@@ -6,6 +6,7 @@ most operations also accept a pre-stacked (M, p) matrix.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -38,10 +39,6 @@ def as_matrix(vectors) -> np.ndarray:
     return np.stack(rows)
 
 
-def euclidean_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
-
-
 def weighted_average(weights, vectors) -> np.ndarray:
     """Weighted average with renormalization over the given selection.
 
@@ -62,9 +59,11 @@ def weighted_average(weights, vectors) -> np.ndarray:
     return (w / total) @ mat
 
 
-def _purpose_entropy(purpose: str) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _purpose_entropy(purpose: str) -> tuple[int, ...]:
+    """Four 32-bit words of sha256(purpose), memoized: a run reuses about ten purposes."""
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
 def substream(master_seed: int, purpose: str, round_index: int = 0, client: int = 0) -> np.random.Generator:

@@ -351,20 +351,27 @@ class Simulation:
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
 
-        losses = np.empty(len(self.honest))
-        honest_stack = np.empty((len(self.honest), self.model.n_params))
+        batches = [self._client_batch(round_index, m) for m in self.honest]
+        # Equal batches make one (H, B) stack and one gradient call. A
+        # partition smaller than batch_size gives a ragged round: one stack
+        # of one batch, and one call, per client.
+        if len({batch.size for batch in batches}) == 1:
+            stacks = [np.stack(batches)]
+        else:
+            stacks = [batch[None] for batch in batches]
+        inputs = [(self.train.features[idx], self.train.labels[idx]) for idx in stacks]
+        wall["batches"] = time.perf_counter() - t_start
+
+        t_mark = time.perf_counter()
+        results = [self.model.loss_and_gradient(self.params, x, y) for x, y in inputs]
+        losses = np.concatenate([loss for loss, _ in results])
+        honest_stack = np.concatenate([grad for _, grad in results])
+        wall["gradients"] = time.perf_counter() - t_mark
+
         uploads = np.empty((cfg.clients, self.model.n_params))
-        for row, m in enumerate(self.honest):
-            batch = self._client_batch(round_index, m)
-            loss, grad = self.model.loss_and_gradient(
-                self.params, self.train.features[batch], self.train.labels[batch]
-            )
-            losses[row] = loss
-            honest_stack[row] = grad
-            uploads[m] = grad
+        uploads[list(self.honest)] = honest_stack
         honest_alpha = self.alpha[list(self.honest)]
         train_loss = float((honest_alpha / honest_alpha.sum()) @ losses)
-        wall["gradients"] = time.perf_counter() - t_start
 
         t_mark = time.perf_counter()
         if self.attack is not None and self.mask.count:
@@ -378,10 +385,14 @@ class Simulation:
             for m, payload in payloads.items():
                 uploads[m] = payload
         if not np.isfinite(uploads).all():
-            raise _divergence(f"non-finite client upload in round {round_index}")
+            raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark
 
-        clean_grad = self._clean_gradient(round_index) if self._needs_clean_gradient else None
+        clean_grad = None
+        if self._needs_clean_gradient:
+            t_mark = time.perf_counter()
+            clean_grad = self._clean_gradient(round_index)
+            wall["clean"] = time.perf_counter() - t_mark
 
         selected: tuple[int, ...]
         if self.method.filtered:
@@ -428,10 +439,12 @@ class Simulation:
         precision = honest_selected / len(selected) if selected else 1.0
         recall = honest_selected / len(self.honest)
 
+        t_mark = time.perf_counter()
         self.params = self.params - self.lr_rate(round_index) * agg
         self.prev_aggregate = agg
         if not np.isfinite(self.params).all():
-            raise _divergence(f"parameters diverged in round {round_index}")
+            raise DivergenceDetected(f"parameters diverged in round {round_index}")
+        wall["step"] = time.perf_counter() - t_mark
 
         test_accuracy = None
         if (round_index + 1) % cfg.eval_interval == 0 or round_index == cfg.rounds - 1:
@@ -456,10 +469,6 @@ class Simulation:
 
     def lr_rate(self, round_index: int) -> float:
         return self.config.lr.rate(round_index)
-
-
-def _divergence(message: str) -> DivergenceDetected:
-    return DivergenceDetected(message)
 
 
 def run_experiment(config: RunConfig) -> ExperimentResult:

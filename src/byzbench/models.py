@@ -14,22 +14,37 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (log-sum-exp per row, shifted logits) computed stably."""
-    shift = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1, keepdims=True)) + logits.max(axis=1, keepdims=True)
-    return lse[:, 0], shift
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the batch and the logit gradient (probs - onehot) / batch.
+
+    logits is (H, B, C) and y is (H, B): softmax runs over the last axis, the
+    mean over the batch axis, and the loss comes back with shape (H,).
+    """
+    top = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=-1, keepdims=True)
+    lse = (np.log(total) + top)[..., 0]
+    loss = np.mean(lse - np.take_along_axis(logits, y[..., None], axis=-1)[..., 0], axis=-1)
+    probs = exp / total
+    probs -= y[..., None] == np.arange(logits.shape[-1])
+    return loss, probs / y.shape[-1]
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and the logit gradient (probs - onehot) / batch."""
-    lse, shift = _log_softmax(logits)
-    batch = logits.shape[0]
-    loss = float(np.mean(lse - logits[np.arange(batch), y]))
-    probs = np.exp(shift)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(batch), y] -= 1.0
-    return loss, probs / batch
+def _as_stack(features: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """View a single (B, d) batch as a stack of one; an (H, B, d) stack passes through."""
+    y = np.asarray(y)
+    if features.ndim == 2:
+        return features[None], y[None]
+    return features, y
+
+
+def _unstack(
+    features: np.ndarray, loss: np.ndarray, grads: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Return (loss, gradient) in the shape of the batch the caller passed."""
+    if features.ndim == 2:
+        return float(loss[0]), grads[0]
+    return loss, grads
 
 
 class SoftmaxRegression:
@@ -54,18 +69,27 @@ class SoftmaxRegression:
         return params[:cut].reshape(self.dim, self.n_classes), params[cut:]
 
     def flatten(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        return np.concatenate([weights.ravel(), bias])
+        """Lay parts out as a parameter vector; stacked (H, ...) parts give (H, p) rows."""
+        lead = bias.shape[:-1]
+        return np.concatenate([weights.reshape(*lead, -1), bias], axis=-1)
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
         weights, bias = self.unflatten(params)
         return features @ weights + bias
 
-    def loss_and_gradient(self, params, features, y) -> tuple[float, np.ndarray]:
+    def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
+        """Mean cross-entropy and its gradient on one batch or on a stack of batches.
+
+        A (B, d) batch gives (float loss, (p,) gradient). An (H, B, d) stack
+        gives (H,) losses and an (H, p) gradient stack whose row h is the
+        result for batch h alone.
+        """
         weights, bias = self.unflatten(np.asarray(params, dtype=np.float64))
-        loss, g_logits = _cross_entropy(features @ weights + bias, y)
-        grad_w = features.T @ g_logits
-        grad_b = g_logits.sum(axis=0)
-        return loss, self.flatten(grad_w, grad_b)
+        x, labels = _as_stack(features, y)
+        loss, g_logits = _cross_entropy(x @ weights + bias, labels)
+        grad_w = np.swapaxes(x, 1, 2) @ g_logits
+        grad_b = g_logits.sum(axis=1)
+        return _unstack(features, loss, self.flatten(grad_w, grad_b))
 
     def predict(self, params, features) -> np.ndarray:
         return np.argmax(self.logits(params, features), axis=1)
@@ -102,24 +126,41 @@ class OneHiddenMLP:
         return parts[0].reshape(d, h), parts[1], parts[2].reshape(h, c), parts[3]
 
     def flatten(self, w1, b1, w2, b2) -> np.ndarray:
-        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        """Lay parts out as a parameter vector; stacked (H, ...) parts give (H, p) rows."""
+        lead = b1.shape[:-1]
+        return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2], axis=-1)
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2 = self.unflatten(params)
         hidden = np.maximum(features @ w1 + b1, 0.0)
         return hidden @ w2 + b2
 
-    def loss_and_gradient(self, params, features, y) -> tuple[float, np.ndarray]:
+    def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
+        """Mean cross-entropy and its gradient on one batch or on a stack of batches.
+
+        A (B, d) batch gives (float loss, (p,) gradient). An (H, B, d) stack
+        gives (H,) losses and an (H, p) gradient stack whose row h is the
+        result for batch h alone.
+        """
         w1, b1, w2, b2 = self.unflatten(np.asarray(params, dtype=np.float64))
-        pre = features @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        loss, g_logits = _cross_entropy(hidden @ w2 + b2, y)
-        grad_w2 = hidden.T @ g_logits
-        grad_b2 = g_logits.sum(axis=0)
-        g_hidden = (g_logits @ w2.T) * (pre > 0.0)
-        grad_w1 = features.T @ g_hidden
-        grad_b1 = g_hidden.sum(axis=0)
-        return loss, self.flatten(grad_w1, grad_b1, grad_w2, grad_b2)
+        x, labels = _as_stack(features, y)
+        # The (H, B, hidden) arrays are updated in place: allocating a fresh
+        # one per step costs more than the arithmetic at these sizes.
+        # max(pre, 0) > 0 exactly where pre > 0, so the ReLU mask is read
+        # off the activations.
+        hidden = x @ w1
+        hidden += b1
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = hidden @ w2
+        logits += b2
+        loss, g_logits = _cross_entropy(logits, labels)
+        grad_w2 = np.swapaxes(hidden, 1, 2) @ g_logits
+        grad_b2 = g_logits.sum(axis=1)
+        g_hidden = g_logits @ w2.T
+        g_hidden *= hidden > 0.0
+        grad_w1 = np.swapaxes(x, 1, 2) @ g_hidden
+        grad_b1 = g_hidden.sum(axis=1)
+        return _unstack(features, loss, self.flatten(grad_w1, grad_b1, grad_w2, grad_b2))
 
     def predict(self, params, features) -> np.ndarray:
         return np.argmax(self.logits(params, features), axis=1)

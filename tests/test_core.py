@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,14 @@ def test_substream_is_reproducible():
     a = substream(7, "batch", 3, 5).standard_normal(8)
     b = substream(7, "batch", 3, 5).standard_normal(8)
     assert np.array_equal(a, b)
+
+
+def test_substream_matches_hand_built_seed_sequence():
+    digest = hashlib.sha256(b"batch").digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    for _ in range(2):  # the second call reads the memoized purpose words
+        want = np.random.default_rng(np.random.SeedSequence([7, *words, 3, 5]))
+        assert np.array_equal(substream(7, "batch", 3, 5).random(8), want.random(8))
 
 
 def test_substream_streams_are_independent_of_draw_order():

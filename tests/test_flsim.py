@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from byzbench import flsim
 from byzbench.aggregators import AggregatorSpec
 from byzbench.attacks import AttackSpec
 from byzbench.errors import (
@@ -233,6 +234,59 @@ def test_single_mean_round_is_one_sgd_step():
     want = params0 - cfg.lr.rate(0) * (sim.alpha @ np.stack(honest_grads))
     sim.run_round(0)
     assert np.allclose(sim.params, want, atol=1e-12)
+
+
+def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
+    cfg = _cfg(rounds=1, batch_size=64, min_client_size=8)
+    sim = Simulation(cfg)
+    batches = [sim._client_batch(0, m) for m in sim.honest]
+    assert len({batch.size for batch in batches}) > 1  # some partition is below batch_size
+    want = np.stack(
+        [
+            sim.model.loss_and_gradient(
+                sim.params, sim.train.features[batch], sim.train.labels[batch]
+            )[1]
+            for batch in batches
+        ]
+    )
+    seen = {}
+    model_call, aggregate = sim.model.loss_and_gradient, flsim.aggregate
+
+    def counted(*args):
+        seen["calls"] = seen.get("calls", 0) + 1
+        return model_call(*args)
+
+    def spy(spec, weights, uploads, **kwargs):
+        seen["uploads"] = uploads.copy()
+        return aggregate(spec, weights, uploads, **kwargs)
+
+    monkeypatch.setattr(sim.model, "loss_and_gradient", counted)
+    monkeypatch.setattr(flsim, "aggregate", spy)
+    sim.run_round(0)
+    assert seen["calls"] == len(sim.honest)
+    assert np.array_equal(seen["uploads"][list(sim.honest)], want)
+
+
+@pytest.mark.parametrize(
+    "method, phases",
+    [
+        (MethodSpec(base=AggregatorSpec("mean")), {"aggregate"}),
+        (MethodSpec(base=AggregatorSpec("fltrust")), {"clean", "aggregate"}),
+        (MethodSpec(filtered=True, base=AggregatorSpec("median")), {"reference", "filter"}),
+        (MethodSpec(filtered=True, reference="server_clean"), {"clean", "reference", "filter"}),
+    ],
+)
+def test_round_wall_times_every_phase(method, phases):
+    cfg = _cfg(
+        rounds=1,
+        clean=CleanSpec("server", fraction=0.05),
+        requested_ratio=0.2,
+        attack=AttackSpec("signflip"),
+        method=method,
+    )
+    wall = run_experiment(cfg).records[0].wall
+    assert set(wall) == {"batches", "gradients", "attack", "step", "eval", "total"} | phases
+    assert sum(v for key, v in wall.items() if key != "total") <= wall["total"]
 
 
 def test_signflip_hurts_bare_mean():

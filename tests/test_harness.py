@@ -244,7 +244,7 @@ def test_fingerprints_react_to_semantic_changes():
     base = expand_cells(parse_config_dict(_sweep_dict()))[0]
     changed = expand_cells(parse_config_dict(_sweep_dict(rounds=3)))[0]
     assert base.fingerprint != changed.fingerprint
-    assert base.run_config.seed != changed.run_config.seed or True  # seeds derive from fp
+    assert base.run_config.seed != changed.run_config.seed  # seeds derive from fp
 
 
 def test_cell_seeds_are_stable():

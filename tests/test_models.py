@@ -145,6 +145,27 @@ def test_mlp_rejects_wrong_param_length():
         model.unflatten(np.zeros(5))
 
 
+# ------------------------------------------------------------------- stacked
+
+
+@pytest.mark.parametrize(
+    "model", [SoftmaxRegression(7, 4), OneHiddenMLP(7, 9, 4)], ids=["softmax", "mlp1"]
+)
+def test_stacked_call_matches_separate_batches(model):
+    rng = np.random.default_rng(17)
+    params = rng.normal(scale=0.5, size=model.n_params)
+    features = rng.normal(size=(5, 12, model.dim))
+    y = rng.integers(0, model.n_classes, size=(5, 12))
+    losses, grads = model.loss_and_gradient(params, features, y)
+    assert losses.shape == (5,)
+    assert grads.shape == (5, model.n_params)
+    for h in range(5):
+        loss, grad = model.loss_and_gradient(params, features[h], y[h])
+        assert isinstance(loss, float)
+        assert losses[h] == pytest.approx(loss, rel=1e-12)
+        assert np.allclose(grads[h], grad, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------- spec
 
 
