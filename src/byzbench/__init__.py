@@ -18,7 +18,7 @@ from .aggregators import (
 )
 from .attacks import AttackSpec, byzantine_payloads
 from .core import ByzantineMask, select_byzantine_set, substream, weighted_average
-from .filtering import FilterParams, ReferenceSpec, filter_and_aggregate, similarity_check
+from .filtering import FilterParams, filter_and_aggregate, similarity_check
 from .flsim import (
     CleanSpec,
     DatasetSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "LRSchedule",
     "MethodSpec",
     "ModelSpec",
-    "ReferenceSpec",
     "RoundRecord",
     "RunConfig",
     "aggregate",

@@ -7,7 +7,7 @@ per-client weight vector alpha (non-negative, normally summing to one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .core import as_matrix, weighted_average
 from .errors import (
     EmptySelection,
     InsufficientClients,
+    InvalidField,
     InvalidReference,
     MissingReference,
 )
@@ -104,48 +105,25 @@ def aggregate_gm(
     return c
 
 
-def aggregate_mca(
-    weights,
-    vectors,
-    tol: float = 1e-5,
-    max_iter: int = 1000,
-    *,
-    init: str = "median",
-    bandwidth: str = "mean",
-) -> np.ndarray:
+def aggregate_mca(weights, vectors, tol: float = 1e-5, max_iter: int = 1000) -> np.ndarray:
     """Correntropy-style aggregation: iteratively re-weighted average under a
     Gaussian kernel whose bandwidth adapts to the residual spread.
 
-    Each step computes residuals r_m = ||g_m - c||, a bandwidth sigma from the
-    residuals (floored at 1e-12), kernel weights u_m = exp(-r_m^2 / (2 sigma^2)),
-    and moves to c = sum alpha_m u_m g_m / sum alpha_m u_m. Stops when the step
-    is below tol or after max_iter iterations.
-
-    init selects the starting point ("median": coordinate-wise median,
-    "mean": weighted mean); bandwidth selects sigma ("mean": alpha-weighted
-    mean residual, "median": median residual). The mean bandwidth lets a
-    coherent far-away clique widen sigma enough to stay influential, which
-    reproduces this rule's known fragility to amplified sign-flip payloads;
-    the median bandwidth variant is kept for comparison.
+    Starts from the coordinate-wise median. Each step computes residuals
+    r_m = ||g_m - c||, the bandwidth sigma = sum alpha_m r_m / sum alpha_m
+    (floored at 1e-12), kernel weights u_m = exp(-r_m^2 / (2 sigma^2)), and
+    moves to c = sum alpha_m u_m g_m / sum alpha_m u_m. Stops when the step is
+    below tol or after max_iter iterations. The mean bandwidth lets a coherent
+    far-away clique widen sigma enough to stay influential, which reproduces
+    this rule's known fragility to amplified sign-flip payloads.
     """
     mat = as_matrix(vectors)
     alpha = np.asarray(weights, dtype=np.float64)
-    if init == "median":
-        c = np.median(mat, axis=0)
-    elif init == "mean":
-        c = weighted_average(alpha, mat)
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    c = np.median(mat, axis=0)
     norm_alpha = alpha / alpha.sum()
     for _ in range(max_iter):
         resid = np.linalg.norm(mat - c, axis=1)
-        if bandwidth == "median":
-            sigma = float(np.median(resid))
-        elif bandwidth == "mean":
-            sigma = float(norm_alpha @ resid)
-        else:
-            raise ValueError(f"unknown bandwidth {bandwidth!r}")
-        sigma = max(sigma, 1e-12)
+        sigma = max(float(norm_alpha @ resid), 1e-12)
         u = np.exp(-(resid**2) / (2.0 * sigma * sigma))
         combined = alpha * u
         c_next = (combined @ mat) / combined.sum()
@@ -210,32 +188,32 @@ def aggregate_fltrust(reference, vectors, weights=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Which baseline rule to run, plus its knobs.
+    """Which baseline rule to run, plus the knobs of the kinds that have them.
 
     assumed_byzantine is Krum's f; when None the simulator fills in
     ceil(requested_ratio * M).
     """
 
     kind: str
-    assumed_byzantine: int | None = None
-    tolerance: float = 1e-5
-    max_iter: int = 1000
-    clip_radius: float = 10.0
-    clip_iters: int = 3
+    assumed_byzantine: int | None = field(default=None, metadata={"kinds": ("krum",)})
+    tolerance: float = field(default=1e-5, metadata={"kinds": ("gm", "mca")})
+    max_iter: int = field(default=1000, metadata={"kinds": ("gm", "mca")})
+    clip_radius: float = field(default=10.0, metadata={"kinds": ("cclip",)})
+    clip_iters: int = field(default=3, metadata={"kinds": ("cclip",)})
 
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
-            raise ValueError(f"unknown aggregator kind {self.kind!r}")
+            raise InvalidField("kind", f"unknown aggregator kind {self.kind!r}")
         if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+            raise InvalidField("tolerance", "tolerance must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise InvalidField("max_iter", "max_iter must be at least 1")
         if self.clip_radius <= 0.0:
-            raise ValueError("clip_radius must be positive")
+            raise InvalidField("clip_radius", "clip_radius must be positive")
         if self.clip_iters < 1:
-            raise ValueError("clip_iters must be at least 1")
+            raise InvalidField("clip_iters", "clip_iters must be at least 1")
         if self.assumed_byzantine is not None and self.assumed_byzantine < 0:
-            raise ValueError("assumed_byzantine must be non-negative")
+            raise InvalidField("assumed_byzantine", "assumed_byzantine must be non-negative")
 
     @property
     def label(self) -> str:

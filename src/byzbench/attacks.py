@@ -8,13 +8,13 @@ independent noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import as_matrix
-from .errors import InsufficientClients, InvalidRatio
+from .errors import InsufficientClients, InvalidField, InvalidRatio
 
 ATTACK_KINDS = ("gaussian", "signflip", "lie", "foe", "negated_mean")
 
@@ -74,22 +74,22 @@ def attack_negated_mean(honest, n_clients: int, n_byzantine: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Which attack to run, plus its knobs.
+    """Which attack to run, plus the knobs of the kinds that have them.
 
     foe_scale None means "resolve at config time": -3 * (M - B) against
     correntropy-style victims, -0.1 otherwise.
     """
 
     kind: str
-    variance: float = 90.0
-    lie_offset: float = 0.7
-    foe_scale: float | None = None
+    variance: float = field(default=90.0, metadata={"kinds": ("gaussian",)})
+    lie_offset: float = field(default=0.7, metadata={"key": "offset", "kinds": ("lie",)})
+    foe_scale: float | None = field(default=None, metadata={"key": "scale", "kinds": ("foe",)})
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise InvalidField("kind", f"unknown attack kind {self.kind!r}")
         if self.variance <= 0.0:
-            raise ValueError("variance must be positive")
+            raise InvalidField("variance", "variance must be positive")
 
     @property
     def label(self) -> str:

@@ -97,44 +97,15 @@ def stratified_holdout(
     return np.flatnonzero(mask), test_idx
 
 
-@dataclass(frozen=True)
-class CleanShard:
-    """Clean data the server can lean on.
-
-    Either a server-held shard of sample indices (kind "server") or a set of
-    client ids known to be honest (kind "trusted"). Trusted clients are
-    excluded from Byzantine selection; a server shard is excluded from the
-    client partition and counts toward the weight denominator.
-    """
-
-    kind: str
-    indices: np.ndarray | None = None
-    clients: tuple[int, ...] | None = None
-
-    @property
-    def size(self) -> int:
-        return 0 if self.indices is None else int(self.indices.size)
-
-
 def carve_clean_shard(
-    dataset: LabeledDataset,
-    *,
-    fraction: float | None = None,
-    trusted: tuple[int, ...] | None = None,
-    rng: np.random.Generator | None = None,
-) -> CleanShard:
-    """Pick the clean-data source: a stratified server shard or trusted clients.
+    dataset: LabeledDataset, fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Sorted indices of a stratified server-held clean shard.
 
-    Exactly one of fraction/trusted must be given. A server shard samples
-    round(fraction * count) indices per class, so its size is within one
-    rounding per class of fraction * n. An empty carve raises EmptySelection.
+    Samples round(fraction * count) indices per class, so the shard size is
+    within one rounding per class of fraction * n. A fraction outside (0, 1)
+    or one that rounds to an empty shard raises EmptySelection.
     """
-    if (fraction is None) == (trusted is None):
-        raise EmptySelection("pass exactly one of fraction or trusted")
-    if trusted is not None:
-        if len(trusted) == 0:
-            raise EmptySelection("trusted client set is empty")
-        return CleanShard("trusted", clients=tuple(sorted(int(c) for c in trusted)))
     if not 0.0 < fraction < 1.0:
         raise EmptySelection(f"shard fraction {fraction} outside (0, 1)")
     parts = []
@@ -145,7 +116,7 @@ def carve_clean_shard(
             parts.append(rng.permutation(idx)[:k])
     if not parts:
         raise EmptySelection(f"fraction {fraction} rounds to an empty shard")
-    return CleanShard("server", indices=np.sort(np.concatenate(parts)))
+    return np.sort(np.concatenate(parts))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,14 @@ class FormatError(ByzBenchError):
     """A binary dataset file is malformed."""
 
 
+class InvalidField(ValueError):
+    """A spec field holds an invalid value; carries the field's name."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 class ConfigError(ByzBenchError):
     """A config document is invalid; carries the offending key path."""
 

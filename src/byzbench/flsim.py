@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,11 @@ from .errors import (
     ConfigError,
     DivergenceDetected,
     InsufficientClients,
+    InvalidField,
     InvalidSelectionSize,
     MissingReference,
 )
-from .filtering import FilterParams, FilterResult, ReferenceSpec, build_reference, filter_and_aggregate
+from .filtering import FilterParams, FilterResult, build_reference, filter_and_aggregate
 from .models import ModelSpec, build_model
 
 
@@ -47,11 +48,17 @@ class LRSchedule:
     decay: float = 0.006
 
     def __post_init__(self):
-        if self.eta0 <= 0.0 or self.decay < 0.0:
-            raise ValueError("need eta0 > 0 and decay >= 0")
+        if self.eta0 <= 0.0:
+            raise InvalidField("eta0", "eta0 must be positive")
+        if self.decay < 0.0:
+            raise InvalidField("decay", "decay must be >= 0")
 
     def rate(self, round_index: int) -> float:
         return self.eta0 / (self.decay * round_index + 1.0)
+
+
+_SYNTHETIC = {"kinds": ("synthetic",)}
+_IDX = {"kinds": ("idx",)}
 
 
 @dataclass(frozen=True)
@@ -59,32 +66,31 @@ class DatasetSpec:
     """Synthetic Gaussian clusters or an IDX file pair per split."""
 
     kind: str = "synthetic"
-    n: int = 5000
-    dim: int = 20
-    classes: int = 10
-    separation: float = 4.0
-    test_fraction: float = 0.2
-    train_images: str | None = None
-    train_labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
+    n: int = field(default=5000, metadata=_SYNTHETIC)
+    dim: int = field(default=20, metadata=_SYNTHETIC)
+    classes: int = field(default=10, metadata=_SYNTHETIC)
+    separation: float = field(default=4.0, metadata=_SYNTHETIC)
+    test_fraction: float = field(default=0.2, metadata=_SYNTHETIC)
+    train_images: str | None = field(default=None, metadata=_IDX)
+    train_labels: str | None = field(default=None, metadata=_IDX)
+    test_images: str | None = field(default=None, metadata=_IDX)
+    test_labels: str | None = field(default=None, metadata=_IDX)
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "idx"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "synthetic":
-            if self.n < 1 or self.dim < 1 or self.classes < 2 or self.separation <= 0:
-                raise ValueError("synthetic dataset needs n, dim >= 1, classes >= 2, separation > 0")
+            for name, low in (("n", 1), ("dim", 1), ("classes", 2)):
+                if getattr(self, name) < low:
+                    raise InvalidField(name, f"synthetic dataset needs {name} >= {low}")
+            if self.separation <= 0.0:
+                raise InvalidField("separation", "separation must be positive")
             if not 0.0 < self.test_fraction < 1.0:
-                raise ValueError("test_fraction must lie in (0, 1)")
+                raise InvalidField("test_fraction", "test_fraction must lie in (0, 1)")
+        elif self.kind == "idx":
+            for name in ("train_images", "train_labels", "test_images", "test_labels"):
+                if getattr(self, name) is None:
+                    raise InvalidField(name, f"idx dataset needs {name}")
         else:
-            missing = [
-                name
-                for name in ("train_images", "train_labels", "test_images", "test_labels")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise ValueError(f"idx dataset needs paths: {', '.join(missing)}")
+            raise InvalidField("kind", f"unknown dataset kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -92,16 +98,16 @@ class CleanSpec:
     """Clean-data regime: a server-held shard or a trusted client set."""
 
     kind: str
-    fraction: float = 0.02
-    clients: tuple[int, ...] = ()
+    fraction: float = field(default=0.02, metadata={"kinds": ("server",)})
+    clients: tuple[int, ...] = field(default=(), metadata={"kinds": ("trusted",)})
 
     def __post_init__(self):
         if self.kind not in ("server", "trusted"):
-            raise ValueError(f"unknown clean kind {self.kind!r}")
+            raise InvalidField("kind", f"unknown clean kind {self.kind!r}")
         if self.kind == "server" and not 0.0 < self.fraction < 1.0:
-            raise ValueError("server shard fraction must lie in (0, 1)")
+            raise InvalidField("fraction", "server shard fraction must lie in (0, 1)")
         if self.kind == "trusted" and not self.clients:
-            raise ValueError("trusted clean spec needs at least one client id")
+            raise InvalidField("clients", "trusted clean spec needs at least one client id")
 
 
 @dataclass(frozen=True)
@@ -120,11 +126,11 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.reference not in ("aggregator", "server_clean", "trusted"):
-            raise ValueError(f"unknown reference {self.reference!r}")
+            raise InvalidField("reference", f"unknown reference {self.reference!r}")
         if not self.filtered and self.base is None:
-            raise ValueError("bare method needs a base aggregator")
+            raise InvalidField("base", "bare method needs a base aggregator")
         if self.filtered and self.reference == "aggregator" and self.base is None:
-            raise ValueError("filtered aggregator reference needs a base aggregator")
+            raise InvalidField("base", "filtered aggregator reference needs a base aggregator")
 
     @property
     def label(self) -> str:
@@ -132,40 +138,61 @@ class MethodSpec:
             return self.base.label
         if self.reference == "aggregator":
             return f"H+{self.base.label}"
-        return "H+Clean data"
+        return "H+Clean data" if self.reference == "server_clean" else "H+Trusted"
+
+    @property
+    def clean_kind(self) -> str | None:
+        """The CleanSpec kind this method reads, or None.
+
+        "server": the gradient on the server shard, which feeds bare FLTrust
+        and the server_clean reference. "trusted": the trusted clients' uploads.
+        """
+        if not self.filtered:
+            return "server" if self.base.kind == "fltrust" else None
+        return {"server_clean": "server", "trusted": "trusted"}.get(self.reference)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Full declarative description of one training run."""
+class TrainingProtocol:
+    """What a sweep and every one of its cells share."""
 
     dataset: DatasetSpec = DatasetSpec()
     model: ModelSpec = ModelSpec()
     clients: int = 20
     batch_size: int = 32
     rounds: int = 100
-    beta: float = 0.6
-    requested_ratio: float = 0.0
-    attack: AttackSpec | None = None
-    method: MethodSpec = MethodSpec(base=AggregatorSpec("mean"))
-    filter_params: FilterParams = FilterParams()
     lr: LRSchedule = LRSchedule()
     clean: CleanSpec | None = None
-    seed: int = 0
     eval_interval: int = 1
     min_client_size: int | None = None
 
     def __post_init__(self):
-        if self.clients < 1 or self.batch_size < 1 or self.rounds < 0:
-            raise ValueError("need clients >= 1, batch_size >= 1, rounds >= 0")
+        for name, low in (("clients", 1), ("batch_size", 1), ("rounds", 0), ("eval_interval", 1)):
+            if getattr(self, name) < low:
+                raise InvalidField(name, f"{name} must be >= {low}")
+        if self.min_client_size is not None and self.min_client_size < 1:
+            raise InvalidField("min_client_size", "min_client_size must be >= 1")
+
+
+@dataclass(frozen=True)
+class RunConfig(TrainingProtocol):
+    """Full declarative description of one training run."""
+
+    beta: float = 0.6
+    requested_ratio: float = field(default=0.0, metadata={"key": "ratio"})
+    attack: AttackSpec | None = None
+    method: MethodSpec = MethodSpec(base=AggregatorSpec("mean"))
+    filter_params: FilterParams = field(default=FilterParams(), metadata={"key": "hplus"})
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+            raise InvalidField("beta", "beta must be positive")
         if not 0.0 <= self.requested_ratio < 1.0:
-            raise ValueError("requested_ratio must lie in [0, 1)")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
+            raise InvalidField("requested_ratio", "requested_ratio must lie in [0, 1)")
         if self.requested_ratio > 0.0 and self.attack is None:
-            raise ValueError("requested_ratio > 0 needs an attack")
+            raise InvalidField("attack", "requested_ratio > 0 needs an attack")
 
 
 @dataclass
@@ -236,10 +263,9 @@ class Simulation:
         trusted: tuple[int, ...] = ()
         if config.clean is not None:
             if config.clean.kind == "server":
-                carved = datamod.carve_clean_shard(
-                    self.train, fraction=config.clean.fraction, rng=substream(seed, "shard")
+                self.shard = datamod.carve_clean_shard(
+                    self.train, config.clean.fraction, substream(seed, "shard")
                 )
-                self.shard = carved.indices
             else:
                 trusted = tuple(sorted(set(config.clean.clients)))
                 if any(c < 0 or c >= m_clients for c in trusted):
@@ -279,31 +305,22 @@ class Simulation:
         self.method = self._resolve_method(config.method)
         self.attack = self._resolve_attack(config.attack)
         self.filter_params = self._resolve_filter(config.filter_params)
-        self._needs_clean_gradient = (
-            self.method.filtered and self.method.reference == "server_clean"
-        ) or (not self.method.filtered and self.method.base.kind == "fltrust")
-        if self._needs_clean_gradient and self.shard is None:
-            raise MissingReference("method needs a server clean shard; set clean.kind = server")
-        if self.method.filtered and self.method.reference == "trusted" and not trusted:
-            raise MissingReference("trusted reference needs clean.kind = trusted")
+        needed = self.method.clean_kind
+        if needed is not None and (config.clean is None or config.clean.kind != needed):
+            raise MissingReference(f"{self.method.label} needs clean.kind = {needed}")
 
     def _resolve_method(self, method: MethodSpec) -> MethodSpec:
         base = method.base
-        if base is not None and base.kind == "krum" and base.assumed_byzantine is None:
+        if base is None or base.kind != "krum":
+            return method
+        if base.assumed_byzantine is None:
             f = ceil_ratio(self.config.requested_ratio, self.config.clients)
-            base = AggregatorSpec(
-                kind="krum",
-                assumed_byzantine=f,
-                tolerance=base.tolerance,
-                max_iter=base.max_iter,
-                clip_radius=base.clip_radius,
-                clip_iters=base.clip_iters,
-            )
-        if base is not None and base.kind == "krum" and self.config.clients < base.assumed_byzantine + 3:
+            base = replace(base, assumed_byzantine=f)
+        if self.config.clients < base.assumed_byzantine + 3:
             raise InsufficientClients(
                 f"krum needs clients >= f + 3 = {base.assumed_byzantine + 3}, got {self.config.clients}"
             )
-        return MethodSpec(filtered=method.filtered, base=base, reference=method.reference)
+        return replace(method, base=base)
 
     def _resolve_attack(self, attack: AttackSpec | None) -> AttackSpec | None:
         if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
@@ -311,9 +328,7 @@ class Simulation:
         base = self.method.base
         victim_is_correntropy = base is not None and base.kind == "mca"
         scale = -3.0 * (self.config.clients - self.mask.count) if victim_is_correntropy else -0.1
-        return AttackSpec(
-            kind="foe", variance=attack.variance, lie_offset=attack.lie_offset, foe_scale=scale
-        )
+        return replace(attack, foe_scale=scale)
 
     def _resolve_filter(self, params: FilterParams) -> FilterParams:
         keep = params.keep
@@ -321,13 +336,7 @@ class Simulation:
             keep = self.config.clients - ceil_ratio(self.config.requested_ratio, self.config.clients)
         if not 1 <= keep <= self.config.clients:
             raise InvalidSelectionSize(f"keep={keep} outside [1, {self.config.clients}]")
-        return FilterParams(
-            passes=params.passes,
-            segment_len=params.segment_len,
-            keep=keep,
-            penalty_weight=params.penalty_weight,
-            norm_pivot=params.norm_pivot,
-        )
+        return replace(params, keep=keep)
 
     # ------------------------------------------------------------------ round
 
@@ -389,7 +398,7 @@ class Simulation:
         wall["attack"] = time.perf_counter() - t_mark
 
         clean_grad = None
-        if self._needs_clean_gradient:
+        if self.method.clean_kind == "server":
             t_mark = time.perf_counter()
             clean_grad = self._clean_gradient(round_index)
             wall["clean"] = time.perf_counter() - t_mark
@@ -397,17 +406,15 @@ class Simulation:
         selected: tuple[int, ...]
         if self.method.filtered:
             t_mark = time.perf_counter()
-            if self.method.reference == "server_clean":
-                reference = clean_grad
-            else:
-                ref_spec = (
-                    ReferenceSpec("trusted", trusted=self.trusted)
-                    if self.method.reference == "trusted"
-                    else ReferenceSpec("aggregator", base=self.method.base)
-                )
-                reference = build_reference(
-                    ref_spec, self.alpha, uploads, center=self.prev_aggregate
-                )
+            reference = build_reference(
+                self.method.reference,
+                self.method.base,
+                self.alpha,
+                uploads,
+                trusted=self.trusted,
+                clean_gradient=clean_grad,
+                center=self.prev_aggregate,
+            )
             wall["reference"] = time.perf_counter() - t_mark
             result: FilterResult = filter_and_aggregate(
                 reference,

@@ -1,384 +1,258 @@
-"""Strict JSON experiment configs.
+"""Strict JSON experiment configs, read and written through the specs' field tables.
 
 A config file is the single source of truth for a sweep: dataset, model,
-training protocol, and the four sweep axes (attacks x methods x ratios x
-betas x seeds). Parsing is strict: unknown keys, type mismatches, and
-out-of-range values all raise ConfigError carrying the dotted path of the
-offending field ("hplus.K", "attacks[1].scale", ...).
+training protocol, and the sweep axes (attacks x methods x ratios x betas x
+seeds). Every spec dataclass is its own schema. A field's JSON key is its name
+unless the field's metadata gives a `key` ("K", "offset", ...), and a field
+whose metadata lists `kinds` belongs only to specs of those kinds. One codec
+walks these tables:
+
+- parsing checks each value's type (a bool is not an integer), rejects unknown
+  keys and keys that do not belong to the spec's kind with their dotted path
+  ("hplus.Q", "attacks[1].scale"), builds the dataclass, and reports what its
+  `__post_init__` rejects as a ConfigError at that field's path;
+- `to_json` writes a spec back: by default the set fields that belong to its
+  kind, which parse back equal, and with full=True every field, the form cell
+  fingerprints hash.
+
+What is left here is what no single spec knows: the input shorthands ("h+gm",
+"h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
+object that carries its base aggregator's knobs) and the rules that relate
+fields of different sections.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
-from ..aggregators import AGGREGATOR_KINDS, AggregatorSpec
-from ..attacks import ATTACK_KINDS, AttackSpec
-from ..errors import ConfigError, IoError
+from ..aggregators import AggregatorSpec
+from ..attacks import AttackSpec
+from ..errors import ConfigError, InvalidField, InvalidSelectionSize, IoError
 from ..filtering import FilterParams
-from ..flsim import CleanSpec, DatasetSpec, LRSchedule, MethodSpec
-from ..models import ModelSpec
+from ..flsim import MethodSpec, TrainingProtocol
+
+_KIND_ALIASES = {"mlp": "mlp1", "negated-mean": "negated_mean"}
 
 _METHOD_ALIASES = {
     "h+clean": MethodSpec(filtered=True, reference="server_clean"),
-    "h+clean data": MethodSpec(filtered=True, reference="server_clean"),
     "h+trusted": MethodSpec(filtered=True, reference="trusted"),
 }
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """A parsed sweep: shared protocol plus the Cartesian axes."""
+class ExperimentConfig(TrainingProtocol):
+    """A parsed sweep: the shared training protocol plus the Cartesian axes."""
 
-    dataset: DatasetSpec = DatasetSpec()
-    model: ModelSpec = ModelSpec()
-    clients: int = 20
-    batch_size: int = 32
-    rounds: int = 100
-    betas: tuple = (0.6,)
-    ratios: tuple = (0.0,)
-    attacks: tuple = (None,)
-    methods: tuple = (MethodSpec(base=AggregatorSpec("mean")),)
+    betas: tuple[float, ...] = field(default=(0.6,), metadata={"key": "beta"})
+    ratios: tuple[float, ...] = (0.0,)
+    attacks: tuple[AttackSpec | None, ...] = (None,)
+    methods: tuple[MethodSpec, ...] = (MethodSpec(base=AggregatorSpec("mean")),)
     hplus: FilterParams = FilterParams()
-    lr: LRSchedule = LRSchedule()
-    seeds: tuple = (0,)
-    eval_interval: int = 1
-    clean: CleanSpec | None = None
-    min_client_size: int | None = None
+    seeds: tuple[int, ...] = (0,)
     out_dir: str | None = None
 
 
-# --------------------------------------------------------------------- helpers
+# ------------------------------------------------------------------- codec
 
 
-def _check_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _check_array(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(path, f"expected an array, got {type(value).__name__}")
-    if not value:
-        raise ConfigError(path, "array must not be empty")
-    return value
-
-
-def _check_int(value, path: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _check_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _check_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _check_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-class _Section:
-    """One JSON object; tracks consumed keys so leftovers can be rejected."""
-
-    def __init__(self, obj: dict, path: str):
-        self.obj = _check_object(obj, path or "config")
-        self.path = path
-        self.seen: set = set()
-
-    def _sub(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def has(self, key: str) -> bool:
-        return key in self.obj
-
-    def raw(self, key: str, default=None):
-        self.seen.add(key)
-        return self.obj.get(key, default)
-
-    def take(self, key: str, check, default):
-        if key not in self.obj:
-            self.seen.add(key)
-            return default
-        return check(self.raw(key), self._sub(key))
-
-    def take_optional(self, key: str, check, default=None):
-        if key not in self.obj or self.obj[key] is None:
-            self.seen.add(key)
-            return default
-        return check(self.raw(key), self._sub(key))
-
-    def finish(self):
-        for key in self.obj:
-            if key not in self.seen:
-                raise ConfigError(self._sub(key), "unknown key")
-
-
-def _require(condition: bool, path: str, message: str):
-    if not condition:
-        raise ConfigError(path, message)
-
-
-# --------------------------------------------------------------------- pieces
-
-
-def _parse_dataset(obj, path: str) -> DatasetSpec:
-    sec = _Section(obj, path)
-    kind = sec.take("kind", _check_str, "synthetic").lower()
-    if kind == "synthetic":
-        spec = DatasetSpec(
-            kind="synthetic",
-            n=sec.take("n", _check_int, 5000),
-            dim=sec.take("dim", _check_int, 20),
-            classes=sec.take("classes", _check_int, 10),
-            separation=sec.take("separation", _check_float, 4.0),
-            test_fraction=sec.take("test_fraction", _check_float, 0.2),
-        )
-        sec.finish()
-        _require(spec.n >= 1, f"{path}.n", "must be >= 1")
-        _require(spec.dim >= 1, f"{path}.dim", "must be >= 1")
-        _require(spec.classes >= 2, f"{path}.classes", "must be >= 2")
-        _require(spec.separation > 0.0, f"{path}.separation", "must be positive")
-        _require(
-            0.0 < spec.test_fraction < 1.0, f"{path}.test_fraction", "must lie in (0, 1)"
-        )
-        return spec
-    if kind == "idx":
-        spec = DatasetSpec(
-            kind="idx",
-            train_images=sec.take_optional("train_images", _check_str),
-            train_labels=sec.take_optional("train_labels", _check_str),
-            test_images=sec.take_optional("test_images", _check_str),
-            test_labels=sec.take_optional("test_labels", _check_str),
-        )
-        sec.finish()
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            _require(getattr(spec, key) is not None, f"{path}.{key}", "required for idx datasets")
-        return spec
-    raise ConfigError(f"{path}.kind", f"unknown dataset kind {kind!r}")
-
-
-def _parse_model(obj, path: str) -> ModelSpec:
-    sec = _Section(obj, path)
-    kind = sec.take("kind", _check_str, "softmax").lower()
-    hidden = sec.take("hidden", _check_int, 32)
-    sec.finish()
-    _require(kind in ("softmax", "mlp", "mlp1"), f"{path}.kind", f"unknown model kind {kind!r}")
-    _require(hidden >= 1, f"{path}.hidden", "must be >= 1")
-    return ModelSpec(kind="mlp1" if kind.startswith("mlp") else "softmax", hidden=hidden)
-
-
-def _parse_attack(entry, path: str) -> AttackSpec | None:
-    if isinstance(entry, str):
-        kind = entry.lower().replace("-", "_")
-        if kind in ("none", "clean", "no_attack"):
-            return None
-        _require(kind in ATTACK_KINDS, path, f"unknown attack {entry!r}")
-        return AttackSpec(kind)
-    sec = _Section(entry, path)
-    kind = _check_str(sec.raw("kind"), f"{path}.kind").lower().replace("-", "_")
-    if kind in ("none", "clean", "no_attack"):
-        sec.finish()
-        return None
-    _require(kind in ATTACK_KINDS, f"{path}.kind", f"unknown attack {kind!r}")
-    spec = AttackSpec(
-        kind=kind,
-        variance=sec.take("variance", _check_float, 90.0),
-        lie_offset=sec.take("offset", _check_float, 0.7),
-        foe_scale=sec.take_optional("scale", _check_float),
+@functools.cache
+def _table(cls) -> tuple:
+    """(field, JSON key, type) for every field of a spec dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f, f.metadata.get("key", f.name), hints[f.name]) for f in dataclasses.fields(cls)
     )
-    sec.finish()
-    _require(spec.variance > 0.0, f"{path}.variance", "must be positive")
+
+
+def _belongs(f: dataclasses.Field, spec) -> bool:
+    kinds = f.metadata.get("kinds")
+    return kinds is None or spec.kind in kinds
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@functools.cache
+def _strip_optional(hint):
+    """X | None -> (X, True); any other type -> (type, False)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return inner, True
+    return hint, False
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _decode_value(hint, value, path: str):
+    hint, optional = _strip_optional(hint)
+    if hint in _ENTRIES:
+        return _ENTRIES[hint][0](value, path)
+    if value is None and optional:
+        return None
+    if dataclasses.is_dataclass(hint):
+        return _decode(hint, value, path)
+    if typing.get_origin(hint) is tuple:
+        # A single item stands for a one-item array.
+        item = typing.get_args(hint)[0]
+        if not isinstance(value, list):
+            return (_decode_value(item, value, path),)
+        if not value:
+            raise ConfigError(path, "array must not be empty")
+        return tuple(_decode_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    # An integer is a fine number, but bool, an int subclass, is neither.
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[hint]}, got {type(value).__name__}")
+    return float(value) if hint is float else value
+
+
+def _decode(cls, obj, path: str, **given):
+    """Build spec `cls` from JSON object `obj`; `given` fields are already built."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path or "config", f"expected an object, got {type(obj).__name__}")
+    table = {key: (f, hint) for f, key, hint in _table(cls)}
+    values = dict(given)
+    for key, value in obj.items():
+        if key not in table or table[key][0].name in given:
+            raise ConfigError(_join(path, key), "unknown key")
+        f, hint = table[key]
+        values[f.name] = _decode_value(hint, value, _join(path, key))
+    if isinstance(values.get("kind"), str):
+        kind = values["kind"].lower()
+        values["kind"] = _KIND_ALIASES.get(kind, kind)
+    for key, (f, _) in table.items():
+        if f.name not in values and f.default is dataclasses.MISSING:
+            raise ConfigError(_join(path, key), "required")
+    try:
+        spec = cls(**values)
+    except InvalidField as exc:
+        key = next(key for key, (f, _) in table.items() if f.name == exc.field)
+        raise ConfigError(_join(path, key), str(exc)) from exc
+    except (ValueError, InvalidSelectionSize) as exc:
+        raise ConfigError(path or "config", str(exc)) from exc
+    for key in obj:
+        if not _belongs(table[key][0], spec):
+            raise ConfigError(_join(path, key), f"does not apply to kind {spec.kind!r}")
     return spec
 
 
-def _base_spec(kind: str, path: str, sec: _Section | None = None) -> AggregatorSpec:
-    _require(kind in AGGREGATOR_KINDS, path, f"unknown aggregator {kind!r}")
-    if sec is None:
-        return AggregatorSpec(kind)
-    try:
-        return AggregatorSpec(
-            kind=kind,
-            assumed_byzantine=sec.take_optional("assumed_byzantine", _check_int),
-            tolerance=sec.take("tolerance", _check_float, 1e-5),
-            max_iter=sec.take("max_iter", _check_int, 1000),
-            clip_radius=sec.take("clip_radius", _check_float, 10.0),
-            clip_iters=sec.take("clip_iters", _check_int, 3),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def to_json(spec, full: bool = False) -> dict:
+    """A spec as a JSON object: its set fields that belong to its kind, or all.
+
+    Attacks and methods are always written in their compact config-entry form.
+    """
+    out = {}
+    for f, key, hint in _table(type(spec)):
+        value = getattr(spec, f.name)
+        if full or (value is not None and _belongs(f, spec)):
+            out[key] = _encode_value(hint, value, full)
+    return out
 
 
-def _parse_method(entry, path: str) -> MethodSpec:
+def _encode_value(hint, value, full: bool):
+    if type(value) in _TYPE_NAMES:  # a JSON scalar already
+        return value
+    hint, _ = _strip_optional(hint)
+    if hint in _ENTRIES:
+        return _ENTRIES[hint][1](value)
+    if isinstance(value, tuple):
+        item = typing.get_args(hint)[0]
+        return [_encode_value(item, v, full) for v in value]
+    return None if value is None else to_json(value, full)
+
+
+# -------------------------------------------------------------- shorthands
+
+
+def _decode_attack(entry, path: str) -> AttackSpec | None:
+    if isinstance(entry, str):
+        if entry.lower() == "none":
+            return None
+        entry = {"kind": entry}
+    return _decode(AttackSpec, entry, path)
+
+
+def _encode_attack(spec: AttackSpec | None):
+    return "none" if spec is None else to_json(spec)
+
+
+_METHOD_KEYS = tuple(key for _, key, _ in _table(MethodSpec))
+
+
+def _decode_method(entry, path: str) -> MethodSpec:
+    """A method name ("gm", "h+gm", "h+clean") or a flat object: the
+    MethodSpec keys, with "base" naming the aggregator whose knobs sit beside it."""
     if isinstance(entry, str):
         name = entry.lower()
         if name in _METHOD_ALIASES:
             return _METHOD_ALIASES[name]
-        if name.startswith("h+"):
-            return MethodSpec(filtered=True, base=_base_spec(name[2:], path))
-        return MethodSpec(base=_base_spec(name, path))
-    sec = _Section(entry, path)
-    filtered = sec.take("filtered", _check_bool, False)
-    reference = sec.take("reference", _check_str, "aggregator").lower()
-    base_kind = sec.take_optional("base", _check_str)
-    _require(
-        reference in ("aggregator", "server_clean", "trusted"),
-        f"{path}.reference",
-        f"unknown reference {reference!r}",
-    )
+        filtered = name.startswith("h+")
+        entry = {"filtered": filtered, "base": name[2:] if filtered else name}
+    if not isinstance(entry, dict):
+        raise ConfigError(path, f"expected a string or an object, got {type(entry).__name__}")
+    method = {k: v for k, v in entry.items() if k in _METHOD_KEYS and k != "base"}
+    knobs = {k: v for k, v in entry.items() if k not in _METHOD_KEYS}
     base = None
-    if base_kind is not None:
-        base = _base_spec(base_kind.lower(), f"{path}.base", sec)
-    sec.finish()
-    try:
-        return MethodSpec(filtered=filtered, base=base, reference=reference)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    if "base" in entry:
+        kind = _decode_value(str, entry["base"], f"{path}.base")
+        base = _decode(AggregatorSpec, knobs, path, kind=kind)
+    elif knobs:
+        raise ConfigError(_join(path, next(iter(knobs))), "unknown key")
+    return _decode(MethodSpec, method, path, base=base)
 
 
-def _parse_hplus(obj, path: str) -> FilterParams:
-    sec = _Section(obj, path)
-    passes = sec.take("K", _check_int, 3)
-    segment_len = sec.take("r", _check_int, 50)
-    keep = sec.take_optional("N", _check_int)
-    rho = sec.take("rho", _check_float, 10.0)
-    tau = sec.take("tau", _check_float, 0.1)
-    sec.finish()
-    _require(passes >= 1, f"{path}.K", "must be >= 1")
-    _require(segment_len >= 1, f"{path}.r", "must be >= 1")
-    _require(keep is None or keep >= 1, f"{path}.N", "must be >= 1")
-    _require(rho >= 0.0, f"{path}.rho", "must be >= 0")
-    _require(tau > 0.0, f"{path}.tau", "must be positive")
-    return FilterParams(
-        passes=passes, segment_len=segment_len, keep=keep, penalty_weight=rho, norm_pivot=tau
-    )
+def _encode_method(spec: MethodSpec) -> dict:
+    out = to_json(spec)
+    base = out.pop("base", None)
+    if base is not None:
+        out.update(base)
+        out["base"] = out.pop("kind")
+    return out
 
 
-def _parse_lr(obj, path: str) -> LRSchedule:
-    sec = _Section(obj, path)
-    eta0 = sec.take("eta0", _check_float, 0.2)
-    decay = sec.take("decay", _check_float, 0.006)
-    sec.finish()
-    _require(eta0 > 0.0, f"{path}.eta0", "must be positive")
-    _require(decay >= 0.0, f"{path}.decay", "must be >= 0")
-    return LRSchedule(eta0=eta0, decay=decay)
-
-
-def _parse_clean(obj, path: str) -> CleanSpec:
-    sec = _Section(obj, path)
-    kind = _check_str(sec.raw("kind"), f"{path}.kind").lower()
-    _require(kind in ("server", "trusted"), f"{path}.kind", f"unknown clean kind {kind!r}")
-    if kind == "server":
-        fraction = sec.take("fraction", _check_float, 0.02)
-        sec.finish()
-        _require(0.0 < fraction < 1.0, f"{path}.fraction", "must lie in (0, 1)")
-        return CleanSpec(kind="server", fraction=fraction)
-    ids = _check_array(sec.raw("clients"), f"{path}.clients")
-    clients = tuple(_check_int(c, f"{path}.clients[{i}]") for i, c in enumerate(ids))
-    sec.finish()
-    return CleanSpec(kind="trusted", clients=clients)
-
-
-def _as_tuple(value, path: str, check):
-    """A scalar or an array of scalars -> tuple."""
-    if isinstance(value, list):
-        _check_array(value, path)
-        return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(value))
-    return (check(value, path),)
+_ENTRIES = {
+    AttackSpec: (_decode_attack, _encode_attack),
+    MethodSpec: (_decode_method, _encode_method),
+}
 
 
 # ---------------------------------------------------------------- entry points
 
 
+def _check_cross_field_rules(config: ExperimentConfig):
+    """Rules that relate fields of different sections, or a sweep axis to a spec."""
+    for i, beta in enumerate(config.betas):
+        if not beta > 0.0:
+            raise ConfigError(f"beta[{i}]", "must be positive")
+    for i, ratio in enumerate(config.ratios):
+        if not 0.0 <= ratio < 1.0:
+            raise ConfigError(f"ratios[{i}]", "must lie in [0, 1)")
+    if config.hplus.keep is not None and config.hplus.keep > config.clients:
+        raise ConfigError("hplus.N", f"must be <= clients ({config.clients})")
+    clean_kind = None if config.clean is None else config.clean.kind
+    for i, method in enumerate(config.methods):
+        if method.clean_kind not in (None, clean_kind):
+            raise ConfigError(
+                f"methods[{i}]", f"{method.label!r} needs clean.kind = {method.clean_kind}"
+            )
+    if clean_kind == "trusted":
+        for i, client in enumerate(config.clean.clients):
+            if not 0 <= client < config.clients:
+                raise ConfigError(f"clean.clients[{i}]", f"must lie in [0, {config.clients})")
+
+
 def parse_config_dict(obj: dict) -> ExperimentConfig:
-    sec = _Section(obj, "")
-    dataset = _parse_dataset(sec.raw("dataset", {}), "dataset")
-    model = _parse_model(sec.raw("model", {}), "model")
-    clients = sec.take("clients", _check_int, 20)
-    batch_size = sec.take("batch_size", _check_int, 32)
-    rounds = sec.take("rounds", _check_int, 100)
-    betas = _as_tuple(sec.raw("beta", 0.6), "beta", _check_float)
-    ratios = _as_tuple(sec.raw("ratios", [0.0]), "ratios", _check_float)
-
-    attack_entries = _check_array(sec.raw("attacks", ["none"]), "attacks")
-    attacks = tuple(
-        _parse_attack(entry, f"attacks[{i}]") for i, entry in enumerate(attack_entries)
-    )
-    method_entries = _check_array(sec.raw("methods", ["mean"]), "methods")
-    methods = tuple(
-        _parse_method(entry, f"methods[{i}]") for i, entry in enumerate(method_entries)
-    )
-
-    hplus = _parse_hplus(sec.raw("hplus", {}), "hplus")
-    lr = _parse_lr(sec.raw("lr", {}), "lr")
-    seeds = _as_tuple(sec.raw("seeds", [0]), "seeds", _check_int)
-    eval_interval = sec.take("eval_interval", _check_int, 1)
-    clean = None
-    if sec.take_optional("clean", _check_object) is not None:
-        clean = _parse_clean(sec.obj["clean"], "clean")
-    min_client_size = sec.take_optional("min_client_size", _check_int)
-    out_dir = sec.take_optional("out_dir", _check_str)
-    sec.finish()
-
-    _require(clients >= 1, "clients", "must be >= 1")
-    _require(batch_size >= 1, "batch_size", "must be >= 1")
-    _require(rounds >= 0, "rounds", "must be >= 0")
-    _require(eval_interval >= 1, "eval_interval", "must be >= 1")
-    _require(min_client_size is None or min_client_size >= 1, "min_client_size", "must be >= 1")
-    for i, beta in enumerate(betas):
-        path = "beta" if len(betas) == 1 and not isinstance(obj.get("beta"), list) else f"beta[{i}]"
-        _require(beta > 0.0, path, "must be positive")
-    for i, ratio in enumerate(ratios):
-        _require(0.0 <= ratio < 1.0, f"ratios[{i}]", "must lie in [0, 1)")
-    _require(hplus.keep is None or hplus.keep <= clients, "hplus.N", f"must be <= clients ({clients})")
-    for i, method in enumerate(methods):
-        needs_clean = (method.filtered and method.reference == "server_clean") or (
-            not method.filtered and method.base.kind == "fltrust"
-        )
-        if needs_clean:
-            _require(
-                clean is not None and clean.kind == "server",
-                f"methods[{i}]",
-                f"{method.label!r} needs clean.kind = server",
-            )
-        if method.filtered and method.reference == "trusted":
-            _require(
-                clean is not None and clean.kind == "trusted",
-                f"methods[{i}]",
-                "trusted reference needs clean.kind = trusted",
-            )
-
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        clients=clients,
-        batch_size=batch_size,
-        rounds=rounds,
-        betas=betas,
-        ratios=ratios,
-        attacks=attacks,
-        methods=methods,
-        hplus=hplus,
-        lr=lr,
-        seeds=seeds,
-        eval_interval=eval_interval,
-        clean=clean,
-        min_client_size=min_client_size,
-        out_dir=out_dir,
-    )
+    config = _decode(ExperimentConfig, obj, "")
+    _check_cross_field_rules(config)
+    return config
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -394,82 +268,6 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_dict(obj)
 
 
-# ------------------------------------------------------------- serialization
-
-
-def _attack_dict(spec: AttackSpec | None):
-    if spec is None:
-        return "none"
-    out = {"kind": spec.kind}
-    if spec.kind == "gaussian":
-        out["variance"] = spec.variance
-    if spec.kind == "lie":
-        out["offset"] = spec.lie_offset
-    if spec.kind == "foe" and spec.foe_scale is not None:
-        out["scale"] = spec.foe_scale
-    return out
-
-
-def _method_dict(spec: MethodSpec):
-    out = {"filtered": spec.filtered, "reference": spec.reference}
-    if spec.base is not None:
-        out["base"] = spec.base.kind
-        if spec.base.assumed_byzantine is not None:
-            out["assumed_byzantine"] = spec.base.assumed_byzantine
-        if spec.base.kind in ("gm", "mca"):
-            out["tolerance"] = spec.base.tolerance
-            out["max_iter"] = spec.base.max_iter
-        if spec.base.kind == "cclip":
-            out["clip_radius"] = spec.base.clip_radius
-            out["clip_iters"] = spec.base.clip_iters
-    return out
-
-
 def serialize_config(config: ExperimentConfig) -> dict:
     """Inverse of parse_config_dict up to defaults: the output re-parses equal."""
-    if config.dataset.kind == "synthetic":
-        dataset = {
-            "kind": "synthetic",
-            "n": config.dataset.n,
-            "dim": config.dataset.dim,
-            "classes": config.dataset.classes,
-            "separation": config.dataset.separation,
-            "test_fraction": config.dataset.test_fraction,
-        }
-    else:
-        dataset = {
-            "kind": "idx",
-            "train_images": config.dataset.train_images,
-            "train_labels": config.dataset.train_labels,
-            "test_images": config.dataset.test_images,
-            "test_labels": config.dataset.test_labels,
-        }
-    out = {
-        "dataset": dataset,
-        "model": {"kind": config.model.kind, "hidden": config.model.hidden},
-        "clients": config.clients,
-        "batch_size": config.batch_size,
-        "rounds": config.rounds,
-        "beta": list(config.betas),
-        "ratios": list(config.ratios),
-        "attacks": [_attack_dict(a) for a in config.attacks],
-        "methods": [_method_dict(m) for m in config.methods],
-        "hplus": {
-            "K": config.hplus.passes,
-            "r": config.hplus.segment_len,
-            "N": config.hplus.keep,
-            "rho": config.hplus.penalty_weight,
-            "tau": config.hplus.norm_pivot,
-        },
-        "lr": {"eta0": config.lr.eta0, "decay": config.lr.decay},
-        "seeds": list(config.seeds),
-        "eval_interval": config.eval_interval,
-        "min_client_size": config.min_client_size,
-        "out_dir": config.out_dir,
-    }
-    if config.clean is not None:
-        if config.clean.kind == "server":
-            out["clean"] = {"kind": "server", "fraction": config.clean.fraction}
-        else:
-            out["clean"] = {"kind": "trusted", "clients": list(config.clean.clients)}
-    return out
+    return to_json(config)

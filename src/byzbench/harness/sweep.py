@@ -13,11 +13,11 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from ..attacks import AttackSpec
-from ..flsim import MethodSpec, RoundRecord, RunConfig, run_to_result
-from .config import ExperimentConfig, _attack_dict, _method_dict
+from ..flsim import MethodSpec, RoundRecord, RunConfig, TrainingProtocol, run_to_result
+from .config import ExperimentConfig, to_json
 from .reporting import read_summary_rows, write_round_csv, write_summary_json
 
 _SEED_SPACE = 2**31 - 1
@@ -71,50 +71,16 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _cell_description(config: ExperimentConfig, attack, method, ratio, beta, seed) -> dict:
-    """Everything that semantically determines the cell's result."""
-    return {
-        "dataset": {
-            "kind": config.dataset.kind,
-            "n": config.dataset.n,
-            "dim": config.dataset.dim,
-            "classes": config.dataset.classes,
-            "separation": config.dataset.separation,
-            "test_fraction": config.dataset.test_fraction,
-            "train_images": config.dataset.train_images,
-            "train_labels": config.dataset.train_labels,
-            "test_images": config.dataset.test_images,
-            "test_labels": config.dataset.test_labels,
-        },
-        "model": {"kind": config.model.kind, "hidden": config.model.hidden},
-        "clients": config.clients,
-        "batch_size": config.batch_size,
-        "rounds": config.rounds,
-        "beta": beta,
-        "ratio": ratio,
-        "attack": _attack_dict(attack),
-        "method": _method_dict(method),
-        "hplus": {
-            "K": config.hplus.passes,
-            "r": config.hplus.segment_len,
-            "N": config.hplus.keep,
-            "rho": config.hplus.penalty_weight,
-            "tau": config.hplus.norm_pivot,
-        },
-        "lr": {"eta0": config.lr.eta0, "decay": config.lr.decay},
-        "clean": (
-            None
-            if config.clean is None
-            else {
-                "kind": config.clean.kind,
-                "fraction": config.clean.fraction,
-                "clients": list(config.clean.clients),
-            }
-        ),
-        "eval_interval": config.eval_interval,
-        "min_client_size": config.min_client_size,
-        "seed": seed,
-    }
+def _cell_description(cell: RunConfig) -> dict:
+    """Everything that semantically determines the cell's result.
+
+    That is every field of the cell's RunConfig, with `seed` the sweep's master
+    seed. The form is the one the first fingerprints hashed and must stay
+    byte-identical, since it names output files, keys resume and seeds every
+    cell: every field of the shared sections whether it belongs to their kind
+    or not, and the attack and method in their compact config-entry form.
+    """
+    return to_json(cell, full=True)
 
 
 def cell_fingerprint(description: dict) -> str:
@@ -134,35 +100,25 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
     ratios are swept.
     """
     cells: dict[str, Cell] = {}
+    shared = {f.name: getattr(config, f.name) for f in fields(TrainingProtocol)}
     for attack in config.attacks:
         for method in config.methods:
             for ratio in config.ratios:
                 for beta in config.betas:
                     for seed in config.seeds:
                         requested = ratio if attack is not None else 0.0
-                        description = _cell_description(
-                            config, attack, method, requested, beta, seed
-                        )
-                        fingerprint = cell_fingerprint(description)
-                        if fingerprint in cells:
-                            continue
                         run_config = RunConfig(
-                            dataset=config.dataset,
-                            model=config.model,
-                            clients=config.clients,
-                            batch_size=config.batch_size,
-                            rounds=config.rounds,
+                            **shared,
                             beta=beta,
                             requested_ratio=requested,
                             attack=attack,
                             method=method,
                             filter_params=config.hplus,
-                            lr=config.lr,
-                            clean=config.clean,
-                            seed=_cell_seed(seed, fingerprint),
-                            eval_interval=config.eval_interval,
-                            min_client_size=config.min_client_size,
+                            seed=seed,
                         )
+                        fingerprint = cell_fingerprint(_cell_description(run_config))
+                        if fingerprint in cells:
+                            continue
                         cells[fingerprint] = Cell(
                             fingerprint=fingerprint,
                             attack=attack,
@@ -170,7 +126,7 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
                             requested_ratio=requested,
                             beta=beta,
                             seed=seed,
-                            run_config=run_config,
+                            run_config=replace(run_config, seed=_cell_seed(seed, fingerprint)),
                         )
     return list(cells.values())
 
@@ -190,7 +146,9 @@ def _summarize(cell: Cell, records: list[RoundRecord], status: str, wall_ms: flo
         seed=cell.seed,
         max_accuracy=max(evaluated) if evaluated else None,
         final_accuracy=evaluated[-1] if evaluated else None,
-        empty_intersections=sum(1 for r in records if r.empty_intersection),
+        empty_intersections=(
+            None if status == "failed" else sum(1 for r in records if r.empty_intersection)
+        ),
         mean_precision=(
             sum(r.filter_precision for r in records) / len(records) if records else None
         ),
@@ -208,23 +166,8 @@ def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
         result = run_to_result(cell.run_config)
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
         wall_ms = 1000.0 * (time.perf_counter() - start)
-        row = SummaryRow(
-            fingerprint=cell.fingerprint,
-            attack=cell.attack_label,
-            method=cell.method.label,
-            requested_ratio=cell.requested_ratio,
-            beta=cell.beta,
-            seed=cell.seed,
-            max_accuracy=None,
-            final_accuracy=None,
-            empty_intersections=None,
-            mean_precision=None,
-            mean_recall=None,
-            wall_ms=wall_ms,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return row, []
+        error = f"{type(exc).__name__}: {exc}"
+        return _summarize(cell, [], "failed", wall_ms, cell.method.label, error), []
     wall_ms = 1000.0 * (time.perf_counter() - start)
     status = "diverged" if result.diverged else "ok"
     row = _summarize(cell, result.records, status, wall_ms, result.method_label)

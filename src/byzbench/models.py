@@ -7,11 +7,11 @@ keeps simulated training deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidField
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +172,13 @@ class OneHiddenMLP:
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str = "softmax"
-    hidden: int = 32
+    hidden: int = field(default=32, metadata={"kinds": ("mlp1",)})
 
     def __post_init__(self):
         if self.kind not in ("softmax", "mlp1"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise InvalidField("kind", f"unknown model kind {self.kind!r}")
         if self.hidden < 1:
-            raise ValueError("hidden width must be >= 1")
+            raise InvalidField("hidden", "hidden width must be >= 1")
 
 
 def build_model(spec: ModelSpec, dim: int, n_classes: int):

@@ -199,44 +199,31 @@ def test_partition_bad_arguments():
 
 def test_shard_size_tracks_fraction():
     ds = _dataset(n=10000, classes=10)
-    shard = carve_clean_shard(ds, fraction=0.01, rng=np.random.default_rng(1))
-    assert shard.kind == "server"
+    shard = carve_clean_shard(ds, 0.01, np.random.default_rng(1))
     assert abs(shard.size - 100) <= 10  # one rounding per class
+    assert np.array_equal(shard, np.unique(shard))  # sorted, no repeats
 
 
 def test_shard_is_stratified():
     ds = _dataset(n=1000, classes=4)
-    shard = carve_clean_shard(ds, fraction=0.1, rng=np.random.default_rng(3))
+    shard = carve_clean_shard(ds, 0.1, np.random.default_rng(3))
     global_hist = np.bincount(ds.labels, minlength=4)
-    shard_hist = np.bincount(ds.labels[shard.indices], minlength=4)
+    shard_hist = np.bincount(ds.labels[shard], minlength=4)
     for c in range(4):
         assert abs(shard_hist[c] - 0.1 * global_hist[c]) <= 1.0
 
 
-def test_shard_trusted_variant():
-    ds = _dataset(n=100)
-    shard = carve_clean_shard(ds, trusted=(3, 1, 2))
-    assert shard.kind == "trusted"
-    assert shard.clients == (1, 2, 3)
-    assert shard.size == 0
-
-
 def test_shard_argument_errors():
     ds = _dataset(n=100)
-    with pytest.raises(EmptySelection):
-        carve_clean_shard(ds)
-    with pytest.raises(EmptySelection):
-        carve_clean_shard(ds, fraction=0.1, trusted=(1,))
-    with pytest.raises(EmptySelection):
-        carve_clean_shard(ds, trusted=())
-    with pytest.raises(EmptySelection):
-        carve_clean_shard(ds, fraction=1.5, rng=np.random.default_rng(0))
+    for fraction in (0.0, 1.0, 1.5):
+        with pytest.raises(EmptySelection):
+            carve_clean_shard(ds, fraction, np.random.default_rng(0))
 
 
 def test_shard_rounding_to_empty_is_an_error():
     ds = _dataset(n=100, classes=10, d=2)
     with pytest.raises(EmptySelection):
-        carve_clean_shard(ds, fraction=0.004, rng=np.random.default_rng(0))
+        carve_clean_shard(ds, 0.004, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------------ idx

@@ -16,7 +16,6 @@ from byzbench.errors import (
 from byzbench.filtering import (
     FilterParams,
     PassResult,
-    ReferenceSpec,
     Segment,
     anomaly_scores,
     build_reference,
@@ -262,44 +261,31 @@ def test_intersection_is_subset_of_each_pass():
 
 def test_reference_trusted_singleton_is_that_upload():
     uploads = np.array([[1.0, 2.0], [5.0, 6.0], [9.0, 0.0]])
-    spec = ReferenceSpec("trusted", trusted=(1,))
-    got = build_reference(spec, np.array([0.2, 0.5, 0.3]), uploads)
+    got = build_reference("trusted", None, np.array([0.2, 0.5, 0.3]), uploads, trusted=(1,))
     assert np.allclose(got, uploads[1], atol=1e-15)
 
 
 def test_reference_trusted_renormalizes_weights():
     uploads = np.array([[0.0], [4.0], [100.0]])
-    spec = ReferenceSpec("trusted", trusted=(0, 1))
-    got = build_reference(spec, np.array([0.1, 0.3, 0.6]), uploads)
+    got = build_reference("trusted", None, np.array([0.1, 0.3, 0.6]), uploads, trusted=(0, 1))
     assert np.allclose(got, [3.0], atol=1e-15)
 
 
 def test_reference_base_aggregator_median():
     uploads = [np.array([1.0]), np.array([5.0]), np.array([3.0])]
-    spec = ReferenceSpec("aggregator", base=AggregatorSpec("median"))
-    got = build_reference(spec, np.full(3, 1 / 3), uploads)
+    got = build_reference("aggregator", AggregatorSpec("median"), np.full(3, 1 / 3), uploads)
     assert got[0] == 3.0
 
 
 def test_reference_server_clean_passthrough():
     v = np.array([7.0, -1.0])
-    spec = ReferenceSpec("server_clean")
-    got = build_reference(spec, np.ones(2), np.zeros((2, 2)), clean_gradient=v)
+    got = build_reference("server_clean", None, np.ones(2), np.zeros((2, 2)), clean_gradient=v)
     assert np.array_equal(got, v)
 
 
 def test_reference_server_clean_requires_gradient():
     with pytest.raises(MissingReference):
-        build_reference(ReferenceSpec("server_clean"), np.ones(1), np.ones((1, 2)))
-
-
-def test_reference_spec_validation():
-    with pytest.raises(ValueError):
-        ReferenceSpec("bogus")
-    with pytest.raises(ValueError):
-        ReferenceSpec("aggregator")
-    with pytest.raises(ValueError):
-        ReferenceSpec("trusted", trusted=())
+        build_reference("server_clean", None, np.ones(1), np.ones((1, 2)))
 
 
 # ------------------------------------------------------------ filter pipeline

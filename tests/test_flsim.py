@@ -112,6 +112,10 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         MethodSpec(filtered=False)  # bare method without a base
     with pytest.raises(ValueError):
+        MethodSpec(filtered=True)  # aggregator reference without a base
+    with pytest.raises(ValueError):
+        MethodSpec(filtered=True, reference="bogus")
+    with pytest.raises(ValueError):
         RunConfig(requested_ratio=0.3)  # ratio without an attack
     with pytest.raises(ValueError):
         RunConfig(rounds=-1)
@@ -124,7 +128,7 @@ def test_method_labels():
     assert MethodSpec(filtered=True, base=AggregatorSpec("gm")).label == "H+GM"
     assert MethodSpec(filtered=True, base=AggregatorSpec("mca")).label == "H+MCA"
     assert MethodSpec(filtered=True, reference="server_clean").label == "H+Clean data"
-    assert MethodSpec(filtered=True, reference="trusted").label == "H+Clean data"
+    assert MethodSpec(filtered=True, reference="trusted").label == "H+Trusted"
 
 
 # -------------------------------------------------------------- resolution

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,8 @@ def test_config_unknown_keys_carry_paths():
         parse_config_dict({"hplus": {"Q": 4}})
     with pytest.raises(ConfigError, match=r"attacks\[0\]\.typo"):
         parse_config_dict({"attacks": [{"kind": "gaussian", "typo": 1}]})
+    with pytest.raises(ConfigError, match=r"attacks\[0\]\.variance: does not apply"):
+        parse_config_dict({"attacks": [{"kind": "signflip", "variance": 1.0}]})
 
 
 def test_config_rejects_bool_as_int():
@@ -164,6 +168,10 @@ def test_config_cross_field_clean_requirements():
         {"methods": ["h+trusted"], "clean": {"kind": "trusted", "clients": [0, 1]}}
     )
     assert cfg.clean.clients == (0, 1)
+    with pytest.raises(ConfigError, match=r"clean\.clients\[1\]"):
+        parse_config_dict(
+            {"clients": 4, "methods": ["h+trusted"], "clean": {"kind": "trusted", "clients": [0, 9]}}
+        )
 
 
 def test_config_scalars_promote_to_tuples():
@@ -178,6 +186,30 @@ def test_config_range_checks():
         parse_config_dict({"clients": 4, "hplus": {"N": 9}})
     with pytest.raises(ConfigError, match="beta"):
         parse_config_dict({"beta": [-0.5]})
+
+
+@pytest.mark.parametrize(
+    "section, config",
+    [
+        pytest.param("dataset", {"dataset": {"n": 0}}, id="dataset.n"),
+        pytest.param("model", {"model": {"kind": "mlp1", "hidden": 0}}, id="model.hidden"),
+        pytest.param(
+            "attacks[0]", {"attacks": [{"kind": "gaussian", "variance": 0}]}, id="attack.variance"
+        ),
+        pytest.param(
+            "methods[0]", {"methods": [{"base": "gm", "tolerance": 0}]}, id="method.tolerance"
+        ),
+        pytest.param("hplus", {"hplus": {"K": 0}}, id="hplus.K"),
+        pytest.param("hplus", {"hplus": {"N": 0}}, id="hplus.N"),
+        pytest.param("hplus", {"hplus": {"tau": 0}}, id="hplus.tau"),
+        pytest.param("lr", {"lr": {"eta0": 0}}, id="lr.eta0"),
+        pytest.param("clean", {"clean": {"kind": "server", "fraction": 1.5}}, id="clean.fraction"),
+    ],
+)
+def test_config_range_errors_carry_section_paths(section, config):
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(config)
+    assert info.value.path.startswith(section)
 
 
 def test_config_file_errors(tmp_path):
@@ -211,6 +243,24 @@ def test_config_serialization_round_trip(tmp_path):
 
 
 # --------------------------------------------------------------------- cells
+
+
+# Fingerprints name output files, key resume and seed every cell, so the
+# shipped configs must keep theirs: sha256 of the sorted fingerprints.
+_SHIPPED_DIGESTS = {
+    "clean-reference.json": "28149f9471975bf9",
+    "headline.json": "201781582eccbf35",
+    "smoke.json": "ccf4f098ec5936f6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_DIGESTS))
+def test_shipped_config_fingerprints_are_pinned(name):
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / name))
+    fingerprints = sorted(cell.fingerprint for cell in expand_cells(cfg))
+    digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()[:16]
+    assert digest == _SHIPPED_DIGESTS[name]
+    assert parse_config_dict(serialize_config(cfg)) == cfg
 
 
 def test_expand_counts_and_control_dedupe():
