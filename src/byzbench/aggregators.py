@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, weighted_average
+from .core import as_matrix, normalized_weights, weighted_average
 from .errors import (
     EmptySelection,
     InsufficientClients,
@@ -39,8 +39,58 @@ def aggregate_mean(weights, vectors) -> np.ndarray:
 
 
 def aggregate_median(vectors) -> np.ndarray:
-    """Coordinate-wise median; even client counts take the midpoint of the middle pair."""
-    return np.median(as_matrix(vectors), axis=0)
+    """Coordinate-wise median; even client counts take the midpoint of the middle pair.
+
+    One sort along the client axis. On finite input the result is bitwise
+    equal to np.median(..., axis=0), which partitions and then averages,
+    except that a zero tied with a zero of the other sign may come out with
+    either sign.
+    """
+    return _coordinate_median(as_matrix(vectors))
+
+
+def _coordinate_median(mat: np.ndarray) -> np.ndarray:
+    """aggregate_median of a matrix. MCA starts from it directly, so wrappers of
+    the public rules (benchmarks/tracing.py) count only median aggregations."""
+    srt = np.sort(mat, axis=0)
+    half = srt.shape[0] // 2
+    if srt.shape[0] % 2:
+        return srt[half].copy()
+    return (srt[half - 1] + srt[half]) / 2.0
+
+
+class _GramFrame:
+    """The inputs seen from an origin z inside their cloud.
+
+    Holds the centred rows X = mat - z and their Gram matrix G = X X'. GM, MCA
+    and Krum only need distances between inputs and points c = z + lam @ X,
+    kept as their coefficients lam (lam = 0 is z itself; after a weighted
+    average step lam sums to one and c = lam @ mat). Then
+    ||g_m - c||^2 = G_mm - 2 (G lam)_m + lam' G lam, and a step delta in lam
+    moves c by sqrt(delta' G delta). Forming G costs O(M^2 p) once; each
+    distance or step after it costs O(M^2). Centring keeps the entries of G at
+    the scale of the spread rather than of the vectors, so the cancellation in
+    the distance formula loses little.
+    """
+
+    def __init__(self, mat: np.ndarray, origin: np.ndarray):
+        self.origin = origin
+        self.centered = mat - origin
+        self.gram = self.centered @ self.centered.T
+        self.diag = self.gram.diagonal().copy()
+
+    def sq_dists(self, lam: np.ndarray) -> np.ndarray:
+        """||g_m - c||^2 for every input m, clamped at 0."""
+        g_lam = self.gram @ lam
+        return np.maximum(self.diag - 2.0 * g_lam + lam @ g_lam, 0.0)
+
+    def sq_step(self, delta: np.ndarray) -> float:
+        """||delta @ X||^2."""
+        return float(delta @ self.gram @ delta)
+
+    def point(self, lam: np.ndarray) -> np.ndarray:
+        """Materialize c = z + lam @ X: the only O(M p) step after forming G."""
+        return self.origin + lam @ self.centered
 
 
 def aggregate_krum(vectors, assumed_byzantine: int) -> np.ndarray:
@@ -49,6 +99,11 @@ def aggregate_krum(vectors, assumed_byzantine: int) -> np.ndarray:
     The score of client i is the sum of squared distances to its M - f - 2
     nearest neighbours, with f = assumed_byzantine. Ties go to the lowest
     client id. The winner is returned bitwise (a copy of the input row).
+
+    Pairwise distances come from the Gram matrix of the rows centred at their
+    mean, d_ij = G_ii + G_jj - 2 G_ij (clamped at 0), and every client is
+    scored from one row-wise sort: O(M^2 p) time and O(M p + M^2) memory,
+    where a difference tensor would take M^2 p.
     """
     mat = as_matrix(vectors)
     m = mat.shape[0]
@@ -57,14 +112,25 @@ def aggregate_krum(vectors, assumed_byzantine: int) -> np.ndarray:
         raise InsufficientClients(f"assumed byzantine count {f} is negative")
     if m < f + 3:
         raise InsufficientClients(f"krum needs at least f + 3 = {f + 3} clients, got {m}")
-    sq = np.sum((mat[:, None, :] - mat[None, :, :]) ** 2, axis=2)
-    neighbours = m - f - 2
-    scores = np.empty(m)
-    for i in range(m):
-        others = np.sort(np.delete(sq[i], i))
-        scores[i] = others[:neighbours].sum()
+    frame = _GramFrame(mat, mat.mean(axis=0))
+    sq = np.maximum(frame.diag[:, None] + frame.diag[None, :] - 2.0 * frame.gram, 0.0)
+    np.fill_diagonal(sq, np.inf)  # a client is not its own neighbour
+    scores = np.sort(sq, axis=1)[:, : m - f - 2].sum(axis=1)
     winner = int(np.argmin(scores))  # argmin takes the first (lowest id) on ties
     return mat[winner].copy()
+
+
+# A squared distance at most this fraction of G_mm counts as landing on input
+# m: it is at the level of the round-off of the cancellation that produced
+# it. At the start (lam = 0) the distance is G_mm itself, so there the test
+# is exact: it holds only for an input equal to the weighted mean.
+_ON_POINT = 1e-14
+# Once the iterate comes within sqrt(_RECENTER) of the frame's distance to an
+# input, that distance would lose most of its digits to cancellation, so GM
+# moves the frame's origin onto that input, where distances to it are exact
+# up to rounding. Weiszfeld converges onto an input whenever the geometric
+# median is one, as it often is for a block of colluding copies.
+_RECENTER = 1e-6
 
 
 def aggregate_gm(
@@ -77,32 +143,45 @@ def aggregate_gm(
     """Weighted geometric median via Weiszfeld fixed-point iteration.
 
     Starts from the weighted mean and stops once successive iterates move less
-    than eps in l2, or after max_iter steps. An iterate that lands exactly on
-    an input point is offset by eps in the first coordinate before the next
-    step. If objective_trace is a list, the objective sum_m alpha_m ||c - g_m||
-    of every visited iterate is appended to it.
+    than eps in l2, or after max_iter steps. An iterate that lands on an input
+    point is offset by eps in the first coordinate before the next step. If
+    objective_trace is a list, the objective sum_m alpha_m ||c - g_m|| of every
+    visited iterate is appended to it.
+
+    Every Weiszfeld iterate is a weighted average of the inputs, so the solver
+    runs in a _GramFrame centred at the weighted mean and keeps only the
+    iterate's coefficients; the offset enters through the first column. Cost
+    O(M^2 p + iters M^2), plus O(M^2 p) for each move of the origin (see
+    _RECENTER), where a loop over the vectors costs O(iters M p); the iterate
+    is materialized once, at return.
     """
     mat = as_matrix(vectors)
     alpha = np.asarray(weights, dtype=np.float64)
-    c = weighted_average(alpha, mat)
+    frame = _GramFrame(mat, normalized_weights(alpha, mat.shape[0]) @ mat)
+    lam = np.zeros(mat.shape[0])
+    sq = frame.diag
     if objective_trace is not None:
-        objective_trace.append(float(alpha @ np.linalg.norm(mat - c, axis=1)))
+        objective_trace.append(float(alpha @ np.sqrt(sq)))
     for _ in range(max_iter):
-        work = c
-        dists = np.linalg.norm(mat - work, axis=1)
-        if np.any(dists == 0.0):
-            work = c.copy()
-            work[0] += eps
-            dists = np.linalg.norm(mat - work, axis=1)
-        inv = alpha / dists
-        c_next = (inv @ mat) / inv.sum()
-        moved = float(np.linalg.norm(c_next - c))
-        if moved < eps:
+        work = sq
+        if (sq <= _ON_POINT * frame.diag).any():
+            # distances to c + eps * e_0
+            first = frame.centered[:, 0]
+            work = np.maximum(sq - 2.0 * eps * (first - lam @ first) + eps * eps, 0.0)
+        inv = alpha / np.sqrt(work)
+        lam_next = inv / inv.sum()
+        if frame.sq_step(lam_next - lam) < eps * eps:
             break
-        c = c_next
+        lam = lam_next
+        sq = frame.sq_dists(lam)
+        close = sq < _RECENTER * frame.diag
+        if close.any():
+            # lam sums to one, so it names the same iterate in the new frame
+            frame = _GramFrame(mat, mat[int(np.argmax(close))])
+            sq = frame.sq_dists(lam)
         if objective_trace is not None:
-            objective_trace.append(float(alpha @ np.linalg.norm(mat - c, axis=1)))
-    return c
+            objective_trace.append(float(alpha @ np.sqrt(sq)))
+    return frame.point(lam)
 
 
 def aggregate_mca(weights, vectors, tol: float = 1e-5, max_iter: int = 1000) -> np.ndarray:
@@ -116,21 +195,27 @@ def aggregate_mca(weights, vectors, tol: float = 1e-5, max_iter: int = 1000) -> 
     below tol or after max_iter iterations. The mean bandwidth lets a coherent
     far-away clique widen sigma enough to stay influential, which reproduces
     this rule's known fragility to amplified sign-flip payloads.
+
+    The median is not a weighted average of the inputs, but every later
+    iterate is, so the solver runs in a _GramFrame centred at the median
+    (lam = 0: the first residuals are the diagonal of G) and keeps only the
+    iterate's coefficients. Cost O(M^2 p + iters M^2), where a loop over the
+    vectors costs O(iters M p); the iterate is materialized once, at return.
     """
     mat = as_matrix(vectors)
     alpha = np.asarray(weights, dtype=np.float64)
-    c = np.median(mat, axis=0)
-    norm_alpha = alpha / alpha.sum()
+    norm_alpha = normalized_weights(alpha, mat.shape[0])
+    frame = _GramFrame(mat, _coordinate_median(mat))
+    lam = np.zeros(mat.shape[0])
     for _ in range(max_iter):
-        resid = np.linalg.norm(mat - c, axis=1)
-        sigma = max(float(norm_alpha @ resid), 1e-12)
-        u = np.exp(-(resid**2) / (2.0 * sigma * sigma))
-        combined = alpha * u
-        c_next = (combined @ mat) / combined.sum()
-        if float(np.linalg.norm(c_next - c)) < tol:
-            return c_next
-        c = c_next
-    return c
+        sq = frame.sq_dists(lam)
+        sigma = max(float(norm_alpha @ np.sqrt(sq)), 1e-12)
+        combined = alpha * np.exp(-sq / (2.0 * sigma * sigma))
+        lam_next = combined / combined.sum()
+        if frame.sq_step(lam_next - lam) < tol * tol:
+            return frame.point(lam_next)
+        lam = lam_next
+    return frame.point(lam)
 
 
 def _clip_rows(diffs: np.ndarray, radius: float) -> np.ndarray:

@@ -45,18 +45,22 @@ def weighted_average(weights, vectors) -> np.ndarray:
     Computes sum_m (w_m / sum w) * v_m, so the caller may pass weight slices
     that do not sum to one (e.g. weights restricted to the surviving clients).
     """
-    w = np.asarray(weights, dtype=np.float64)
     mat = as_matrix(vectors)
-    if w.ndim != 1 or w.shape[0] != mat.shape[0]:
-        raise DimensionMismatch(
-            f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {mat.shape[0]} vectors"
-        )
+    return normalized_weights(weights, mat.shape[0]) @ mat
+
+
+def normalized_weights(weights, count: int) -> np.ndarray:
+    """weights / sum(weights), after checking there is one weight per vector
+    and that the total is positive."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] != count:
+        raise DimensionMismatch(f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {count} vectors")
     if w.shape[0] == 0:
         raise EmptySelection("empty selection")
     total = float(w.sum())
     if total <= 0.0:
         raise EmptySelection("selection has zero total weight")
-    return (w / total) @ mat
+    return w / total
 
 
 @functools.lru_cache(maxsize=64)

@@ -144,12 +144,13 @@ class MethodSpec:
     def clean_kind(self) -> str | None:
         """The CleanSpec kind this method reads, or None.
 
-        "server": the gradient on the server shard, which feeds bare FLTrust
-        and the server_clean reference. "trusted": the trusted clients' uploads.
+        "server": the gradient on the server shard, which feeds FLTrust (bare
+        or as the filter's aggregator reference) and the server_clean
+        reference. "trusted": the trusted clients' uploads.
         """
-        if not self.filtered:
-            return "server" if self.base.kind == "fltrust" else None
-        return {"server_clean": "server", "trusted": "trusted"}.get(self.reference)
+        if self.filtered and self.reference != "aggregator":
+            return {"server_clean": "server", "trusted": "trusted"}[self.reference]
+        return "server" if self.base.kind == "fltrust" else None
 
 
 @dataclass(frozen=True)

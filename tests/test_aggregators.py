@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzbench.aggregators import (
     AggregatorSpec,
@@ -16,6 +19,7 @@ from byzbench.aggregators import (
     aggregate_mean,
     aggregate_median,
 )
+from byzbench.core import weighted_average
 from byzbench.errors import (
     EmptySelection,
     InsufficientClients,
@@ -76,6 +80,20 @@ def test_median_matches_sort_oracle():
         assert np.allclose(got, want, atol=0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 20])
+def test_median_is_bitwise_numpy_median(m):
+    rng = np.random.default_rng(m)
+    for _ in range(30):
+        p = int(rng.integers(1, 600))
+        mat = rng.normal(size=(m, p))
+        ties = rng.integers(-3, 4, size=(m, p)) * rng.choice([0.1, 1.0, 1e5])
+        for candidate in (mat, ties):
+            if m > 2:
+                candidate[1] = candidate[0]  # a duplicated row
+            got = aggregate_median(candidate)
+            assert got.tobytes() == np.median(candidate, axis=0).tobytes()
+
+
 def test_median_empty_rejected():
     with pytest.raises(EmptySelection):
         aggregate_median([])
@@ -128,6 +146,19 @@ def test_krum_output_is_an_input_bitwise():
 def test_krum_requires_f_plus_three():
     with pytest.raises(InsufficientClients):
         aggregate_krum(np.zeros((4, 2)), 2)
+
+
+def test_krum_memory_stays_linear_in_p():
+    m, p = 20, 20_000
+    mat = np.random.default_rng(4).normal(size=(m, p))
+    tracemalloc.start()
+    try:
+        aggregate_krum(mat, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a pairwise difference tensor would take m * m * p * 8 bytes = 64 MB
+    assert peak < 0.1 * m * m * p * 8
 
 
 # ------------------------------------------------------------------------- gm
@@ -240,6 +271,90 @@ def test_mca_downweights_far_outlier():
 def test_mca_empty_rejected():
     with pytest.raises(EmptySelection):
         aggregate_mca(np.array([]), np.empty((0, 2)))
+
+
+# -------------------------------------------- gram forms against loop oracles
+
+
+def _gm_oracle(weights, mat, eps=1e-5, max_iter=1000):
+    """Weiszfeld over the vectors themselves: O(M p) per iteration."""
+    alpha = np.asarray(weights, dtype=np.float64)
+    c = weighted_average(alpha, mat)
+    for _ in range(max_iter):
+        work = c
+        dists = np.linalg.norm(mat - work, axis=1)
+        if np.any(dists == 0.0):
+            work = c.copy()
+            work[0] += eps
+            dists = np.linalg.norm(mat - work, axis=1)
+        inv = alpha / dists
+        c_next = (inv @ mat) / inv.sum()
+        if float(np.linalg.norm(c_next - c)) < eps:
+            break
+        c = c_next
+    return c
+
+
+def _mca_oracle(weights, mat, tol=1e-5, max_iter=1000):
+    """The correntropy loop over the vectors themselves: O(M p) per iteration."""
+    alpha = np.asarray(weights, dtype=np.float64)
+    c = np.median(mat, axis=0)
+    norm_alpha = alpha / alpha.sum()
+    for _ in range(max_iter):
+        resid = np.linalg.norm(mat - c, axis=1)
+        sigma = max(float(norm_alpha @ resid), 1e-12)
+        u = np.exp(-(resid**2) / (2.0 * sigma * sigma))
+        combined = alpha * u
+        c_next = (combined @ mat) / combined.sum()
+        if float(np.linalg.norm(c_next - c)) < tol:
+            return c_next
+        c = c_next
+    return c
+
+
+def _rel_err(got, want) -> float:
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), np.finfo(float).tiny))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(3, 30),
+    p=st.integers(1, 300),
+    spread=st.sampled_from([1e-3, 1.0, 100.0]),
+    offset=st.sampled_from([0.0, 1.0, 100.0]),
+    colluders=st.integers(0, 15),
+    collude_scale=st.sampled_from([1.0, -3.0, 0.5]),
+    mean_row=st.booleans(),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_gram_forms_match_loop_oracles(
+    m, p, spread, offset, colluders, collude_scale, mean_row, uniform, seed, data
+):
+    rng = np.random.default_rng(seed)
+    mat = spread * rng.normal(size=(m, p)) + offset * rng.normal(size=p)
+    weights = np.full(m, 1.0 / m) if uniform else rng.uniform(0.01, 1.0, size=m)
+    block = min(colluders, m // 2)
+    if block:
+        mat[:block] = collude_scale * mat[m - 1]  # identical colluding copies
+    if mean_row:
+        mat[block] = mat.mean(axis=0)
+    assert _rel_err(aggregate_gm(weights, mat), _gm_oracle(weights, mat)) <= 1e-9
+    assert _rel_err(aggregate_mca(weights, mat), _mca_oracle(weights, mat)) <= 1e-9
+    f = data.draw(st.integers(0, m - 3), label="f")
+    assert np.array_equal(aggregate_krum(mat, f), mat[_krum_oracle(mat, f)])
+
+
+def test_gm_landing_off_the_median_matches_oracle():
+    # the weighted mean lands exactly on the light last point, which is not
+    # the geometric median, so the offset start has to lead away from it
+    pts = np.array([[-2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])
+    weights = np.array([1.0, 1.0, 1.0, 0.25])
+    assert np.array_equal(weighted_average(weights, pts), pts[3])
+    got = aggregate_gm(weights, pts)
+    assert got[0] > 0.1
+    assert _rel_err(got, _gm_oracle(weights, pts)) <= 1e-9
 
 
 # ---------------------------------------------------------------------- cclip

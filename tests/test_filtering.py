@@ -10,6 +10,7 @@ from byzbench.aggregators import AggregatorSpec, aggregate_mean
 from byzbench.errors import (
     DimensionMismatch,
     EmptySelection,
+    InvalidReference,
     InvalidSelectionSize,
     MissingReference,
 )
@@ -362,6 +363,13 @@ def test_filter_rejects_reference_shape_mismatch():
     params = FilterParams(keep=1)
     with pytest.raises(DimensionMismatch):
         filter_and_aggregate(np.ones(3), np.ones((2, 4)), np.ones(2), params, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_filter_rejects_non_finite_reference(bad):
+    reference = np.array([1.0, bad, 0.5, 0.0])
+    with pytest.raises(InvalidReference):
+        filter_and_aggregate(reference, np.ones((3, 4)), np.ones(3), FilterParams(keep=2), np.random.default_rng(0))
 
 
 def test_filter_params_validation():

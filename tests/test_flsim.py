@@ -191,6 +191,8 @@ def test_clean_gradient_requirements():
     with pytest.raises(MissingReference):
         Simulation(_cfg(method=MethodSpec(base=AggregatorSpec("fltrust"))))
     with pytest.raises(MissingReference):
+        Simulation(_cfg(method=MethodSpec(filtered=True, base=AggregatorSpec("fltrust"))))
+    with pytest.raises(MissingReference):
         Simulation(_cfg(method=MethodSpec(filtered=True, reference="trusted")))
 
 
@@ -278,6 +280,7 @@ def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
         (MethodSpec(base=AggregatorSpec("fltrust")), {"clean", "aggregate"}),
         (MethodSpec(filtered=True, base=AggregatorSpec("median")), {"reference", "filter"}),
         (MethodSpec(filtered=True, reference="server_clean"), {"clean", "reference", "filter"}),
+        (MethodSpec(filtered=True, base=AggregatorSpec("fltrust")), {"clean", "reference", "filter"}),
     ],
 )
 def test_round_wall_times_every_phase(method, phases):

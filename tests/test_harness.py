@@ -162,6 +162,8 @@ def test_config_cross_field_clean_requirements():
         parse_config_dict({"methods": ["fltrust"]})
     with pytest.raises(ConfigError, match="clean"):
         parse_config_dict({"methods": ["h+clean"]})
+    with pytest.raises(ConfigError, match=r"methods\[1\]: 'H\+FLTrust' needs clean.kind = server"):
+        parse_config_dict({"methods": ["mean", "h+fltrust"]})
     with pytest.raises(ConfigError, match="trusted"):
         parse_config_dict({"methods": ["h+trusted"], "clean": {"kind": "server"}})
     cfg = parse_config_dict(
@@ -464,6 +466,20 @@ def test_run_sweep_parallel_matches_sequential(tmp_path):
     seq = run_sweep(cfg, str(tmp_path / "seq"))
     par = run_sweep(cfg, str(tmp_path / "par"), parallelism=2)
     assert _strip_wall(par) == _strip_wall(seq)
+
+
+def test_run_sweep_fltrust_reference_cell_finishes(tmp_path):
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["lie"],
+            methods=["h+fltrust"],
+            ratios=[0.25],
+            seeds=[0],
+            clean={"kind": "server", "fraction": 0.05},
+        )
+    )
+    rows = run_sweep(cfg, str(tmp_path / "out"))
+    assert [(row.method, row.status) for row in rows] == [("H+FLTrust", "ok")]
 
 
 def test_run_sweep_captures_cell_failures(tmp_path):
