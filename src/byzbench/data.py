@@ -75,7 +75,13 @@ def synth_classification(
     counts = np.full(n_classes, n // n_classes)
     counts[: n % n_classes] += 1
     labels = np.repeat(np.arange(n_classes), counts)
-    features = centers[labels] + rng.standard_normal((n, dim))
+    # Labels come in contiguous class blocks, so each center is added to its
+    # block in place: the same sums as centers[labels] + noise, without two
+    # more (n, dim) temporaries.
+    features = rng.standard_normal((n, dim))
+    ends = np.cumsum(counts)
+    for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        features[lo:hi] += centers[c]
     order = rng.permutation(n)
     return LabeledDataset(features[order], labels[order].astype(np.int64), n_classes)
 

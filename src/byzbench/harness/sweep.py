@@ -8,6 +8,7 @@ reproducible and key order / whitespace in the source config cannot matter.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -21,6 +22,12 @@ from .config import ExperimentConfig, to_json
 from .reporting import read_summary_rows, write_round_csv, write_summary_json
 
 _SEED_SPACE = 2**31 - 1
+
+# glibc mallopt parameters, and the size from which an allocation always gets
+# its own mapping.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_OWN_MAPPING_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,27 @@ def _summarize(cell: Cell, records: list[RoundRecord], status: str, wall_ms: flo
     )
 
 
+def pin_heap_thresholds() -> None:
+    """Give every allocation of at least 4 MB its own mapping (glibc only).
+
+    By default glibc raises its mmap threshold to the size of each mapped
+    block freed, so after a worker's first cell the dataset-sized arrays come
+    from the heap. Whether a freed one then strands its pages behind a later
+    small object depends on which cells the worker ran before, and its peak
+    RSS moved by a whole dataset copy (15 MB at n = 40000, d = 50) from one
+    sweep to the next. With both thresholds pinned, big arrays go back to the
+    system when freed and the peak is the live set of the largest cell. The
+    trim threshold keeps glibc's own ratio of twice the mmap threshold.
+    Where the C library has no mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _OWN_MAPPING_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _OWN_MAPPING_BYTES)
+
+
 def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
     """Execute one cell; never raises, failures land in the row's status."""
     start = time.perf_counter()
@@ -218,7 +246,8 @@ def run_sweep(
 
     All file writes happen here in the calling process; workers only compute.
     Rows come back sorted on a canonical key, so sequential and parallel runs
-    of the same config produce identical summary files.
+    of the same config produce identical summary files. Whichever process runs
+    the cells, the calling one included, gets pin_heap_thresholds first.
     """
     cells = expand_cells(config)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
@@ -236,10 +265,11 @@ def run_sweep(
             progress(row)
 
     if parallelism <= 1 or len(pending) <= 1:
+        pin_heap_thresholds()
         for cell in pending:
             record(*run_cell(cell))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=parallelism, initializer=pin_heap_thresholds) as pool:
             futures = {pool.submit(run_cell, cell) for cell in pending}
             while futures:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)

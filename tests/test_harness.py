@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from byzbench.errors import ConfigError, EmptyPlot, FormatError, IoError
@@ -29,6 +31,7 @@ from byzbench.harness.sweep import (
     SummaryRow,
     cell_fingerprint,
     expand_cells,
+    pin_heap_thresholds,
     row_sort_key,
     run_sweep,
 )
@@ -455,6 +458,30 @@ def test_run_sweep_resume_recomputes_only_missing(tmp_path):
     second = run_sweep(cfg, out, resume=True, progress=lambda row: recomputed.append(row))
     assert [row.fingerprint for row in recomputed] == [victim]
     assert _strip_wall(second) == _strip_wall(first)
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+    )]
+
+
+def test_pinned_heap_maps_every_big_array():
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc >= 2.33")
+    mallinfo2.restype = _Mallinfo2
+    pin_heap_thresholds()
+    pin_heap_thresholds()  # idempotent
+    size = 16 << 20
+    first = np.ones(size // 8)
+    del first  # unpinned, this free would raise the threshold past 16 MB
+    before = mallinfo2().hblkhd
+    second = np.ones(size // 8)
+    assert mallinfo2().hblkhd - before >= size
+    del second
 
 
 def test_run_sweep_parallel_matches_sequential(tmp_path):
