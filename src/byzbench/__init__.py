@@ -27,11 +27,11 @@ from .flsim import (
     MethodSpec,
     RoundRecord,
     RunConfig,
-    run_experiment,
     run_to_result,
 )
 from .harness.config import ExperimentConfig, parse_config
-from .harness.sweep import SummaryRow, run_sweep
+from .harness.reporting import SummaryRow
+from .harness.sweep import run_sweep
 from .models import ModelSpec
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "aggregate_median",
     "byzantine_payloads",
     "filter_and_aggregate",
-    "run_experiment",
     "run_to_result",
     "select_byzantine_set",
     "similarity_check",

@@ -38,7 +38,7 @@ class InfeasiblePartition(ByzBenchError):
 
 
 class FormatError(ByzBenchError):
-    """A binary dataset file is malformed."""
+    """An input file is malformed: an IDX dataset file, a round CSV or a summary JSON."""
 
 
 class InvalidField(ValueError):
@@ -70,8 +70,4 @@ class EmptyPlot(ByzBenchError):
 
 
 class DivergenceDetected(ByzBenchError):
-    """Model parameters became non-finite; carries the partial result."""
-
-    def __init__(self, message: str, result=None):
-        self.result = result
-        super().__init__(message)
+    """A client upload or the model parameters became non-finite."""

@@ -192,7 +192,7 @@ class FilterParams:
         if self.segment_len < 1:
             raise InvalidField("segment_len", "segment_len must be >= 1")
         if self.keep is not None and self.keep < 1:
-            raise InvalidSelectionSize(f"keep={self.keep} must be >= 1")
+            raise InvalidField("keep", f"keep={self.keep} must be >= 1")
         if self.penalty_weight < 0.0:
             raise InvalidField("penalty_weight", "penalty_weight must be >= 0")
         if self.norm_pivot <= 0.0:

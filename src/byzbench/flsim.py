@@ -195,6 +195,10 @@ class RunConfig(TrainingProtocol):
         if self.requested_ratio > 0.0 and self.attack is None:
             raise InvalidField("attack", "requested_ratio > 0 needs an attack")
 
+    @property
+    def attack_label(self) -> str:
+        return self.attack.label if self.attack is not None else "None"
+
 
 @dataclass
 class RoundRecord:
@@ -234,7 +238,7 @@ class ExperimentResult:
 
 
 class Simulation:
-    """Materialized state for one run of `run_experiment`."""
+    """Materialized state for one run of `run_to_result`."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -448,7 +452,7 @@ class Simulation:
         recall = honest_selected / len(self.honest)
 
         t_mark = time.perf_counter()
-        self.params = self.params - self.lr_rate(round_index) * agg
+        self.params = self.params - cfg.lr.rate(round_index) * agg
         self.prev_aggregate = agg
         if not np.isfinite(self.params).all():
             raise DivergenceDetected(f"parameters diverged in round {round_index}")
@@ -475,41 +479,26 @@ class Simulation:
             wall=wall,
         )
 
-    def lr_rate(self, round_index: int) -> float:
-        return self.config.lr.rate(round_index)
 
-
-def run_experiment(config: RunConfig) -> ExperimentResult:
-    """Run all rounds; raises DivergenceDetected carrying the partial result."""
+def run_to_result(config: RunConfig) -> ExperimentResult:
+    """Run all rounds; on divergence, return the rounds finished with diverged=True."""
     sim = Simulation(config)
     initial = sim.model.accuracy(sim.params, sim.test.features, sim.test.labels)
     records: list[RoundRecord] = []
-
-    def finish(diverged: bool) -> ExperimentResult:
-        accs = [r.test_accuracy for r in records if r.test_accuracy is not None]
-        return ExperimentResult(
-            records=records,
-            initial_accuracy=initial,
-            max_accuracy=max([initial, *accs]),
-            final_accuracy=accs[-1] if accs else initial,
-            diverged=diverged,
-            byzantine=sim.mask,
-            method_label=sim.method.label,
-            attack_label=sim.attack.label if sim.attack is not None else "None",
-        )
-
-    for t in range(config.rounds):
-        try:
-            records.append(sim.run_round(t))
-        except DivergenceDetected as exc:
-            exc.result = finish(True)
-            raise
-    return finish(False)
-
-
-def run_to_result(config: RunConfig) -> ExperimentResult:
-    """Like run_experiment but returns the partial result on divergence."""
+    diverged = False
     try:
-        return run_experiment(config)
-    except DivergenceDetected as exc:
-        return exc.result
+        for t in range(config.rounds):
+            records.append(sim.run_round(t))
+    except DivergenceDetected:
+        diverged = True
+    accs = [r.test_accuracy for r in records if r.test_accuracy is not None]
+    return ExperimentResult(
+        records=records,
+        initial_accuracy=initial,
+        max_accuracy=max([initial, *accs]),
+        final_accuracy=accs[-1] if accs else initial,
+        diverged=diverged,
+        byzantine=sim.mask,
+        method_label=config.method.label,
+        attack_label=config.attack_label,
+    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..aggregators import AggregatorSpec
 from ..attacks import AttackSpec
-from ..errors import ConfigError, InvalidField, InvalidSelectionSize, IoError
+from ..errors import ConfigError, InvalidField, IoError
 from ..filtering import FilterParams
 from ..flsim import MethodSpec, TrainingProtocol
 
@@ -136,7 +136,7 @@ def _decode(cls, obj, path: str, **given):
     except InvalidField as exc:
         key = next(key for key, (f, _) in table.items() if f.name == exc.field)
         raise ConfigError(_join(path, key), str(exc)) from exc
-    except (ValueError, InvalidSelectionSize) as exc:
+    except ValueError as exc:
         raise ConfigError(path or "config", str(exc)) from exc
     for key in obj:
         if not _belongs(table[key][0], spec):

@@ -1,17 +1,21 @@
 """Metrics persistence (round CSV, summary JSON) and SVG accuracy plots.
 
 File contracts:
-  - round CSV: columns exactly `round,train_loss,test_acc,n_selected,
-    empty_intersection,filter_precision,filter_recall,wall_ms`, UTF-8, LF.
-    Floats are written with repr() so a rerun of the same experiment is
+  - round CSV: a header of `ROUND_COLUMNS`, then one row per round, UTF-8,
+    LF. Floats are written with repr() so a rerun of the same experiment is
     bitwise identical (wall_ms excepted, by nature).
-  - summary JSON: a top-level array of row objects with snake_case keys.
+  - summary JSON: a top-level array of `SummaryRow` objects with snake_case
+    keys.
   - plots: self-contained SVG, one <polyline> per series, y range
     [0, max * 1.05], legend labeled by method.
+
+Every file is written to a temporary file beside it and then renamed over
+the target, so a killed process leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,16 +25,25 @@ from xml.sax.saxutils import escape
 from ..errors import EmptyPlot, FormatError, IoError
 from ..flsim import RoundRecord
 
-ROUND_COLUMNS = (
-    "round",
-    "train_loss",
-    "test_acc",
-    "n_selected",
-    "empty_intersection",
-    "filter_precision",
-    "filter_recall",
-    "wall_ms",
+
+def _optional_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+# One entry per round CSV column, in file order: (name, the cell text of a
+# RoundRecord, the value of a cell text).
+_ROUND_TABLE = (
+    ("round", lambda r: str(r.round_index), int),
+    ("train_loss", lambda r: repr(r.train_loss), float),
+    ("test_acc", lambda r: "" if r.test_accuracy is None else repr(r.test_accuracy), _optional_float),
+    ("n_selected", lambda r: str(r.n_selected), int),
+    ("empty_intersection", lambda r: str(int(r.empty_intersection)), lambda t: bool(int(t))),
+    ("filter_precision", lambda r: repr(r.filter_precision), float),
+    ("filter_recall", lambda r: repr(r.filter_recall), float),
+    ("wall_ms", lambda r: repr(r.wall_ms), float),
 )
+
+ROUND_COLUMNS = tuple(name for name, _, _ in _ROUND_TABLE)
 
 _PALETTE = (
     "#1f77b4",
@@ -45,13 +58,17 @@ _PALETTE = (
 
 
 def _write_text(path: str, text: str):
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoError(path, str(exc)) from exc
 
 
@@ -61,21 +78,7 @@ def _write_text(path: str, text: str):
 def write_round_csv(records: list[RoundRecord], path: str):
     lines = [",".join(ROUND_COLUMNS)]
     for rec in records:
-        acc = "" if rec.test_accuracy is None else repr(rec.test_accuracy)
-        lines.append(
-            ",".join(
-                (
-                    str(rec.round_index),
-                    repr(rec.train_loss),
-                    acc,
-                    str(rec.n_selected),
-                    str(int(rec.empty_intersection)),
-                    repr(rec.filter_precision),
-                    repr(rec.filter_recall),
-                    repr(rec.wall_ms),
-                )
-            )
-        )
+        lines.append(",".join(text(rec) for _, text, _ in _ROUND_TABLE))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -92,16 +95,7 @@ def read_round_csv(path: str) -> list[dict]:
                 if len(line) != len(ROUND_COLUMNS):
                     raise FormatError(f"{path}: row has {len(line)} fields")
                 out.append(
-                    {
-                        "round": int(line[0]),
-                        "train_loss": float(line[1]),
-                        "test_acc": None if line[2] == "" else float(line[2]),
-                        "n_selected": int(line[3]),
-                        "empty_intersection": bool(int(line[4])),
-                        "filter_precision": float(line[5]),
-                        "filter_recall": float(line[6]),
-                        "wall_ms": float(line[7]),
-                    }
+                    {name: parse(cell) for (name, _, parse), cell in zip(_ROUND_TABLE, line)}
                 )
             return out
     except OSError as exc:
@@ -113,16 +107,44 @@ def read_round_csv(path: str) -> list[dict]:
 # -------------------------------------------------------------- summary JSON
 
 
-def write_summary_json(rows: list, path: str):
-    payload = [
-        dataclasses.asdict(row) if dataclasses.is_dataclass(row) else dict(row) for row in rows
-    ]
+@dataclasses.dataclass(frozen=True)
+class SummaryRow:
+    """One sweep cell's outcome; the unit of summary.json.
+
+    max_accuracy and final_accuracy cover the evaluated rounds only, so they
+    are None for a cell that evaluated none. ExperimentResult.max_accuracy
+    also counts the accuracy before the first round.
+    """
+
+    fingerprint: str
+    attack: str
+    method: str
+    requested_ratio: float
+    beta: float
+    seed: int
+    max_accuracy: float | None
+    final_accuracy: float | None
+    empty_intersections: int | None
+    mean_precision: float | None
+    mean_recall: float | None
+    wall_ms: float | None
+    status: str = "ok"
+    error: str | None = None
+
+    def __post_init__(self):
+        if self.status not in ("ok", "diverged", "failed"):
+            raise ValueError(f"unknown status {self.status!r}")
+        for value in (self.mean_precision, self.mean_recall):
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError("precision/recall must lie in [0, 1]")
+
+
+def write_summary_json(rows: list[SummaryRow], path: str):
+    payload = [dataclasses.asdict(row) for row in rows]
     _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
-def read_summary_rows(path: str) -> list:
-    from .sweep import SummaryRow  # local import, sweep imports this module
-
+def read_summary_rows(path: str) -> list[SummaryRow]:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)

@@ -16,10 +16,9 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
-from ..attacks import AttackSpec
-from ..flsim import MethodSpec, RoundRecord, RunConfig, TrainingProtocol, run_to_result
+from ..flsim import RoundRecord, RunConfig, TrainingProtocol, run_to_result
 from .config import ExperimentConfig, to_json
-from .reporting import read_summary_rows, write_round_csv, write_summary_json
+from .reporting import SummaryRow, read_summary_rows, write_round_csv, write_summary_json
 
 _SEED_SPACE = 2**31 - 1
 
@@ -31,47 +30,15 @@ _OWN_MAPPING_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
-class SummaryRow:
-    """One sweep cell's outcome; the unit of summary.json."""
-
-    fingerprint: str
-    attack: str
-    method: str
-    requested_ratio: float
-    beta: float
-    seed: int
-    max_accuracy: float | None
-    final_accuracy: float | None
-    empty_intersections: int | None
-    mean_precision: float | None
-    mean_recall: float | None
-    wall_ms: float | None
-    status: str = "ok"
-    error: str | None = None
-
-    def __post_init__(self):
-        if self.status not in ("ok", "diverged", "failed"):
-            raise ValueError(f"unknown status {self.status!r}")
-        for value in (self.mean_precision, self.mean_recall):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError("precision/recall must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class Cell:
-    """One resolved point of the sweep's Cartesian product."""
+    """One resolved point of the sweep's Cartesian product.
+
+    `seed` is the sweep's master seed; run_config.seed is the cell's own.
+    """
 
     fingerprint: str
-    attack: AttackSpec | None
-    method: MethodSpec
-    requested_ratio: float
-    beta: float
     seed: int
     run_config: RunConfig
-
-    @property
-    def attack_label(self) -> str:
-        return self.attack.label if self.attack is not None else "None"
 
 
 def _canonical(obj) -> str:
@@ -128,10 +95,6 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
                             continue
                         cells[fingerprint] = Cell(
                             fingerprint=fingerprint,
-                            attack=attack,
-                            method=method,
-                            requested_ratio=requested,
-                            beta=beta,
                             seed=seed,
                             run_config=replace(run_config, seed=_cell_seed(seed, fingerprint)),
                         )
@@ -139,31 +102,6 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 
 
 # ------------------------------------------------------------------ execution
-
-
-def _summarize(cell: Cell, records: list[RoundRecord], status: str, wall_ms: float,
-               method_label: str, error: str | None = None) -> SummaryRow:
-    evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
-    return SummaryRow(
-        fingerprint=cell.fingerprint,
-        attack=cell.attack_label,
-        method=method_label,
-        requested_ratio=cell.requested_ratio,
-        beta=cell.beta,
-        seed=cell.seed,
-        max_accuracy=max(evaluated) if evaluated else None,
-        final_accuracy=evaluated[-1] if evaluated else None,
-        empty_intersections=(
-            None if status == "failed" else sum(1 for r in records if r.empty_intersection)
-        ),
-        mean_precision=(
-            sum(r.filter_precision for r in records) / len(records) if records else None
-        ),
-        mean_recall=(sum(r.filter_recall for r in records) / len(records) if records else None),
-        wall_ms=wall_ms,
-        status=status,
-        error=error,
-    )
 
 
 def pin_heap_thresholds() -> None:
@@ -189,17 +127,37 @@ def pin_heap_thresholds() -> None:
 
 def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
     """Execute one cell; never raises, failures land in the row's status."""
+    config = cell.run_config
     start = time.perf_counter()
     try:
-        result = run_to_result(cell.run_config)
+        result = run_to_result(config)
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        wall_ms = 1000.0 * (time.perf_counter() - start)
-        error = f"{type(exc).__name__}: {exc}"
-        return _summarize(cell, [], "failed", wall_ms, cell.method.label, error), []
+        records, status, error = [], "failed", f"{type(exc).__name__}: {exc}"
+    else:
+        records, status, error = result.records, "diverged" if result.diverged else "ok", None
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    status = "diverged" if result.diverged else "ok"
-    row = _summarize(cell, result.records, status, wall_ms, result.method_label)
-    return row, result.records
+    evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
+    row = SummaryRow(
+        fingerprint=cell.fingerprint,
+        attack=config.attack_label,
+        method=config.method.label,
+        requested_ratio=config.requested_ratio,
+        beta=config.beta,
+        seed=cell.seed,
+        max_accuracy=max(evaluated) if evaluated else None,
+        final_accuracy=evaluated[-1] if evaluated else None,
+        empty_intersections=(
+            None if status == "failed" else sum(1 for r in records if r.empty_intersection)
+        ),
+        mean_precision=(
+            sum(r.filter_precision for r in records) / len(records) if records else None
+        ),
+        mean_recall=(sum(r.filter_recall for r in records) / len(records) if records else None),
+        wall_ms=wall_ms,
+        status=status,
+        error=error,
+    )
+    return row, records
 
 
 def _row_path(out_dir: str, fingerprint: str) -> str:
@@ -226,11 +184,6 @@ def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
     return finished
 
 
-def _persist(out_dir: str, row: SummaryRow, records: list[RoundRecord]):
-    write_round_csv(records, _rounds_path(out_dir, row.fingerprint))
-    write_summary_json([row], _row_path(out_dir, row.fingerprint))
-
-
 def row_sort_key(row: SummaryRow):
     return (row.attack, row.method, row.requested_ratio, row.beta, row.seed, row.fingerprint)
 
@@ -250,16 +203,14 @@ def run_sweep(
     the cells, the calling one included, gets pin_heap_thresholds first.
     """
     cells = expand_cells(config)
-    os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "rounds"), exist_ok=True)
-
     rows: dict[str, SummaryRow] = {}
     if resume:
         rows.update(_load_finished(out_dir, cells))
     pending = [cell for cell in cells if cell.fingerprint not in rows]
 
     def record(row: SummaryRow, records: list[RoundRecord]):
-        _persist(out_dir, row, records)
+        write_round_csv(records, _rounds_path(out_dir, row.fingerprint))
+        write_summary_json([row], _row_path(out_dir, row.fingerprint))
         rows[row.fingerprint] = row
         if progress is not None:
             progress(row)

@@ -10,6 +10,7 @@ from byzbench.aggregators import AggregatorSpec, aggregate_mean
 from byzbench.errors import (
     DimensionMismatch,
     EmptySelection,
+    InvalidField,
     InvalidReference,
     InvalidSelectionSize,
     MissingReference,
@@ -377,7 +378,7 @@ def test_filter_params_validation():
         FilterParams(passes=0)
     with pytest.raises(ValueError):
         FilterParams(segment_len=0)
-    with pytest.raises(InvalidSelectionSize):
+    with pytest.raises(InvalidField):
         FilterParams(keep=0)
     with pytest.raises(ValueError):
         FilterParams(penalty_weight=-1.0)

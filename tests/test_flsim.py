@@ -11,7 +11,6 @@ from byzbench import flsim
 from byzbench.aggregators import AggregatorSpec
 from byzbench.attacks import AttackSpec
 from byzbench.errors import (
-    DivergenceDetected,
     InsufficientClients,
     InvalidSelectionSize,
     MissingReference,
@@ -26,7 +25,6 @@ from byzbench.flsim import (
     RunConfig,
     Simulation,
     ceil_ratio,
-    run_experiment,
     run_to_result,
 )
 
@@ -211,7 +209,7 @@ def test_trusted_clients_never_compromised():
 
 
 def test_zero_rounds_reports_initial_accuracy():
-    result = run_experiment(_cfg(rounds=0))
+    result = run_to_result(_cfg(rounds=0))
     assert result.records == []
     assert result.max_accuracy == result.final_accuracy == result.initial_accuracy
     assert not result.diverged
@@ -219,8 +217,8 @@ def test_zero_rounds_reports_initial_accuracy():
 
 def test_rerun_is_bitwise_identical():
     cfg = _cfg(rounds=4, requested_ratio=0.2, attack=AttackSpec("lie"))
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_to_result(cfg)
+    b = run_to_result(cfg)
     assert _records_equal(a.records, b.records)
     assert a.max_accuracy == b.max_accuracy
     assert a.byzantine.members == b.byzantine.members
@@ -291,7 +289,7 @@ def test_round_wall_times_every_phase(method, phases):
         attack=AttackSpec("signflip"),
         method=method,
     )
-    wall = run_experiment(cfg).records[0].wall
+    wall = run_to_result(cfg).records[0].wall
     assert set(wall) == {"batches", "gradients", "attack", "step", "eval", "total"} | phases
     assert sum(v for key, v in wall.items() if key != "total") <= wall["total"]
 
@@ -318,14 +316,11 @@ def test_divergence_yields_partial_result():
         result = run_to_result(cfg)
         assert result.diverged
         assert len(result.records) < 40
-        with pytest.raises(DivergenceDetected) as info:
-            run_experiment(cfg)
-        assert info.value.result.diverged
 
 
 def test_filtered_mean_with_filter_disabled_matches_bare_mean():
-    bare = run_experiment(_cfg(rounds=3))
-    filtered = run_experiment(
+    bare = run_to_result(_cfg(rounds=3))
+    filtered = run_to_result(
         _cfg(
             rounds=3,
             method=MethodSpec(filtered=True, base=AggregatorSpec("mean")),
@@ -340,7 +335,7 @@ def test_filtered_mean_with_filter_disabled_matches_bare_mean():
 
 
 def test_eval_interval_skips_rounds():
-    result = run_experiment(_cfg(rounds=7, eval_interval=3))
+    result = run_to_result(_cfg(rounds=7, eval_interval=3))
     evaluated = [r.round_index for r in result.records if r.test_accuracy is not None]
     assert evaluated == [2, 5, 6]  # every third round plus the final one
 
@@ -352,7 +347,7 @@ def test_round_record_fields_are_sane():
         attack=AttackSpec("gaussian"),
         method=MethodSpec(filtered=True, base=AggregatorSpec("median")),
     )
-    result = run_experiment(cfg)
+    result = run_to_result(cfg)
     for rec in result.records:
         assert 0.0 <= rec.filter_precision <= 1.0
         assert 0.0 <= rec.filter_recall <= 1.0
@@ -364,10 +359,10 @@ def test_round_record_fields_are_sane():
 
 
 def test_result_labels():
-    control = run_experiment(_cfg(rounds=1))
+    control = run_to_result(_cfg(rounds=1))
     assert control.method_label == "Mean"
     assert control.attack_label == "None"
-    attacked = run_experiment(
+    attacked = run_to_result(
         _cfg(
             rounds=1,
             requested_ratio=0.2,
@@ -391,11 +386,11 @@ def test_server_clean_shard_feeds_reference():
     assert sim.shard is not None and sim.shard.size > 0
     claimed = np.concatenate([p.indices for p in sim.partitions])
     assert not np.intersect1d(claimed, sim.shard).size
-    result = run_experiment(cfg)
+    result = run_to_result(cfg)
     assert all(r.filter_precision == 1.0 for r in result.records)
 
 
 def test_control_keeps_learning():
-    result = run_experiment(replace(_cfg(), rounds=30))
+    result = run_to_result(replace(_cfg(), rounds=30))
     assert result.max_accuracy > 0.9
     assert result.max_accuracy > result.initial_accuracy

@@ -205,7 +205,7 @@ def test_config_range_checks():
             "methods[0]", {"methods": [{"base": "gm", "tolerance": 0}]}, id="method.tolerance"
         ),
         pytest.param("hplus", {"hplus": {"K": 0}}, id="hplus.K"),
-        pytest.param("hplus", {"hplus": {"N": 0}}, id="hplus.N"),
+        pytest.param("hplus.N", {"hplus": {"N": 0}}, id="hplus.N"),
         pytest.param("hplus", {"hplus": {"tau": 0}}, id="hplus.tau"),
         pytest.param("lr", {"lr": {"eta0": 0}}, id="lr.eta0"),
         pytest.param("clean", {"clean": {"kind": "server", "fraction": 1.5}}, id="clean.fraction"),
@@ -280,9 +280,9 @@ def test_expand_counts_and_control_dedupe():
     cells = expand_cells(cfg)
     # contra 2 methods x 2 seeds (ratio forced to 0), attack 2x2x2
     assert len(cells) == 4 + 8
-    controls = [c for c in cells if c.attack is None]
+    controls = [c for c in cells if c.run_config.attack is None]
     assert len(controls) == 4
-    assert all(c.requested_ratio == 0.0 for c in controls)
+    assert all(c.run_config.requested_ratio == 0.0 for c in controls)
     assert all(c.run_config.attack is None for c in controls)
 
 
@@ -385,6 +385,21 @@ def test_summary_format_errors(tmp_path):
         read_summary_rows(str(path))
     with pytest.raises(IoError):
         read_summary_rows(str(tmp_path / "gone.json"))
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "summary.json"
+    write_summary_json([_row()], str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError):
+        write_summary_json([_row(), _row(fingerprint="a" * 64)], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["summary.json"]
 
 
 def test_summary_plot_structure(tmp_path):
@@ -518,6 +533,10 @@ def test_run_sweep_captures_cell_failures(tmp_path):
     assert len(rows) == 1
     assert rows[0].status == "failed"
     assert "InsufficientClients" in rows[0].error
+    row = rows[0]
+    assert (row.attack, row.method, row.requested_ratio, row.beta, row.seed) == (
+        "SignFlip", "Krum", 0.5, 0.6, 0
+    )
 
 
 # ----------------------------------------------------------------------- cli
