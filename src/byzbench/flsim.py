@@ -8,6 +8,11 @@ bitwise identical and independent of execution order.
 
 Ground truth about which clients are compromised lives only in this module
 and the records it emits; aggregation and filtering code never sees it.
+
+The setup draws that do not depend on the method (data, split, clean shard,
+partition, compromised set) form an `Environment`. Each process keeps the
+last one it built, so consecutive runs that differ only in method build it
+once; a run's result does not depend on which runs came before it.
 """
 
 from __future__ import annotations
@@ -177,7 +182,11 @@ class TrainingProtocol:
 
 @dataclass(frozen=True)
 class RunConfig(TrainingProtocol):
-    """Full declarative description of one training run."""
+    """Full declarative description of one training run.
+
+    With `method` None it describes no run but the environment that the runs
+    differing from it only in method share (see `environment`).
+    """
 
     beta: float = 0.6
     requested_ratio: float = field(default=0.0, metadata={"key": "ratio"})
@@ -233,8 +242,120 @@ class ExperimentResult:
     final_accuracy: float
     diverged: bool
     byzantine: ByzantineMask
+    keep: int | None  # clients the filter keeps per window; None for a bare method
     method_label: str
     attack_label: str
+
+
+@dataclass(frozen=True)
+class Environment:
+    """What a run draws before its method matters: data, split, clean shard,
+    partition and compromised set.
+
+    Every array is read-only, because one environment serves every run that
+    differs from it only in method (see `environment`).
+    """
+
+    train: datamod.LabeledDataset
+    test: datamod.LabeledDataset
+    shard: np.ndarray | None
+    trusted: tuple[int, ...]
+    partitions: tuple[datamod.ClientPartition, ...]
+    alpha: np.ndarray
+    mask: ByzantineMask
+    honest: tuple[int, ...]
+
+
+def _read_only(*arrays: np.ndarray | None):
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
+def build_environment(config: RunConfig) -> Environment:
+    """Draw `config`'s environment. It must not, and cannot, read the method:
+    `environment` passes the config with `method` blanked."""
+    seed = config.seed
+    m_clients = config.clients
+
+    if config.dataset.kind == "synthetic":
+        full = datamod.synth_classification(
+            config.dataset.n,
+            config.dataset.dim,
+            config.dataset.classes,
+            config.dataset.separation,
+            substream(seed, "data"),
+        )
+        train_idx, test_idx = datamod.stratified_holdout(
+            full, config.dataset.test_fraction, substream(seed, "split")
+        )
+        train = datamod.take(full, train_idx)
+        test = datamod.take(full, test_idx)
+        del full
+    else:
+        train = datamod.load_idx(config.dataset.train_images, config.dataset.train_labels)
+        test = datamod.load_idx(config.dataset.test_images, config.dataset.test_labels)
+        if test.n_classes > train.n_classes:
+            raise ConfigError("dataset", "test split contains unseen classes")
+
+    shard: np.ndarray | None = None
+    trusted: tuple[int, ...] = ()
+    if config.clean is not None:
+        if config.clean.kind == "server":
+            shard = datamod.carve_clean_shard(
+                train, config.clean.fraction, substream(seed, "shard")
+            )
+        else:
+            trusted = tuple(sorted(set(config.clean.clients)))
+            if any(c < 0 or c >= m_clients for c in trusted):
+                raise ConfigError("clean.clients", f"ids must lie in [0, {m_clients})")
+
+    min_size = config.min_client_size
+    if min_size is None:
+        min_size = 2 * config.batch_size
+    partitions = tuple(
+        datamod.dirichlet_partition(
+            train, m_clients, config.beta, min_size, substream(seed, "partition"), exclude=shard
+        )
+    )
+    sizes = np.array([part.size for part in partitions], dtype=np.float64)
+    alpha = sizes / sizes.sum()
+    shard_size = 0 if shard is None else shard.size
+    selection_weights = sizes / (sizes.sum() + shard_size)
+
+    mask = select_byzantine_set(
+        selection_weights,
+        config.requested_ratio,
+        substream(seed, "byzantine"),
+        exclude=frozenset(trusted),
+    )
+    honest = tuple(m for m in range(m_clients) if m not in mask.members)
+    if config.attack is not None and not honest:
+        raise InsufficientClients("attack requires at least one honest client")
+
+    _read_only(train.features, train.labels, test.features, test.labels, shard, alpha)
+    _read_only(*(part.indices for part in partitions))
+    return Environment(train, test, shard, trusted, partitions, alpha, mask, honest)
+
+
+# The one environment this process holds: (its key, the environment).
+_cached: tuple[RunConfig, Environment] | None = None
+
+
+def environment(config: RunConfig) -> Environment:
+    """`config`'s environment, from a one-entry cache per process.
+
+    The key is the whole config with `method` blanked, so runs that differ only
+    in method share one environment, and every other field, one added later
+    included, keys it. The old entry is dropped before the new one is built,
+    so a process never holds two datasets. IDX files are read once per key.
+    """
+    global _cached
+    key = replace(config, method=None)
+    if _cached is None or _cached[0] != key:
+        _cached = None
+        _cached = (key, build_environment(key))
+    return _cached[1]
 
 
 class Simulation:
@@ -242,69 +363,13 @@ class Simulation:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        seed = config.seed
-        m_clients = config.clients
-
-        if config.dataset.kind == "synthetic":
-            full = datamod.synth_classification(
-                config.dataset.n,
-                config.dataset.dim,
-                config.dataset.classes,
-                config.dataset.separation,
-                substream(seed, "data"),
-            )
-            train_idx, test_idx = datamod.stratified_holdout(
-                full, config.dataset.test_fraction, substream(seed, "split")
-            )
-            self.train = datamod.take(full, train_idx)
-            self.test = datamod.take(full, test_idx)
-        else:
-            self.train = datamod.load_idx(config.dataset.train_images, config.dataset.train_labels)
-            self.test = datamod.load_idx(config.dataset.test_images, config.dataset.test_labels)
-            if self.test.n_classes > self.train.n_classes:
-                raise ConfigError("dataset", "test split contains unseen classes")
-
-        self.shard: np.ndarray | None = None
-        trusted: tuple[int, ...] = ()
-        if config.clean is not None:
-            if config.clean.kind == "server":
-                self.shard = datamod.carve_clean_shard(
-                    self.train, config.clean.fraction, substream(seed, "shard")
-                )
-            else:
-                trusted = tuple(sorted(set(config.clean.clients)))
-                if any(c < 0 or c >= m_clients for c in trusted):
-                    raise ConfigError("clean.clients", f"ids must lie in [0, {m_clients})")
-        self.trusted = trusted
-
-        min_size = config.min_client_size
-        if min_size is None:
-            min_size = 2 * config.batch_size
-        self.partitions = datamod.dirichlet_partition(
-            self.train,
-            m_clients,
-            config.beta,
-            min_size,
-            substream(seed, "partition"),
-            exclude=self.shard,
-        )
-        sizes = np.array([part.size for part in self.partitions], dtype=np.float64)
-        self.alpha = sizes / sizes.sum()
-        shard_size = 0 if self.shard is None else self.shard.size
-        selection_weights = sizes / (sizes.sum() + shard_size)
-
-        self.mask = select_byzantine_set(
-            selection_weights,
-            config.requested_ratio,
-            substream(seed, "byzantine"),
-            exclude=frozenset(trusted),
-        )
-        self.honest = tuple(m for m in range(m_clients) if m not in self.mask.members)
-        if config.attack is not None and not self.honest:
-            raise InsufficientClients("attack requires at least one honest client")
+        env = environment(config)
+        self.train, self.test, self.shard = env.train, env.test, env.shard
+        self.trusted, self.partitions, self.alpha = env.trusted, env.partitions, env.alpha
+        self.mask, self.honest = env.mask, env.honest
 
         self.model = build_model(config.model, self.train.dim, self.train.n_classes)
-        self.params = self.model.init_params(substream(seed, "init"))
+        self.params = self.model.init_params(substream(config.seed, "init"))
         self.prev_aggregate = np.zeros(self.model.n_params)
 
         self.method = self._resolve_method(config.method)
@@ -499,6 +564,7 @@ def run_to_result(config: RunConfig) -> ExperimentResult:
         final_accuracy=accs[-1] if accs else initial,
         diverged=diverged,
         byzantine=sim.mask,
+        keep=sim.filter_params.keep if config.method.filtered else None,
         method_label=config.method.label,
         attack_label=config.attack_label,
     )

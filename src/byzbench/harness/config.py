@@ -11,9 +11,8 @@ walks these tables:
   keys and keys that do not belong to the spec's kind with their dotted path
   ("hplus.Q", "attacks[1].scale"), builds the dataclass, and reports what its
   `__post_init__` rejects as a ConfigError at that field's path;
-- `to_json` writes a spec back: by default the set fields that belong to its
-  kind, which parse back equal, and with full=True every field, the form cell
-  fingerprints hash.
+- `to_json` writes a spec back: the set fields that belong to its kind, which
+  parse back equal. Cell fingerprints hash this form too.
 
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
@@ -144,20 +143,20 @@ def _decode(cls, obj, path: str, **given):
     return spec
 
 
-def to_json(spec, full: bool = False) -> dict:
-    """A spec as a JSON object: its set fields that belong to its kind, or all.
+def to_json(spec) -> dict:
+    """A spec as a JSON object: its set fields that belong to its kind.
 
-    Attacks and methods are always written in their compact config-entry form.
+    Attacks and methods are written in their compact config-entry form.
     """
     out = {}
     for f, key, hint in _table(type(spec)):
         value = getattr(spec, f.name)
-        if full or (value is not None and _belongs(f, spec)):
-            out[key] = _encode_value(hint, value, full)
+        if value is not None and _belongs(f, spec):
+            out[key] = _encode_value(hint, value)
     return out
 
 
-def _encode_value(hint, value, full: bool):
+def _encode_value(hint, value):
     if type(value) in _TYPE_NAMES:  # a JSON scalar already
         return value
     hint, _ = _strip_optional(hint)
@@ -165,8 +164,8 @@ def _encode_value(hint, value, full: bool):
         return _ENTRIES[hint][1](value)
     if isinstance(value, tuple):
         item = typing.get_args(hint)[0]
-        return [_encode_value(item, v, full) for v in value]
-    return None if value is None else to_json(value, full)
+        return [_encode_value(item, v) for v in value]
+    return to_json(value)
 
 
 # -------------------------------------------------------------- shorthands

@@ -113,7 +113,11 @@ class SummaryRow:
 
     max_accuracy and final_accuracy cover the evaluated rounds only, so they
     are None for a cell that evaluated none. ExperimentResult.max_accuracy
-    also counts the accuracy before the first round.
+    also counts the accuracy before the first round. byzantine_count and
+    realized_ratio are the compromised set the run drew, which can exceed the
+    request; keep_exceeds_honest says, for a filtered method, whether the
+    filter keeps more clients per window than there are honest ones, so that
+    it must admit attackers. All outcome fields are None for a failed cell.
     """
 
     fingerprint: str
@@ -122,21 +126,24 @@ class SummaryRow:
     requested_ratio: float
     beta: float
     seed: int
-    max_accuracy: float | None
-    final_accuracy: float | None
-    empty_intersections: int | None
-    mean_precision: float | None
-    mean_recall: float | None
-    wall_ms: float | None
+    max_accuracy: float | None = None
+    final_accuracy: float | None = None
+    empty_intersections: int | None = None
+    mean_precision: float | None = None
+    mean_recall: float | None = None
+    byzantine_count: int | None = None
+    realized_ratio: float | None = None
+    keep_exceeds_honest: bool | None = None
+    wall_ms: float | None = None
     status: str = "ok"
     error: str | None = None
 
     def __post_init__(self):
         if self.status not in ("ok", "diverged", "failed"):
             raise ValueError(f"unknown status {self.status!r}")
-        for value in (self.mean_precision, self.mean_recall):
+        for value in (self.mean_precision, self.mean_recall, self.realized_ratio):
             if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError("precision/recall must lie in [0, 1]")
+                raise ValueError("precision, recall and realized ratio must lie in [0, 1]")
 
 
 def write_summary_json(rows: list[SummaryRow], path: str):

@@ -2,8 +2,11 @@
 
 Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
 the sha256 of its canonical-JSON resolved description. The fingerprint names
-the cell's output files, keys resume, and seeds the run, so reruns are bitwise
-reproducible and key order / whitespace in the source config cannot matter.
+the cell's output files and keys resume, so key order / whitespace in the
+source config cannot matter. The run's seed hashes the same description minus
+the method: cells that differ only in method are paired, with the same data,
+partition, compromised set, batches and attack noise, so their rows compare
+methods and nothing else.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 from ..flsim import RoundRecord, RunConfig, TrainingProtocol, run_to_result
@@ -46,15 +50,11 @@ def _canonical(obj) -> str:
 
 
 def _cell_description(cell: RunConfig) -> dict:
-    """Everything that semantically determines the cell's result.
-
-    That is every field of the cell's RunConfig, with `seed` the sweep's master
-    seed. The form is the one the first fingerprints hashed and must stay
-    byte-identical, since it names output files, keys resume and seeds every
-    cell: every field of the shared sections whether it belongs to their kind
-    or not, and the attack and method in their compact config-entry form.
-    """
-    return to_json(cell, full=True)
+    """Everything that semantically determines the cell's result: the cell's
+    RunConfig in its compact JSON form, with `seed` the sweep's master seed.
+    With `method` None it leaves the method out and describes the cell's
+    environment."""
+    return to_json(cell)
 
 
 def cell_fingerprint(description: dict) -> str:
@@ -71,33 +71,34 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 
     A "none" attack is a control cell: its requested ratio is forced to 0, so
     controls collapse to one cell per (method, beta, seed) no matter how many
-    ratios are swept.
+    ratios are swept. Method is the innermost axis, so the cells that share an
+    environment (all but the method equal) come out next to each other.
     """
     cells: dict[str, Cell] = {}
     shared = {f.name: getattr(config, f.name) for f in fields(TrainingProtocol)}
     for attack in config.attacks:
-        for method in config.methods:
-            for ratio in config.ratios:
-                for beta in config.betas:
-                    for seed in config.seeds:
-                        requested = ratio if attack is not None else 0.0
-                        run_config = RunConfig(
-                            **shared,
-                            beta=beta,
-                            requested_ratio=requested,
-                            attack=attack,
-                            method=method,
-                            filter_params=config.hplus,
-                            seed=seed,
-                        )
+        for ratio in config.ratios:
+            for beta in config.betas:
+                for seed in config.seeds:
+                    environment = RunConfig(
+                        **shared,
+                        beta=beta,
+                        requested_ratio=ratio if attack is not None else 0.0,
+                        attack=attack,
+                        method=None,
+                        filter_params=config.hplus,
+                        seed=seed,
+                    )
+                    cell_seed = _cell_seed(seed, cell_fingerprint(_cell_description(environment)))
+                    for method in config.methods:
+                        run_config = replace(environment, method=method)
                         fingerprint = cell_fingerprint(_cell_description(run_config))
-                        if fingerprint in cells:
-                            continue
-                        cells[fingerprint] = Cell(
-                            fingerprint=fingerprint,
-                            seed=seed,
-                            run_config=replace(run_config, seed=_cell_seed(seed, fingerprint)),
-                        )
+                        if fingerprint not in cells:
+                            cells[fingerprint] = Cell(
+                                fingerprint=fingerprint,
+                                seed=seed,
+                                run_config=replace(run_config, seed=cell_seed),
+                            )
     return list(cells.values())
 
 
@@ -125,37 +126,46 @@ def pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _OWN_MAPPING_BYTES)
 
 
-def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
-    """Execute one cell; never raises, failures land in the row's status."""
+def _labels(cell: Cell) -> dict:
+    """The fields of a cell's summary row that name the cell."""
     config = cell.run_config
-    start = time.perf_counter()
-    try:
-        result = run_to_result(config)
-    except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        records, status, error = [], "failed", f"{type(exc).__name__}: {exc}"
-    else:
-        records, status, error = result.records, "diverged" if result.diverged else "ok", None
-    wall_ms = 1000.0 * (time.perf_counter() - start)
-    evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
-    row = SummaryRow(
+    return dict(
         fingerprint=cell.fingerprint,
         attack=config.attack_label,
         method=config.method.label,
         requested_ratio=config.requested_ratio,
         beta=config.beta,
         seed=cell.seed,
+    )
+
+
+def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
+    """Execute one cell; never raises, failures land in the row's status."""
+    start = time.perf_counter()
+    try:
+        result = run_to_result(cell.run_config)
+    except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        error = f"{type(exc).__name__}: {exc}"
+        return SummaryRow(**_labels(cell), wall_ms=wall_ms, status="failed", error=error), []
+    wall_ms = 1000.0 * (time.perf_counter() - start)
+    records = result.records
+    evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
+    honest = cell.run_config.clients - result.byzantine.count
+    row = SummaryRow(
+        **_labels(cell),
         max_accuracy=max(evaluated) if evaluated else None,
         final_accuracy=evaluated[-1] if evaluated else None,
-        empty_intersections=(
-            None if status == "failed" else sum(1 for r in records if r.empty_intersection)
-        ),
+        empty_intersections=sum(1 for r in records if r.empty_intersection),
         mean_precision=(
             sum(r.filter_precision for r in records) / len(records) if records else None
         ),
         mean_recall=(sum(r.filter_recall for r in records) / len(records) if records else None),
+        byzantine_count=result.byzantine.count,
+        realized_ratio=result.byzantine.realized_ratio,
+        keep_exceeds_honest=None if result.keep is None else result.keep > honest,
         wall_ms=wall_ms,
-        status=status,
-        error=error,
+        status="diverged" if result.diverged else "ok",
     )
     return row, records
 
@@ -201,6 +211,12 @@ def run_sweep(
     Rows come back sorted on a canonical key, so sequential and parallel runs
     of the same config produce identical summary files. Whichever process runs
     the cells, the calling one included, gets pin_heap_thresholds first.
+
+    Cells are submitted in expansion order, where the cells of one environment
+    are adjacent, so a worker mostly reuses the environment it holds. If a
+    worker dies (killed by the OS, say), every cell the pool still held gets a
+    failed row but no cell file, so `--resume` runs it again; summary.json is
+    written all the same.
     """
     cells = expand_cells(config)
     rows: dict[str, SummaryRow] = {}
@@ -208,12 +224,15 @@ def run_sweep(
         rows.update(_load_finished(out_dir, cells))
     pending = [cell for cell in cells if cell.fingerprint not in rows]
 
-    def record(row: SummaryRow, records: list[RoundRecord]):
-        write_round_csv(records, _rounds_path(out_dir, row.fingerprint))
-        write_summary_json([row], _row_path(out_dir, row.fingerprint))
+    def collect(row: SummaryRow):
         rows[row.fingerprint] = row
         if progress is not None:
             progress(row)
+
+    def record(row: SummaryRow, records: list[RoundRecord]):
+        write_round_csv(records, _rounds_path(out_dir, row.fingerprint))
+        write_summary_json([row], _row_path(out_dir, row.fingerprint))
+        collect(row)
 
     if parallelism <= 1 or len(pending) <= 1:
         pin_heap_thresholds()
@@ -221,11 +240,18 @@ def run_sweep(
             record(*run_cell(cell))
     else:
         with ProcessPoolExecutor(max_workers=parallelism, initializer=pin_heap_thresholds) as pool:
-            futures = {pool.submit(run_cell, cell) for cell in pending}
+            futures = {pool.submit(run_cell, cell): cell for cell in pending}
             while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    record(*future.result())
+                    cell = futures.pop(future)
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                        collect(SummaryRow(**_labels(cell), status="failed", error=error))
+                        continue
+                    record(*outcome)
 
     ordered = sorted(rows.values(), key=row_sort_key)
     write_summary_json(ordered, os.path.join(out_dir, "summary.json"))

@@ -224,6 +224,65 @@ def test_rerun_is_bitwise_identical():
     assert a.byzantine.members == b.byzantine.members
 
 
+def _same_result(a, b) -> bool:
+    return (
+        _records_equal(a.records, b.records)
+        and [r.filter_precision for r in a.records] == [r.filter_precision for r in b.records]
+        and (a.initial_accuracy, a.max_accuracy, a.final_accuracy, a.diverged, a.keep)
+        == (b.initial_accuracy, b.max_accuracy, b.final_accuracy, b.diverged, b.keep)
+        and a.byzantine == b.byzantine
+    )
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        # the same environment, another method: B reuses A's environment
+        dict(method=MethodSpec(base=AggregatorSpec("median"))),
+        # another environment: B's replaces A's
+        dict(seed=7, beta=0.3, method=MethodSpec(filtered=True, base=AggregatorSpec("mca"))),
+    ],
+    ids=["same-environment", "other-environment"],
+)
+def test_a_cell_after_another_equals_the_cell_alone(monkeypatch, first):
+    b = _cfg(rounds=4, requested_ratio=0.4, attack=AttackSpec("signflip"),
+             method=MethodSpec(filtered=True, base=AggregatorSpec("gm")))
+    a = replace(b, **first)
+    monkeypatch.setattr(flsim, "_cached", None)
+    alone = run_to_result(b)
+    monkeypatch.setattr(flsim, "_cached", None)
+    run_to_result(a)
+    after = run_to_result(b)
+    assert _same_result(after, alone)
+
+
+def test_environment_is_keyed_on_everything_but_the_method(monkeypatch):
+    builds = []
+    build = flsim.build_environment
+    monkeypatch.setattr(flsim, "build_environment", lambda key: builds.append(key) or build(key))
+    monkeypatch.setattr(flsim, "_cached", None)
+    cfg = _cfg(requested_ratio=0.4, attack=AttackSpec("signflip"))
+    first = flsim.environment(cfg)
+    h_gm = MethodSpec(filtered=True, base=AggregatorSpec("gm"))
+    assert flsim.environment(replace(cfg, method=h_gm)) is first
+    assert len(builds) == 1 and builds[0].method is None
+    for changed in (dict(rounds=4), dict(seed=1), dict(attack=AttackSpec("lie"))):
+        assert flsim.environment(replace(cfg, **changed)) is not first
+    assert len(builds) == 4
+
+
+def test_environment_arrays_reject_writes(monkeypatch):
+    monkeypatch.setattr(flsim, "_cached", None)
+    env = flsim.environment(_cfg(clean=CleanSpec("server", fraction=0.1)))
+    arrays = [env.train.features, env.train.labels, env.test.features, env.test.labels,
+              env.shard, env.alpha, *(part.indices for part in env.partitions)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        env.partitions.append(env.partitions[0])
+
+
 def test_single_mean_round_is_one_sgd_step():
     cfg = _cfg(rounds=1)
     sim = Simulation(cfg)

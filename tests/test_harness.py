@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from byzbench import flsim
 from byzbench.errors import ConfigError, EmptyPlot, FormatError, IoError
-from byzbench.flsim import RoundRecord
+from byzbench.flsim import RoundRecord, ceil_ratio, run_to_result
+from byzbench.harness import sweep
 from byzbench.harness.cli import main
 from byzbench.harness.config import (
     ExperimentConfig,
@@ -33,6 +35,7 @@ from byzbench.harness.sweep import (
     expand_cells,
     pin_heap_thresholds,
     row_sort_key,
+    run_cell,
     run_sweep,
 )
 
@@ -80,6 +83,9 @@ def _row(fingerprint="f" * 64, **overrides) -> SummaryRow:
         empty_intersections=0,
         mean_precision=1.0,
         mean_recall=0.8,
+        byzantine_count=2,
+        realized_ratio=0.31,
+        keep_exceeds_honest=True,
         wall_ms=12.5,
     )
     base.update(overrides)
@@ -250,12 +256,12 @@ def test_config_serialization_round_trip(tmp_path):
 # --------------------------------------------------------------------- cells
 
 
-# Fingerprints name output files, key resume and seed every cell, so the
-# shipped configs must keep theirs: sha256 of the sorted fingerprints.
+# Fingerprints name output files and key resume, so the shipped configs must
+# keep theirs: sha256 of the sorted fingerprints.
 _SHIPPED_DIGESTS = {
-    "clean-reference.json": "28149f9471975bf9",
-    "headline.json": "201781582eccbf35",
-    "smoke.json": "ccf4f098ec5936f6",
+    "clean-reference.json": "d6bdb6867c96a0b9",
+    "headline.json": "58f554cea4779b53",
+    "smoke.json": "60eaed03752825bb",
 }
 
 
@@ -302,12 +308,35 @@ def test_fingerprints_react_to_semantic_changes():
     assert base.run_config.seed != changed.run_config.seed  # seeds derive from fp
 
 
-def test_cell_seeds_are_stable():
-    cfg = parse_config_dict(_sweep_dict(seeds=[0, 1]))
-    a = {c.fingerprint: c.run_config.seed for c in expand_cells(cfg)}
-    b = {c.fingerprint: c.run_config.seed for c in expand_cells(cfg)}
-    assert a == b
-    assert len(set(a.values())) == len(a)  # distinct per cell
+def _cell_environment(cell) -> tuple:
+    """What a cell shares with the cells that differ from it only in method."""
+    run = cell.run_config
+    return (run.attack_label, run.requested_ratio, run.beta, cell.seed)
+
+
+def test_cells_differing_only_in_method_share_a_seed():
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["none", "signflip", "lie"],
+            methods=["mean", "median", "h+gm", "h+mca"],
+            ratios=[0.25, 0.5],
+            beta=[0.3, 0.6],
+            seeds=[0, 1],
+        )
+    )
+    cells = expand_cells(cfg)
+    assert {c.fingerprint: c.run_config.seed for c in cells} == {
+        c.fingerprint: c.run_config.seed for c in expand_cells(cfg)
+    }
+    seeds: dict[tuple, set[int]] = {}
+    for cell in cells:
+        seeds.setdefault(_cell_environment(cell), set()).add(cell.run_config.seed)
+    assert all(len(group) == 1 for group in seeds.values())  # paired across methods
+    assert len({seed for group in seeds.values() for seed in group}) == len(seeds)
+    assert len(seeds) == 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
+    # the cells of one environment come out next to each other
+    order = [_cell_environment(cell) for cell in cells]
+    assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == len(seeds) - 1
 
 
 def test_fingerprint_is_whitespace_independent():
@@ -365,7 +394,11 @@ def test_summary_round_trip(tmp_path):
             empty_intersections=None,
             mean_precision=None,
             mean_recall=None,
+            byzantine_count=None,
+            realized_ratio=None,
+            keep_exceeds_honest=None,
         ),
+        _row(fingerprint="b" * 64, method="Median", keep_exceeds_honest=None),
     ]
     path = str(tmp_path / "summary.json")
     write_summary_json(rows, path)
@@ -537,6 +570,93 @@ def test_run_sweep_captures_cell_failures(tmp_path):
     assert (row.attack, row.method, row.requested_ratio, row.beta, row.seed) == (
         "SignFlip", "Krum", 0.5, 0.6, 0
     )
+
+
+def _row_environment(row: SummaryRow) -> tuple:
+    return (row.attack, row.requested_ratio, row.beta, row.seed)
+
+
+def test_smoke_sweep_pairs_methods_and_records_caveats(tmp_path):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    smoke = json.loads((configs / "smoke.json").read_text(encoding="utf-8"))
+    smoke["methods"] = ["mean", "median", "h+gm", "h+median"]
+    cfg = parse_config_dict(smoke)
+    rows = run_sweep(cfg, str(tmp_path / "out"))
+    assert len(rows) == 8 and all(row.status == "ok" for row in rows)
+
+    groups: dict[tuple, list] = {}
+    for cell in expand_cells(cfg):
+        result = run_to_result(cell.run_config)
+        groups.setdefault(_cell_environment(cell), []).append(result)
+    assert len(groups) == 2
+    for results in groups.values():
+        assert len({frozenset(r.byzantine.members) for r in results}) == 1
+        filtered = [r for r in results if r.keep is not None]
+        segments = {tuple(rec.pass_segments for rec in r.records) for r in filtered}
+        assert len(segments) == 1 and () not in next(iter(segments))
+    attacked = next(results for env, results in groups.items() if env[0] == "SignFlip")
+    assert attacked[0].byzantine.count > 0
+
+    default_keep = cfg.clients - ceil_ratio(0.4, cfg.clients)
+    for row in rows:
+        peers = [other for other in rows if _row_environment(other) == _row_environment(row)]
+        assert {(p.byzantine_count, p.realized_ratio) for p in peers} == {
+            (row.byzantine_count, row.realized_ratio)
+        }
+        assert row.realized_ratio >= row.requested_ratio
+        if row.method.startswith("H+"):
+            keep = default_keep if row.attack != "None" else cfg.clients
+            assert row.keep_exceeds_honest == (keep > cfg.clients - row.byzantine_count)
+        else:
+            assert row.keep_exceeds_honest is None
+    assert read_summary_rows(os.path.join(str(tmp_path / "out"), "summary.json")) == rows
+
+
+def test_sequential_sweep_builds_each_environment_once(tmp_path, monkeypatch):
+    builds = []
+    build = flsim.build_environment
+    monkeypatch.setattr(flsim, "build_environment", lambda key: builds.append(key) or build(key))
+    monkeypatch.setattr(flsim, "_cached", None)
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["none", "signflip"],
+            methods=["mean", "median", "h+gm"],
+            ratios=[0.25],
+            seeds=[0, 1],
+        )
+    )
+    rows = run_sweep(cfg, str(tmp_path / "out"))
+    assert len(rows) == 12
+    assert len(builds) == len({_row_environment(row) for row in rows}) == 4
+    assert len(set(builds)) == 4
+
+
+def _die_on_attacked_cells(cell):
+    if cell.run_config.attack is not None:
+        os._exit(3)
+    return run_cell(cell)
+
+
+def test_run_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean", "median"], ratios=[0.25])
+    )
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(sweep, "run_cell", _die_on_attacked_cells)
+    rows = run_sweep(cfg, out, parallelism=2)
+    assert len(rows) == 4
+    assert read_summary_rows(os.path.join(out, "summary.json")) == rows
+    lost = [row for row in rows if row.status == "failed"]
+    assert {row.attack for row in lost} >= {"SignFlip"}
+    for row in lost:
+        assert row.error.startswith("BrokenProcessPool")
+        assert row.max_accuracy is None and row.byzantine_count is None
+        assert not os.path.exists(os.path.join(out, "cells", f"{row.fingerprint}.json"))
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    resumed = run_sweep(cfg, out, resume=True)
+    assert all(row.status == "ok" for row in resumed)
+    assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
 
 
 # ----------------------------------------------------------------------- cli
