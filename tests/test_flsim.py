@@ -27,6 +27,7 @@ from byzbench.flsim import (
     ceil_ratio,
     run_to_result,
 )
+from byzbench.core import substream
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -41,6 +42,16 @@ def _cfg(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+# Some partitions are below batch_size, so each client's batch is its own stack.
+_RAGGED = _cfg(rounds=3, batch_size=64, min_client_size=8)
+
+
+def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.ndarray:
+    """The batch-draw contract: one keyed stream per (round, client)."""
+    rng = substream(cfg.seed, "batch", round_index, client)
+    return rng.choice(part.indices, size=min(cfg.batch_size, part.size), replace=False)
 
 
 def _records_equal(a, b) -> bool:
@@ -273,14 +284,72 @@ def test_environment_is_keyed_on_everything_but_the_method(monkeypatch):
 
 def test_environment_arrays_reject_writes(monkeypatch):
     monkeypatch.setattr(flsim, "_cached", None)
-    env = flsim.environment(_cfg(clean=CleanSpec("server", fraction=0.1)))
-    arrays = [env.train.features, env.train.labels, env.test.features, env.test.labels,
-              env.shard, env.alpha, *(part.indices for part in env.partitions)]
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-    with pytest.raises(AttributeError):
-        env.partitions.append(env.partitions[0])
+    for cfg in (_cfg(clean=CleanSpec("server", fraction=0.1)), _RAGGED):
+        env = flsim.environment(cfg)
+        arrays = [env.train.features, env.train.labels, env.test.features, env.test.labels,
+                  env.alpha, *(part.indices for part in env.partitions),
+                  *(stack for stacks in env.batches for stack in stacks)]
+        if env.shard is not None:
+            arrays.append(env.shard)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            env.partitions.append(env.partitions[0])
+        with pytest.raises(TypeError):
+            env.batches[0] = env.batches[0]
+
+
+@pytest.mark.parametrize(
+    "cfg, ragged",
+    [
+        (_cfg(rounds=4), False),
+        (_RAGGED, True),
+        (_cfg(rounds=4, requested_ratio=0.4, attack=AttackSpec("signflip")), False),
+        (_cfg(rounds=4, clean=CleanSpec("trusted", clients=(0, 2)), requested_ratio=0.2,
+              attack=AttackSpec("lie")), False),
+    ],
+    ids=["equal", "ragged", "attacked", "trusted"],
+)
+def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
+    monkeypatch.setattr(flsim, "_cached", None)
+    env = flsim.environment(cfg)
+    assert len(env.batches) == cfg.rounds
+    for t, stacks in enumerate(env.batches):
+        want = [_oracle_batch(cfg, env.partitions[m], t, m) for m in env.honest]
+        assert len(stacks) == (len(want) if ragged else 1)
+        got = [row for stack in stacks for row in stack]
+        assert len(got) == len(want)
+        for row, batch in zip(got, want):
+            assert row.dtype == batch.dtype and np.array_equal(row, batch)
+
+
+def test_batches_are_drawn_once_per_environment(monkeypatch):
+    cfg = _cfg(rounds=4, clean=CleanSpec("server", fraction=0.1), requested_ratio=0.4,
+               attack=AttackSpec("lie"))
+    draws = {}
+    draw = flsim.substream
+
+    def counted(seed, purpose, *coords):
+        draws[purpose] = draws.get(purpose, 0) + 1
+        return draw(seed, purpose, *coords)
+
+    monkeypatch.setattr(flsim, "substream", counted)
+    monkeypatch.setattr(flsim, "_cached", None)
+    env = flsim.environment(cfg)
+    assert draws["batch"] == cfg.rounds * len(env.honest) < cfg.rounds * cfg.clients
+    methods = [
+        MethodSpec(base=AggregatorSpec("mean")),
+        MethodSpec(base=AggregatorSpec("median")),
+        MethodSpec(base=AggregatorSpec("fltrust")),
+        MethodSpec(filtered=True, base=AggregatorSpec("gm")),
+        MethodSpec(filtered=True, base=AggregatorSpec("mca")),
+        MethodSpec(filtered=True, reference="server_clean"),
+    ]
+    for method in methods:
+        result = run_to_result(replace(cfg, method=method))
+        assert len(result.records) == cfg.rounds
+    assert draws["batch"] == cfg.rounds * len(env.honest)
 
 
 def test_single_mean_round_is_one_sgd_step():
@@ -289,7 +358,7 @@ def test_single_mean_round_is_one_sgd_step():
     params0 = sim.params.copy()
     honest_grads = []
     for m in sim.honest:
-        batch = sim._client_batch(0, m)
+        batch = _oracle_batch(cfg, sim.partitions[m], 0, m)
         _, grad = sim.model.loss_and_gradient(
             params0, sim.train.features[batch], sim.train.labels[batch]
         )
@@ -300,9 +369,9 @@ def test_single_mean_round_is_one_sgd_step():
 
 
 def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
-    cfg = _cfg(rounds=1, batch_size=64, min_client_size=8)
+    cfg = replace(_RAGGED, rounds=1)
     sim = Simulation(cfg)
-    batches = [sim._client_batch(0, m) for m in sim.honest]
+    batches = [_oracle_batch(cfg, sim.partitions[m], 0, m) for m in sim.honest]
     assert len({batch.size for batch in batches}) > 1  # some partition is below batch_size
     want = np.stack(
         [
@@ -340,7 +409,7 @@ def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
         (MethodSpec(filtered=True, base=AggregatorSpec("fltrust")), {"clean", "reference", "filter"}),
     ],
 )
-def test_round_wall_times_every_phase(method, phases):
+def test_round_wall_times_every_phase(monkeypatch, method, phases):
     cfg = _cfg(
         rounds=1,
         clean=CleanSpec("server", fraction=0.05),
@@ -348,9 +417,21 @@ def test_round_wall_times_every_phase(method, phases):
         attack=AttackSpec("signflip"),
         method=method,
     )
+    selections = []
+    filter_call = flsim.filter_and_aggregate
+
+    def spy(*args):
+        result = filter_call(*args)
+        selections.append(result.select_seconds)
+        return result
+
+    monkeypatch.setattr(flsim, "filter_and_aggregate", spy)
     wall = run_to_result(cfg).records[0].wall
     assert set(wall) == {"batches", "gradients", "attack", "step", "eval", "total"} | phases
+    assert all(v > 0.0 for v in wall.values())
     assert sum(v for key, v in wall.items() if key != "total") <= wall["total"]
+    if "filter" in phases:  # the whole filter call, not only its selection
+        assert wall["filter"] > selections[0]
 
 
 def test_signflip_hurts_bare_mean():
