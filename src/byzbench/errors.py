@@ -65,9 +65,5 @@ class IoError(ByzBenchError):
         super().__init__(f"{path}: {message}")
 
 
-class EmptyPlot(ByzBenchError):
-    """A plot was requested with no series to draw."""
-
-
 class DivergenceDetected(ByzBenchError):
     """A client upload or the model parameters became non-finite."""

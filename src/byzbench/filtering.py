@@ -15,7 +15,6 @@ round on a 2-core machine (3 seeds x 100 rounds), against 9% for selection.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,7 +221,6 @@ class FilterResult:
     aggregate: np.ndarray
     passes: list[PassResult]
     empty_intersection: bool
-    select_seconds: float
 
 
 def filter_and_aggregate(
@@ -236,10 +234,9 @@ def filter_and_aggregate(
 
     Survivors are combined by renormalized weighted average. An empty
     intersection falls back to the reference itself and is flagged so callers
-    can record the event. select_seconds times only the scoring/selection
-    phase (the part whose cost is independent of the model dimension). A
-    reference with a non-finite entry raises InvalidReference, since it would
-    score every client NaN and make the top N arbitrary.
+    can record the event. A reference with a non-finite entry raises
+    InvalidReference, since it would score every client NaN and make the top
+    N arbitrary.
     """
     ref = np.asarray(reference, dtype=np.float64)
     mat = as_matrix(uploads)
@@ -248,11 +245,9 @@ def filter_and_aggregate(
     if not np.isfinite(ref).all():
         raise InvalidReference("reference gradient has non-finite entries")
     w = np.asarray(weights, dtype=np.float64)
-    t0 = time.perf_counter()
     selected, passes = select_clients(ref, mat, params, rng)
-    select_seconds = time.perf_counter() - t0
     if not selected:
-        return FilterResult(selected, ref.copy(), passes, True, select_seconds)
+        return FilterResult(selected, ref.copy(), passes, True)
     ids = sorted(selected)
     agg = weighted_average(w[ids], mat[ids])
-    return FilterResult(selected, agg, passes, False, select_seconds)
+    return FilterResult(selected, agg, passes, False)

@@ -1,7 +1,7 @@
-"""`byzbench` command line: run sweeps, validate configs, plot results.
+"""`byzbench` command line: run sweeps, validate configs, report results.
 
 Exit codes for `run`: 0 when every cell finished (ok or diverged), 2 when any
-cell failed, 1 on config errors. `validate` and `plot` use 0/1.
+cell failed, 1 on config errors. `validate` and `report` use 0/1.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ import argparse
 import os
 import sys
 
-from ..errors import ByzBenchError, ConfigError, EmptyPlot, FormatError, IoError
+from ..errors import ByzBenchError, ConfigError
 from .config import parse_config
-from .reporting import plot_round_series, plot_summary_rows, read_round_csv, read_summary_rows
+from .reporting import read_summary_rows, render_report
 from .sweep import expand_cells, run_sweep
 
 ENV_OUT = "BYZ_BENCH_OUT"
@@ -34,10 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="parse a config and report the cell count")
     validate.add_argument("--config", required=True, help="path to a JSON sweep config")
 
-    plot = sub.add_parser("plot", help="render an SVG accuracy chart")
-    plot.add_argument("--summary", help="summary.json: max accuracy vs ratio per method")
-    plot.add_argument("--rounds", nargs="+", help="round CSVs: accuracy vs round per file")
-    plot.add_argument("--out", help="output SVG path (default: next to the input)")
+    report = sub.add_parser("report", help="print a Markdown comparison of a sweep's methods")
+    report.add_argument("--summary", required=True, help="path to a sweep's summary.json")
     return parser
 
 
@@ -84,35 +82,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    if bool(args.summary) == bool(args.rounds):
-        print("plot needs exactly one of --summary or --rounds", file=sys.stderr)
-        return 1
-    if args.summary:
-        rows = read_summary_rows(args.summary)
-        out = args.out or os.path.splitext(args.summary)[0] + ".svg"
-        plot_summary_rows(rows, out)
-    else:
-        named = [
-            (os.path.splitext(os.path.basename(path))[0], read_round_csv(path))
-            for path in args.rounds
-        ]
-        out = args.out or os.path.splitext(args.rounds[0])[0] + ".svg"
-        plot_round_series(named, out)
-    print(out)
+def _cmd_report(args) -> int:
+    print(render_report(read_summary_rows(args.summary)), end="")
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "validate": _cmd_validate, "plot": _cmd_plot}
+    handlers = {"run": _cmd_run, "validate": _cmd_validate, "report": _cmd_report}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (IoError, FormatError, EmptyPlot) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ByzBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Metrics persistence (round CSV, summary JSON) and SVG accuracy plots.
+"""Metrics persistence (round CSV, summary JSON) and the Markdown report.
 
 File contracts:
   - round CSV: a header of `ROUND_COLUMNS`, then one row per round, UTF-8,
@@ -6,11 +6,10 @@ File contracts:
     bitwise identical (wall_ms excepted, by nature).
   - summary JSON: a top-level array of `SummaryRow` objects with snake_case
     keys.
-  - plots: self-contained SVG, one <polyline> per series, y range
-    [0, max * 1.05], legend labeled by method.
 
 Every file is written to a temporary file beside it and then renamed over
 the target, so a killed process leaves either the old file or the new one.
+`render_report` turns summary rows into Markdown text and writes nothing.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ import csv
 import dataclasses
 import json
 import os
-from xml.sax.saxutils import escape
 
-from ..errors import EmptyPlot, FormatError, IoError
+from ..errors import FormatError, IoError
 from ..flsim import RoundRecord
 
 
@@ -44,17 +42,6 @@ _ROUND_TABLE = (
 )
 
 ROUND_COLUMNS = tuple(name for name, _, _ in _ROUND_TABLE)
-
-_PALETTE = (
-    "#1f77b4",
-    "#d62728",
-    "#2ca02c",
-    "#9467bd",
-    "#ff7f0e",
-    "#8c564b",
-    "#17becf",
-    "#7f7f7f",
-)
 
 
 def _write_text(path: str, text: str):
@@ -167,112 +154,81 @@ def read_summary_rows(path: str) -> list[SummaryRow]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-# ----------------------------------------------------------------- SVG plots
+# ----------------------------------------------------------- Markdown report
 
 
-def _format_num(value: float) -> str:
-    return f"{value:g}"
+def _span(values: list, fmt: str) -> str:
+    return f"[{min(values):{fmt}}, {max(values):{fmt}}]" if values else "n/a"
 
 
-def _render_svg(series: list, x_label: str, y_label: str) -> str:
-    """series: [(label, [(x, y), ...]), ...] -> SVG text."""
-    series = [(label, pts) for label, pts in series if pts]
-    if not series:
-        raise EmptyPlot("nothing to plot")
+def render_report(rows: list[SummaryRow]) -> str:
+    """Markdown comparison of methods, one section per sweep condition.
 
-    width, height = 640.0, 420.0
-    left, right, top, bottom = 62.0, 16.0, 18.0, 46.0
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    x_min, x_max = min(xs), max(xs)
-    if x_min == x_max:
-        x_min, x_max = x_min - 0.5, x_max + 0.5
-    y_top = max(ys) * 1.05
-    if y_top <= 0.0:
-        y_top = 1.0
-
-    def sx(x: float) -> float:
-        return left + (x - x_min) / (x_max - x_min) * plot_w
-
-    def sy(y: float) -> float:
-        return top + (1.0 - y / y_top) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}" font-family="sans-serif" font-size="12">',
-        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-    ]
-    ticks = 5
-    for i in range(ticks + 1):
-        frac = i / ticks
-        gx = x_min + frac * (x_max - x_min)
-        px = sx(gx)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{top + plot_h}" x2="{px:.2f}" y2="{top + plot_h + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{top + plot_h + 18}" text-anchor="middle">{_format_num(gx)}</text>'
-        )
-        gy = frac * y_top
-        py = sy(gy)
-        parts.append(f'<line x1="{left - 4}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{left - 8}" y="{py + 4:.2f}" text-anchor="end">{_format_num(gy)}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" text-anchor="middle">{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {top + plot_h / 2:.2f})">{escape(y_label)}</text>'
-    )
-
-    for idx, (label, pts) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in sorted(pts))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
-
-    legend_x = left + plot_w - 150.0
-    for idx, (label, _) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        ly = top + 10 + 16 * idx
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{ly:.2f}" x2="{legend_x + 18:.2f}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(f'<text x="{legend_x + 24:.2f}" y="{ly + 4:.2f}">{escape(label)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def plot_summary_rows(rows: list, path: str):
-    """Max accuracy vs Byzantine ratio, one series per method label.
-
-    Cells sharing (method, ratio) across seeds, betas, and attacks are
-    averaged. Failed cells are skipped.
+    A section holds the rows of one (attack, requested ratio, beta); its
+    heading gives the range of the compromised count and ratio that the
+    cells drew, which can exceed the request. Each method label gets a row
+    with its cell count; the mean and range over seeds of max accuracy,
+    failed cells excluded; for a label H+X whose bare X is in the section,
+    the mean of H+X - X over the seeds both have and the number of those
+    seeds where H+X is higher; and its failed, diverged and keep > honest
+    cell counts. The text depends on the rows, not on their order.
     """
-    grouped: dict[str, dict[float, list[float]]] = {}
-    for row in rows:
-        if row.status == "failed" or row.max_accuracy is None:
-            continue
-        grouped.setdefault(row.method, {}).setdefault(row.requested_ratio, []).append(
-            row.max_accuracy
-        )
-    series = [
-        (method, [(ratio, sum(vals) / len(vals)) for ratio, vals in sorted(points.items())])
-        for method, points in sorted(grouped.items())
+    sections: dict[tuple, dict[str, list[SummaryRow]]] = {}
+    for row in sorted(
+        rows, key=lambda r: (r.attack, r.requested_ratio, r.beta, r.method, r.seed, r.fingerprint)
+    ):
+        sections.setdefault((row.attack, row.requested_ratio, row.beta), {}).setdefault(
+            row.method, []
+        ).append(row)
+
+    lines = [
+        "# byzbench report",
+        "",
+        "Max accuracy is the best evaluated round of a cell; mean and range are over seeds,",
+        "failed cells excluded. H+X - X is the mean paired difference over the seeds that",
+        "both methods have, and wins counts the seeds where H+X is higher.",
     ]
-    _write_text(path, _render_svg(series, "Byzantine ratio", "max test accuracy"))
-
-
-def plot_round_series(named_records: list, path: str):
-    """Test accuracy vs round; named_records = [(label, round dicts), ...]."""
-    series = []
-    for label, records in named_records:
-        pts = [(rec["round"], rec["test_acc"]) for rec in records if rec["test_acc"] is not None]
-        series.append((label, pts))
-    _write_text(path, _render_svg(series, "round", "test accuracy"))
+    for (attack, ratio, beta), methods in sections.items():
+        done = [r for group in methods.values() for r in group if r.status != "failed"]
+        counts = [r.byzantine_count for r in done if r.byzantine_count is not None]
+        realized = [r.realized_ratio for r in done if r.realized_ratio is not None]
+        lines += [
+            "",
+            f"## {attack}, ratio {ratio:g}, beta {beta:g}: byzantine {_span(counts, 'd')}, "
+            f"realized ratio {_span(realized, '.3f')}",
+            "",
+            "| method | cells | max acc | range | H+X - X | wins | flags |",
+            "|---|---:|---:|---:|---:|---:|---|",
+        ]
+        accuracy = {
+            label: {
+                r.seed: r.max_accuracy
+                for r in group
+                if r.status != "failed" and r.max_accuracy is not None
+            }
+            for label, group in methods.items()
+        }
+        for label, group in methods.items():
+            values = list(accuracy[label].values())
+            mean = f"{sum(values) / len(values):.3f}" if values else "n/a"
+            diff = wins = ""
+            bare = accuracy.get(label[2:]) if label.startswith("H+") else None
+            if bare is not None:
+                pairs = [acc - bare[seed] for seed, acc in accuracy[label].items() if seed in bare]
+                wins = f"{sum(d > 0.0 for d in pairs)}/{len(pairs)}"
+                if pairs:
+                    diff = f"{sum(pairs) / len(pairs):+.3f}"
+            flags = [
+                f"{count} {name}"
+                for name, count in (
+                    ("failed", sum(r.status == "failed" for r in group)),
+                    ("diverged", sum(r.status == "diverged" for r in group)),
+                    ("keep>honest", sum(bool(r.keep_exceeds_honest) for r in group)),
+                )
+                if count
+            ]
+            lines.append(
+                f"| {label} | {len(group)} | {mean} | {_span(values, '.3f')} | {diff} | {wins} "
+                f"| {', '.join(flags)} |"
+            )
+    return "\n".join(lines) + "\n"

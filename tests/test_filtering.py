@@ -386,8 +386,63 @@ def test_filter_params_validation():
         FilterParams(norm_pivot=0.0)
 
 
-def test_filter_timing_is_recorded():
-    uploads = np.random.default_rng(1).normal(size=(4, 30))
-    params = FilterParams(passes=2, segment_len=10, keep=2)
-    res = filter_and_aggregate(uploads[0], uploads, np.full(4, 0.25), params, np.random.default_rng(0))
-    assert res.select_seconds >= 0.0
+
+# ----------------------------------------------------------------- properties
+
+
+@st.composite
+def _filter_cases(draw):
+    """Uploads, reference, params and a window seed; normal draws leave no score ties."""
+    clients = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 60))
+    params = FilterParams(
+        passes=draw(st.integers(1, 5)),
+        segment_len=draw(st.integers(1, 30)),
+        keep=draw(st.integers(1, clients)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uploads = rng.normal(size=(clients, dim))
+    reference = rng.normal(size=dim)
+    return uploads, reference, params, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_filter_cases())
+@settings(max_examples=150, deadline=None)
+def test_every_pass_keeps_exactly_keep_and_contains_the_intersection(case):
+    uploads, reference, params, seed = case
+    selected, passes = select_clients(reference, uploads, params, np.random.default_rng(seed))
+    assert len(passes) == params.passes
+    for result in passes:
+        assert len(result.selected) == params.keep
+        assert selected <= frozenset(result.selected)
+
+
+@given(_filter_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_selection_is_permutation_equivariant(case, data):
+    uploads, reference, params, seed = case
+    perm = np.array(data.draw(st.permutations(range(uploads.shape[0]))), dtype=np.int64)
+    selected, passes = select_clients(reference, uploads, params, np.random.default_rng(seed))
+    moved, moved_passes = select_clients(
+        reference, uploads[perm], params, np.random.default_rng(seed)
+    )
+    position = np.argsort(perm)  # row perm[i] of uploads is row i of uploads[perm]
+    assert moved == frozenset(int(position[i]) for i in selected)
+    for result, moved_result in zip(passes, moved_passes):
+        assert moved_result.segment == result.segment
+        assert set(moved_result.selected) == {int(position[i]) for i in result.selected}
+
+
+@given(_filter_cases())
+@settings(max_examples=150, deadline=None)
+def test_survivor_average_lies_in_the_survivors_box(case):
+    uploads, reference, params, seed = case
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, size=uploads.shape[0])
+    res = filter_and_aggregate(reference, uploads, weights, params, np.random.default_rng(seed))
+    if res.empty_intersection:
+        assert np.array_equal(res.aggregate, reference)
+        return
+    survivors = uploads[sorted(res.selected)]
+    tol = 1e-12 * (1.0 + np.abs(survivors).max(axis=0))
+    assert np.all(res.aggregate >= survivors.min(axis=0) - tol)
+    assert np.all(res.aggregate <= survivors.max(axis=0) + tol)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from byzbench import flsim
+from byzbench import filtering, flsim
 from byzbench.aggregators import AggregatorSpec
 from byzbench.attacks import AttackSpec
 from byzbench.errors import (
@@ -418,14 +419,15 @@ def test_round_wall_times_every_phase(monkeypatch, method, phases):
         method=method,
     )
     selections = []
-    filter_call = flsim.filter_and_aggregate
+    select = filtering.select_clients
 
-    def spy(*args):
-        result = filter_call(*args)
-        selections.append(result.select_seconds)
+    def timed_select(*args):
+        start = time.perf_counter()
+        result = select(*args)
+        selections.append(time.perf_counter() - start)
         return result
 
-    monkeypatch.setattr(flsim, "filter_and_aggregate", spy)
+    monkeypatch.setattr(filtering, "select_clients", timed_select)
     wall = run_to_result(cfg).records[0].wall
     assert set(wall) == {"batches", "gradients", "attack", "step", "eval", "total"} | phases
     assert all(v > 0.0 for v in wall.values())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from byzbench import flsim
-from byzbench.errors import ConfigError, EmptyPlot, FormatError, IoError
+from byzbench.errors import ConfigError, FormatError, IoError
 from byzbench.flsim import RoundRecord, ceil_ratio, run_to_result
 from byzbench.harness import sweep
 from byzbench.harness.cli import main
@@ -22,10 +22,9 @@ from byzbench.harness.config import (
 )
 from byzbench.harness.reporting import (
     ROUND_COLUMNS,
-    plot_round_series,
-    plot_summary_rows,
     read_round_csv,
     read_summary_rows,
+    render_report,
     write_round_csv,
     write_summary_json,
 )
@@ -435,38 +434,66 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["summary.json"]
 
 
-def test_summary_plot_structure(tmp_path):
-    rows = [
-        _row(max_accuracy=0.9, requested_ratio=0.1),
-        _row(fingerprint="b" * 64, max_accuracy=0.8, requested_ratio=0.2),
-        _row(fingerprint="c" * 64, method="Mean", max_accuracy=0.5, requested_ratio=0.1),
-        _row(fingerprint="d" * 64, method="Mean", status="failed", max_accuracy=None),
-    ]
-    path = str(tmp_path / "plot.svg")
-    plot_summary_rows(rows, path)
-    svg = open(path, encoding="utf-8").read()
-    assert svg.count("<polyline") == 2  # one per surviving method
-    assert "H+GM" in svg and "Mean" in svg
-    assert svg.startswith("<svg ")
+def _report_row(method, seed, max_accuracy, attack="SignFlip", byzantine_count=2, **overrides):
+    fields = dict(
+        fingerprint=f"{attack}-{method}-{seed}",
+        attack=attack,
+        method=method,
+        seed=seed,
+        max_accuracy=max_accuracy,
+        byzantine_count=byzantine_count,
+        realized_ratio=None if byzantine_count is None else byzantine_count / 10,
+        keep_exceeds_honest=None,
+    )
+    fields.update(overrides)
+    return _row(**fields)
 
 
-def test_summary_plot_empty_raises(tmp_path):
-    rows = [_row(status="failed", max_accuracy=None)]
-    with pytest.raises(EmptyPlot):
-        plot_summary_rows(rows, str(tmp_path / "plot.svg"))
+_REPORT_ROWS = [
+    _report_row("Mean", 0, 0.91, attack="None", byzantine_count=0),
+    _report_row("GM", 0, 0.70),
+    _report_row("GM", 1, 0.60, byzantine_count=3),
+    _report_row(
+        "GM", 2, None, status="failed", error="boom", final_accuracy=None,
+        empty_intersections=None, mean_precision=None, mean_recall=None, byzantine_count=None,
+    ),
+    _report_row("H+GM", 0, 0.90, keep_exceeds_honest=True),
+    _report_row("H+GM", 1, 0.55, byzantine_count=3, status="diverged", keep_exceeds_honest=False),
+    _report_row("H+GM", 2, 0.85, byzantine_count=3, keep_exceeds_honest=False),
+    _report_row("H+Clean data", 0, 0.88, keep_exceeds_honest=False),
+]
+
+_REPORT_TEXT = """\
+# byzbench report
+
+Max accuracy is the best evaluated round of a cell; mean and range are over seeds,
+failed cells excluded. H+X - X is the mean paired difference over the seeds that
+both methods have, and wins counts the seeds where H+X is higher.
+
+## None, ratio 0.2, beta 0.6: byzantine [0, 0], realized ratio [0.000, 0.000]
+
+| method | cells | max acc | range | H+X - X | wins | flags |
+|---|---:|---:|---:|---:|---:|---|
+| Mean | 1 | 0.910 | [0.910, 0.910] |  |  |  |
+
+## SignFlip, ratio 0.2, beta 0.6: byzantine [2, 3], realized ratio [0.200, 0.300]
+
+| method | cells | max acc | range | H+X - X | wins | flags |
+|---|---:|---:|---:|---:|---:|---|
+| GM | 3 | 0.650 | [0.600, 0.700] |  |  | 1 failed |
+| H+Clean data | 1 | 0.880 | [0.880, 0.880] |  |  |  |
+| H+GM | 3 | 0.767 | [0.550, 0.900] | +0.075 | 1/2 | 1 diverged, 1 keep>honest |
+"""
 
 
-def test_round_plot(tmp_path):
-    records = [
-        {"round": 0, "test_acc": 0.5},
-        {"round": 1, "test_acc": None},
-        {"round": 2, "test_acc": 0.7},
-    ]
-    path = str(tmp_path / "rounds.svg")
-    plot_round_series([("cellA", records)], path)
-    svg = open(path, encoding="utf-8").read()
-    assert svg.count("<polyline") == 1
-    assert "cellA" in svg
+def test_report_text_is_pinned():
+    # H+GM's seed 2 has no bare GM partner (that cell failed), so the
+    # difference is (0.90 - 0.70 + 0.55 - 0.60) / 2 over seeds 0 and 1.
+    assert render_report(_REPORT_ROWS) == _REPORT_TEXT
+    assert render_report(_REPORT_ROWS[::-1]) == _REPORT_TEXT
+    shuffled = list(_REPORT_ROWS)
+    np.random.default_rng(5).shuffle(shuffled)
+    assert render_report(shuffled) == _REPORT_TEXT
 
 
 # --------------------------------------------------------------------- sweep
@@ -674,18 +701,16 @@ def test_cli_validate(tmp_path, capsys):
     assert "2 cells" in capsys.readouterr().out
 
 
-def test_cli_run_and_plot(tmp_path, capsys):
+def test_cli_run_and_report(tmp_path, capsys):
     path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25])
     out = str(tmp_path / "results")
     assert main(["run", "--config", path, "--out", out]) == 0
     captured = capsys.readouterr().out
     assert "2 cells" in captured and "0 failed" in captured
-    summary = os.path.join(out, "summary.json")
-    assert main(["plot", "--summary", summary, "--out", str(tmp_path / "s.svg")]) == 0
-    rounds_dir = os.path.join(out, "rounds")
-    csvs = [os.path.join(rounds_dir, f) for f in sorted(os.listdir(rounds_dir))]
-    assert main(["plot", "--rounds", *csvs, "--out", str(tmp_path / "r.svg")]) == 0
-    assert os.path.exists(tmp_path / "s.svg") and os.path.exists(tmp_path / "r.svg")
+    assert main(["report", "--summary", os.path.join(out, "summary.json")]) == 0
+    report = capsys.readouterr().out
+    assert "\n## SignFlip, ratio 0.25, beta 0.6: byzantine [" in report
+    assert "\n| Mean | 1 | " in report
 
 
 def test_cli_run_reports_failures(tmp_path):
@@ -701,12 +726,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
-def test_cli_plot_argument_errors(tmp_path, capsys):
-    assert main(["plot"]) == 1
-    cfg = _write_cfg(tmp_path)
+def test_cli_report_errors(tmp_path, capsys):
+    assert main(["report", "--summary", str(tmp_path / "missing.json")]) == 1
+    assert "missing.json" in capsys.readouterr().err
     summary = tmp_path / "summary.json"
-    write_summary_json([_row(status="failed", max_accuracy=None)], str(summary))
-    assert main(["plot", "--summary", str(summary)]) == 1
+    summary.write_text('[{"status": "weird"}]', encoding="utf-8")
+    assert main(["report", "--summary", str(summary)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_out_dir_precedence(tmp_path, monkeypatch, capsys):
