@@ -51,12 +51,15 @@ def synth_classification(
     n_classes: int,
     class_separation: float,
     rng: np.random.Generator,
-) -> LabeledDataset:
-    """Gaussian-cluster classification data.
+) -> tuple[LabeledDataset, np.ndarray]:
+    """Gaussian-cluster classification data and the shuffle of its samples.
 
     Class centers are drawn at random and rescaled so the closest pair sits
     exactly class_separation apart; samples add unit-variance isotropic noise.
-    Class counts are balanced within one sample. Sample order is shuffled.
+    Class counts are balanced within one sample. The samples come in
+    generation order, one contiguous block per class; the shuffled data set
+    is `take(dataset, order)`. Returning the permutation and not the shuffled
+    copy lets a caller keep the one feature matrix and index its rows.
     """
     if n < n_classes or n_classes < 1:
         raise InfeasiblePartition(f"cannot build {n_classes} classes from {n} samples")
@@ -83,30 +86,30 @@ def synth_classification(
     for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
         features[lo:hi] += centers[c]
     order = rng.permutation(n)
-    return LabeledDataset(features[order], labels[order].astype(np.int64), n_classes)
+    return LabeledDataset(features, labels.astype(np.int64), n_classes), order
 
 
 def stratified_holdout(
-    dataset: LabeledDataset, fraction: float, rng: np.random.Generator
+    labels: np.ndarray, n_classes: int, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices into (train, test), taking `fraction` of every class."""
+    """Split positions in `labels` into (train, test), taking `fraction` of every class."""
     if not 0.0 < fraction < 1.0:
         raise InfeasiblePartition(f"holdout fraction {fraction} outside (0, 1)")
     test_parts = []
-    for c in range(dataset.n_classes):
-        idx = np.flatnonzero(dataset.labels == c)
+    for c in range(n_classes):
+        idx = np.flatnonzero(labels == c)
         k = int(fraction * idx.size + 0.5)
         test_parts.append(rng.permutation(idx)[:k])
     test_idx = np.sort(np.concatenate(test_parts))
-    mask = np.ones(dataset.n, dtype=bool)
+    mask = np.ones(labels.size, dtype=bool)
     mask[test_idx] = False
     return np.flatnonzero(mask), test_idx
 
 
 def carve_clean_shard(
-    dataset: LabeledDataset, fraction: float, rng: np.random.Generator
+    labels: np.ndarray, n_classes: int, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sorted indices of a stratified server-held clean shard.
+    """Sorted positions in `labels` of a stratified server-held clean shard.
 
     Samples round(fraction * count) indices per class, so the shard size is
     within one rounding per class of fraction * n. A fraction outside (0, 1)
@@ -115,8 +118,8 @@ def carve_clean_shard(
     if not 0.0 < fraction < 1.0:
         raise EmptySelection(f"shard fraction {fraction} outside (0, 1)")
     parts = []
-    for c in range(dataset.n_classes):
-        idx = np.flatnonzero(dataset.labels == c)
+    for c in range(n_classes):
+        idx = np.flatnonzero(labels == c)
         k = int(fraction * idx.size + 0.5)
         if k:
             parts.append(rng.permutation(idx)[:k])
@@ -137,23 +140,25 @@ class ClientPartition:
 
 
 def dirichlet_partition(
-    dataset: LabeledDataset,
+    labels: np.ndarray,
+    n_classes: int,
     n_clients: int,
     beta: float,
     min_size: int,
     rng: np.random.Generator,
     exclude: np.ndarray | None = None,
 ) -> list[ClientPartition]:
-    """Non-IID split: per class, client shares follow Dirichlet(beta * 1_M).
+    """Non-IID split of the positions in `labels`: per class, client shares
+    follow Dirichlet(beta * 1_M).
 
     Small beta concentrates each class on few clients; large beta approaches
-    uniform. Indices in `exclude` (e.g. a server shard) never reach a client.
+    uniform. Positions in `exclude` (e.g. a server shard) never reach a client.
     Whole partitions are redrawn until every client holds at least min_size
     samples; weights are the exact size ratios S_m / sum(S).
     """
     if n_clients < 1 or beta <= 0.0 or min_size < 0:
         raise InfeasiblePartition("need n_clients >= 1, beta > 0, min_size >= 0")
-    mask = np.ones(dataset.n, dtype=bool)
+    mask = np.ones(labels.size, dtype=bool)
     if exclude is not None:
         mask[np.asarray(exclude, dtype=np.int64)] = False
     pool = np.flatnonzero(mask)
@@ -162,8 +167,8 @@ def dirichlet_partition(
             f"{n_clients} clients x min_size {min_size} exceeds {pool.size} samples"
         )
     class_pools = []
-    for c in range(dataset.n_classes):
-        idx = pool[dataset.labels[pool] == c]
+    for c in range(n_classes):
+        idx = pool[labels[pool] == c]
         if idx.size == 0:
             raise InfeasiblePartition(f"class {c} has no samples to partition")
         class_pools.append(idx)
@@ -222,6 +227,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise FormatError(f"{labels_path}: {n_labels} labels for {n_images} images")
     labels = np.frombuffer(_read_exact(lbl_buf, 8, n_labels, labels_path), dtype=np.uint8)
 
-    features = pixels.astype(np.float64).reshape(n_images, rows * cols) / 255.0
+    features = pixels.astype(np.float64).reshape(n_images, rows * cols)
+    features /= 255.0  # in place: the same quotients without a second float copy
     n_classes = int(labels.max()) + 1 if labels.size else 0
     return LabeledDataset(features, labels.astype(np.int64), n_classes)

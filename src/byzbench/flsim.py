@@ -13,9 +13,16 @@ The setup draws that do not depend on the method (data, split, clean shard,
 partition, compromised set, and every round's client batch indices) form an
 `Environment`. Each process keeps the last one it built, so consecutive runs
 that differ only in method build it, and draw their batches, once; a run's
-result does not depend on which runs came before it. The batches cost
-rounds x H x batch_size x 8 bytes of indices (H honest clients), never the
-gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32.
+result does not depend on which runs came before it.
+
+An environment holds one feature matrix, generated once and never copied,
+and every index it holds (partitions, clean shard, batches) is a row of that
+matrix. The data shuffle is not applied to the features but composed into
+the indices, and only the test split is gathered into an array of its own,
+so a build peaks at about 1.5x the matrix's bytes, never at two copies of
+the data set. The batches cost rounds x H x batch_size x 8 bytes of indices
+(H honest clients), never the gathered features: about 0.5 MB for 100
+rounds of 20 clients at B = 32.
 """
 
 from __future__ import annotations
@@ -264,9 +271,14 @@ class Environment:
     """What a run draws before its method matters: data, split, clean shard,
     partition, compromised set and client batches.
 
-    `batches[t]` holds round t's honest batch indices, in `honest` order, as
+    Every index is a row of `features` (and of `labels`): the partitions'
+    indices, the clean `shard` and the batches. The rows of the test split
+    are in `features` too, but no index names them; `test` holds them
+    gathered, contiguous for evaluation.
+
+    `batches[t]` holds round t's honest batch rows, in `honest` order, as
     index stacks for one gradient call each: one (H, B) stack when every
-    honest client draws B = min(batch_size, partition size) indices of the
+    honest client draws B = min(batch_size, partition size) rows of the
     same size, else one (1, b_m) stack per client (a ragged environment;
     partition sizes are fixed, so every round is ragged or none is). They
     take rounds x H x B x 8 bytes.
@@ -275,7 +287,9 @@ class Environment:
     differs from it only in method (see `environment`).
     """
 
-    train: datamod.LabeledDataset
+    features: np.ndarray
+    labels: np.ndarray
+    n_classes: int
     test: datamod.LabeledDataset
     shard: np.ndarray | None
     trusted: tuple[int, ...]
@@ -299,7 +313,7 @@ def build_environment(config: RunConfig) -> Environment:
     m_clients = config.clients
 
     if config.dataset.kind == "synthetic":
-        full = datamod.synth_classification(
+        data, order = datamod.synth_classification(
             config.dataset.n,
             config.dataset.dim,
             config.dataset.classes,
@@ -307,23 +321,29 @@ def build_environment(config: RunConfig) -> Environment:
             substream(seed, "data"),
         )
         train_idx, test_idx = datamod.stratified_holdout(
-            full, config.dataset.test_fraction, substream(seed, "split")
+            data.labels[order], data.n_classes, config.dataset.test_fraction,
+            substream(seed, "split"),
         )
-        train = datamod.take(full, train_idx)
-        test = datamod.take(full, test_idx)
-        del full
+        # Position i of the shuffled data set is row order[i] of `data`, so
+        # the train split is rows[i] and the test split is gathered directly.
+        rows = order[train_idx]
+        test = datamod.take(data, order[test_idx])
     else:
-        train = datamod.load_idx(config.dataset.train_images, config.dataset.train_labels)
+        data = datamod.load_idx(config.dataset.train_images, config.dataset.train_labels)
         test = datamod.load_idx(config.dataset.test_images, config.dataset.test_labels)
-        if test.n_classes > train.n_classes:
+        if test.n_classes > data.n_classes:
             raise ConfigError("dataset", "test split contains unseen classes")
+        rows = np.arange(data.n)
 
+    # The shard and the partition are drawn over train positions, as in the
+    # shuffled train split, and then mapped to rows of `data`.
+    train_labels = data.labels[rows]
     shard: np.ndarray | None = None
     trusted: tuple[int, ...] = ()
     if config.clean is not None:
         if config.clean.kind == "server":
             shard = datamod.carve_clean_shard(
-                train, config.clean.fraction, substream(seed, "shard")
+                train_labels, data.n_classes, config.clean.fraction, substream(seed, "shard")
             )
         else:
             trusted = tuple(sorted(set(config.clean.clients)))
@@ -334,10 +354,14 @@ def build_environment(config: RunConfig) -> Environment:
     if min_size is None:
         min_size = 2 * config.batch_size
     partitions = tuple(
-        datamod.dirichlet_partition(
-            train, m_clients, config.beta, min_size, substream(seed, "partition"), exclude=shard
+        datamod.ClientPartition(part.client_id, rows[part.indices], part.weight)
+        for part in datamod.dirichlet_partition(
+            train_labels, data.n_classes, m_clients, config.beta, min_size,
+            substream(seed, "partition"), exclude=shard,
         )
     )
+    if shard is not None:
+        shard = rows[shard]
     sizes = np.array([part.size for part in partitions], dtype=np.float64)
     alpha = sizes / sizes.sum()
     shard_size = 0 if shard is None else shard.size
@@ -354,7 +378,9 @@ def build_environment(config: RunConfig) -> Environment:
         raise InsufficientClients("attack requires at least one honest client")
 
     # Drawn here, once per environment, so every method trains on the same
-    # batches without drawing them again.
+    # batches without drawing them again. `choice` picks positions from the
+    # length of the partition alone, so drawing from its rows gives the rows
+    # of the positions a train-local partition would give.
     batch_sizes = [min(config.batch_size, partitions[m].size) for m in honest]
     ragged = len(set(batch_sizes)) > 1
     batches = []
@@ -365,11 +391,12 @@ def build_environment(config: RunConfig) -> Environment:
         ]
         batches.append(tuple(batch[None] for batch in drawn) if ragged else (np.stack(drawn),))
 
-    _read_only(train.features, train.labels, test.features, test.labels, shard, alpha)
+    _read_only(data.features, data.labels, test.features, test.labels, shard, alpha)
     _read_only(*(part.indices for part in partitions))
     _read_only(*(stack for stacks in batches for stack in stacks))
     return Environment(
-        train, test, shard, trusted, partitions, alpha, mask, honest, tuple(batches)
+        data.features, data.labels, data.n_classes, test, shard, trusted, partitions,
+        alpha, mask, honest, tuple(batches),
     )
 
 
@@ -399,11 +426,12 @@ class Simulation:
     def __init__(self, config: RunConfig):
         self.config = config
         env = environment(config)
-        self.train, self.test, self.shard = env.train, env.test, env.shard
+        self.features, self.labels = env.features, env.labels
+        self.test, self.shard = env.test, env.shard
         self.trusted, self.partitions, self.alpha = env.trusted, env.partitions, env.alpha
         self.mask, self.honest, self.batches = env.mask, env.honest, env.batches
 
-        self.model = build_model(config.model, self.train.dim, self.train.n_classes)
+        self.model = build_model(config.model, self.features.shape[1], env.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
         self.prev_aggregate = np.zeros(self.model.n_params)
 
@@ -450,7 +478,7 @@ class Simulation:
         size = min(self.config.batch_size, self.shard.size)
         batch = rng.choice(self.shard, size=size, replace=False)
         _, grad = self.model.loss_and_gradient(
-            self.params, self.train.features[batch], self.train.labels[batch]
+            self.params, self.features[batch], self.labels[batch]
         )
         return grad
 
@@ -459,10 +487,7 @@ class Simulation:
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
 
-        inputs = [
-            (self.train.features[idx], self.train.labels[idx])
-            for idx in self.batches[round_index]
-        ]
+        inputs = [(self.features[idx], self.labels[idx]) for idx in self.batches[round_index]]
         wall["batches"] = time.perf_counter() - t_start
 
         t_mark = time.perf_counter()

@@ -75,7 +75,9 @@ class SoftmaxRegression:
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
         weights, bias = self.unflatten(params)
-        return features @ weights + bias
+        out = features @ weights
+        out += bias  # in place: an (n, C) eval would otherwise allocate twice
+        return out
 
     def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient on one batch or on a stack of batches.
@@ -132,8 +134,12 @@ class OneHiddenMLP:
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2 = self.unflatten(params)
-        hidden = np.maximum(features @ w1 + b1, 0.0)
-        return hidden @ w2 + b2
+        hidden = features @ w1
+        hidden += b1
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ w2
+        out += b2
+        return out
 
     def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient on one batch or on a stack of batches.

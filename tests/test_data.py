@@ -18,7 +18,9 @@ from byzbench.errors import EmptySelection, FormatError, InfeasiblePartition
 
 
 def _dataset(n=1000, d=8, classes=4, separation=6.0, seed=0):
-    return synth_classification(n, d, classes, separation, np.random.default_rng(seed))
+    """The shuffled data set: generated samples in the order the permutation gives."""
+    ds, order = synth_classification(n, d, classes, separation, np.random.default_rng(seed))
+    return take(ds, order)
 
 
 # ------------------------------------------------------------------- dataset
@@ -49,8 +51,17 @@ def test_synth_balanced_labels():
 
 
 def test_synth_single_class():
-    ds = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
+    ds, _ = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
     assert np.array_equal(ds.labels, np.zeros(20, dtype=np.int64))
+
+
+def test_synth_returns_generation_order_and_a_permutation():
+    ds, order = synth_classification(103, 4, 10, 6.0, np.random.default_rng(4))
+    assert np.array_equal(np.sort(order), np.arange(103))
+    assert np.all(np.diff(ds.labels) >= 0)  # one contiguous block per class
+    shuffled = take(ds, order)
+    assert np.array_equal(np.bincount(shuffled.labels), np.bincount(ds.labels))
+    assert not np.array_equal(shuffled.labels, ds.labels)
 
 
 def test_synth_deterministic_per_seed():
@@ -81,14 +92,14 @@ def test_synth_wide_separation_is_linearly_separable():
 
 def test_holdout_partitions_all_indices():
     ds = _dataset()
-    train, test = stratified_holdout(ds, 0.2, np.random.default_rng(1))
+    train, test = stratified_holdout(ds.labels, ds.n_classes, 0.2, np.random.default_rng(1))
     combined = np.sort(np.concatenate([train, test]))
     assert np.array_equal(combined, np.arange(ds.n))
 
 
 def test_holdout_is_stratified():
     ds = _dataset(n=1000, classes=4)
-    _, test = stratified_holdout(ds, 0.25, np.random.default_rng(2))
+    _, test = stratified_holdout(ds.labels, ds.n_classes, 0.25, np.random.default_rng(2))
     for c in range(4):
         class_total = int(np.sum(ds.labels == c))
         got = int(np.sum(ds.labels[test] == c))
@@ -99,7 +110,7 @@ def test_holdout_rejects_bad_fraction():
     ds = _dataset(n=40)
     for fraction in (0.0, 1.0, -0.2):
         with pytest.raises(InfeasiblePartition):
-            stratified_holdout(ds, fraction, np.random.default_rng(0))
+            stratified_holdout(ds.labels, ds.n_classes, fraction, np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------- partition
@@ -107,7 +118,7 @@ def test_holdout_rejects_bad_fraction():
 
 def test_partition_disjoint_and_covering():
     ds = _dataset()
-    parts = dirichlet_partition(ds, 8, 0.6, 0, np.random.default_rng(5))
+    parts = dirichlet_partition(ds.labels, ds.n_classes, 8, 0.6, 0, np.random.default_rng(5))
     all_idx = np.concatenate([p.indices for p in parts])
     assert len(all_idx) == len(set(all_idx.tolist()))  # disjoint
     assert np.array_equal(np.sort(all_idx), np.arange(ds.n))  # covering
@@ -115,7 +126,7 @@ def test_partition_disjoint_and_covering():
 
 def test_partition_weights_are_exact_size_ratios():
     ds = _dataset()
-    parts = dirichlet_partition(ds, 6, 0.4, 0, np.random.default_rng(6))
+    parts = dirichlet_partition(ds.labels, ds.n_classes, 6, 0.4, 0, np.random.default_rng(6))
     total = sum(p.size for p in parts)
     assert total == ds.n
     for p in parts:
@@ -125,7 +136,7 @@ def test_partition_weights_are_exact_size_ratios():
 
 def test_partition_single_client_takes_everything():
     ds = _dataset(n=200)
-    parts = dirichlet_partition(ds, 1, 0.6, 0, np.random.default_rng(0))
+    parts = dirichlet_partition(ds.labels, ds.n_classes, 1, 0.6, 0, np.random.default_rng(0))
     assert len(parts) == 1
     assert np.array_equal(parts[0].indices, np.arange(200))
     assert parts[0].weight == 1.0
@@ -136,7 +147,7 @@ def test_partition_near_uniform_at_huge_beta():
     for seed in range(10):
         ds = _dataset(n=2000, classes=4, seed=seed)
         global_hist = np.bincount(ds.labels, minlength=4) / ds.n
-        parts = dirichlet_partition(ds, 5, 1e4, 0, np.random.default_rng(100 + seed))
+        parts = dirichlet_partition(ds.labels, ds.n_classes, 5, 1e4, 0, np.random.default_rng(100 + seed))
         for p in parts:
             hist = np.bincount(ds.labels[p.indices], minlength=4) / p.size
             assert np.abs(hist - global_hist).max() < 0.05
@@ -146,7 +157,7 @@ def test_partition_skew_grows_as_beta_shrinks():
     def mean_kl(beta, seed):
         ds = _dataset(n=2000, classes=4, seed=seed)
         global_hist = np.bincount(ds.labels, minlength=4) / ds.n
-        parts = dirichlet_partition(ds, 10, beta, 1, np.random.default_rng(200 + seed))
+        parts = dirichlet_partition(ds.labels, ds.n_classes, 10, beta, 1, np.random.default_rng(200 + seed))
         kls = []
         for p in parts:
             hist = np.bincount(ds.labels[p.indices], minlength=4) / p.size
@@ -161,14 +172,14 @@ def test_partition_skew_grows_as_beta_shrinks():
 
 def test_partition_respects_min_size():
     ds = _dataset(n=600, classes=3)
-    parts = dirichlet_partition(ds, 5, 0.1, 25, np.random.default_rng(7))
+    parts = dirichlet_partition(ds.labels, ds.n_classes, 5, 0.1, 25, np.random.default_rng(7))
     assert all(p.size >= 25 for p in parts)
 
 
 def test_partition_excludes_reserved_indices():
     ds = _dataset()
     reserved = np.arange(0, ds.n, 10)
-    parts = dirichlet_partition(ds, 4, 0.6, 0, np.random.default_rng(8), exclude=reserved)
+    parts = dirichlet_partition(ds.labels, ds.n_classes, 4, 0.6, 0, np.random.default_rng(8), exclude=reserved)
     claimed = np.concatenate([p.indices for p in parts])
     assert not np.intersect1d(claimed, reserved).size
     assert sum(p.size for p in parts) == ds.n - reserved.size
@@ -177,21 +188,21 @@ def test_partition_excludes_reserved_indices():
 def test_partition_infeasible_min_size():
     ds = _dataset(n=100)
     with pytest.raises(InfeasiblePartition):
-        dirichlet_partition(ds, 10, 0.6, 20, np.random.default_rng(0))
+        dirichlet_partition(ds.labels, ds.n_classes, 10, 0.6, 20, np.random.default_rng(0))
 
 
 def test_partition_requires_every_class_present():
-    ds = LabeledDataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 3)
+    labels = np.zeros(10, dtype=np.int64)
     with pytest.raises(InfeasiblePartition):
-        dirichlet_partition(ds, 2, 0.6, 0, np.random.default_rng(0))
+        dirichlet_partition(labels, 3, 2, 0.6, 0, np.random.default_rng(0))
 
 
 def test_partition_bad_arguments():
     ds = _dataset(n=100)
     with pytest.raises(InfeasiblePartition):
-        dirichlet_partition(ds, 0, 0.6, 0, np.random.default_rng(0))
+        dirichlet_partition(ds.labels, ds.n_classes, 0, 0.6, 0, np.random.default_rng(0))
     with pytest.raises(InfeasiblePartition):
-        dirichlet_partition(ds, 2, 0.0, 0, np.random.default_rng(0))
+        dirichlet_partition(ds.labels, ds.n_classes, 2, 0.0, 0, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- clean shard
@@ -199,14 +210,14 @@ def test_partition_bad_arguments():
 
 def test_shard_size_tracks_fraction():
     ds = _dataset(n=10000, classes=10)
-    shard = carve_clean_shard(ds, 0.01, np.random.default_rng(1))
+    shard = carve_clean_shard(ds.labels, ds.n_classes, 0.01, np.random.default_rng(1))
     assert abs(shard.size - 100) <= 10  # one rounding per class
     assert np.array_equal(shard, np.unique(shard))  # sorted, no repeats
 
 
 def test_shard_is_stratified():
     ds = _dataset(n=1000, classes=4)
-    shard = carve_clean_shard(ds, 0.1, np.random.default_rng(3))
+    shard = carve_clean_shard(ds.labels, ds.n_classes, 0.1, np.random.default_rng(3))
     global_hist = np.bincount(ds.labels, minlength=4)
     shard_hist = np.bincount(ds.labels[shard], minlength=4)
     for c in range(4):
@@ -217,13 +228,13 @@ def test_shard_argument_errors():
     ds = _dataset(n=100)
     for fraction in (0.0, 1.0, 1.5):
         with pytest.raises(EmptySelection):
-            carve_clean_shard(ds, fraction, np.random.default_rng(0))
+            carve_clean_shard(ds.labels, ds.n_classes, fraction, np.random.default_rng(0))
 
 
 def test_shard_rounding_to_empty_is_an_error():
     ds = _dataset(n=100, classes=10, d=2)
     with pytest.raises(EmptySelection):
-        carve_clean_shard(ds, 0.004, np.random.default_rng(0))
+        carve_clean_shard(ds.labels, ds.n_classes, 0.004, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------------ idx
@@ -247,6 +258,18 @@ def test_idx_round_trip(tmp_path):
     assert np.array_equal(ds.labels, labels.astype(np.int64))
     assert np.allclose(ds.features, pixels.reshape(10, 784) / 255.0, atol=0)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+
+
+def test_idx_scaling_matches_dividing_a_float_copy(tmp_path):
+    rng = np.random.default_rng(1)
+    pixels = np.concatenate(
+        [np.arange(256, dtype=np.uint8), rng.integers(0, 256, size=344, dtype=np.uint8)]
+    ).reshape(6, 10, 10)
+    labels = np.arange(6, dtype=np.uint8) % 3
+    ds = load_idx(*_write_idx(tmp_path, pixels, labels))
+    want = pixels.astype(np.float64).reshape(6, 100) / 255.0
+    assert ds.features.dtype == want.dtype and ds.features.shape == want.shape
+    assert ds.features.tobytes() == want.tobytes()
 
 
 def test_idx_bad_image_magic(tmp_path):

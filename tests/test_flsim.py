@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from byzbench import data as datamod
 from byzbench import filtering, flsim
 from byzbench.aggregators import AggregatorSpec
 from byzbench.attacks import AttackSpec
@@ -53,6 +55,79 @@ def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.nda
     """The batch-draw contract: one keyed stream per (round, client)."""
     rng = substream(cfg.seed, "batch", round_index, client)
     return rng.choice(part.indices, size=min(cfg.batch_size, part.size), replace=False)
+
+
+@dataclass
+class _TrainLocal:
+    """An environment as built from a shuffled copy of the data set: train and
+    test taken from that copy, and every index a position in the train split."""
+
+    train: datamod.LabeledDataset
+    test: datamod.LabeledDataset
+    shard: np.ndarray | None
+    partitions: list
+    batches: list  # batches[t][k]: train positions of honest client k in round t
+    server_batches: list  # server_batches[t]: train positions of the shard batch
+
+
+def _train_local_environment(cfg: RunConfig, honest) -> _TrainLocal:
+    """Rebuild `cfg`'s environment the dataset-copying way, from the same draws."""
+    spec = cfg.dataset
+    generated, order = datamod.synth_classification(
+        spec.n, spec.dim, spec.classes, spec.separation, substream(cfg.seed, "data")
+    )
+    full = datamod.take(generated, order)
+    train_idx, test_idx = datamod.stratified_holdout(
+        full.labels, full.n_classes, spec.test_fraction, substream(cfg.seed, "split")
+    )
+    train, test = datamod.take(full, train_idx), datamod.take(full, test_idx)
+    shard = None
+    if cfg.clean is not None and cfg.clean.kind == "server":
+        shard = datamod.carve_clean_shard(
+            train.labels, train.n_classes, cfg.clean.fraction, substream(cfg.seed, "shard")
+        )
+    partitions = datamod.dirichlet_partition(
+        train.labels, train.n_classes, cfg.clients, cfg.beta,
+        cfg.min_client_size or 2 * cfg.batch_size, substream(cfg.seed, "partition"),
+        exclude=shard,
+    )
+    batches = [[_oracle_batch(cfg, partitions[m], t, m) for m in honest] for t in range(cfg.rounds)]
+    server_batches = []
+    if shard is not None:
+        server_batches = [
+            substream(cfg.seed, "server_batch", t).choice(
+                shard, size=min(cfg.batch_size, shard.size), replace=False
+            )
+            for t in range(cfg.rounds)
+        ]
+    return _TrainLocal(train, test, shard, partitions, batches, server_batches)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_rows_match(env, old: _TrainLocal):
+    """Every row the environment names holds the data the train-local one names."""
+
+    def same_rows(rows, positions) -> bool:
+        return _same_bits(env.features[rows], old.train.features[positions]) and _same_bits(
+            env.labels[rows], old.train.labels[positions]
+        )
+
+    assert _same_bits(env.test.features, old.test.features)
+    assert _same_bits(env.test.labels, old.test.labels)
+    assert env.n_classes == old.test.n_classes == old.train.n_classes
+    for part, old_part in zip(env.partitions, old.partitions, strict=True):
+        assert part.weight == old_part.weight
+        assert same_rows(part.indices, old_part.indices)
+    assert (env.shard is None) == (old.shard is None)
+    assert env.shard is None or same_rows(env.shard, old.shard)
+    assert len(env.batches) == len(old.batches)
+    for stacks, old_batches in zip(env.batches, old.batches):
+        rows = [row for stack in stacks for row in stack]
+        for row, positions in zip(rows, old_batches, strict=True):
+            assert same_rows(row, positions)
 
 
 def _records_equal(a, b) -> bool:
@@ -287,7 +362,7 @@ def test_environment_arrays_reject_writes(monkeypatch):
     monkeypatch.setattr(flsim, "_cached", None)
     for cfg in (_cfg(clean=CleanSpec("server", fraction=0.1)), _RAGGED):
         env = flsim.environment(cfg)
-        arrays = [env.train.features, env.train.labels, env.test.features, env.test.labels,
+        arrays = [env.features, env.labels, env.test.features, env.test.labels,
                   env.alpha, *(part.indices for part in env.partitions),
                   *(stack for stacks in env.batches for stack in stacks)]
         if env.shard is not None:
@@ -309,8 +384,10 @@ def test_environment_arrays_reject_writes(monkeypatch):
         (_cfg(rounds=4, requested_ratio=0.4, attack=AttackSpec("signflip")), False),
         (_cfg(rounds=4, clean=CleanSpec("trusted", clients=(0, 2)), requested_ratio=0.2,
               attack=AttackSpec("lie")), False),
+        (_cfg(rounds=4, clean=CleanSpec("server", fraction=0.1), requested_ratio=0.2,
+              attack=AttackSpec("gaussian")), False),
     ],
-    ids=["equal", "ragged", "attacked", "trusted"],
+    ids=["equal", "ragged", "attacked", "trusted", "server"],
 )
 def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
     monkeypatch.setattr(flsim, "_cached", None)
@@ -323,6 +400,21 @@ def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
         assert len(got) == len(want)
         for row, batch in zip(got, want):
             assert row.dtype == batch.dtype and np.array_equal(row, batch)
+    _assert_rows_match(env, _train_local_environment(cfg, env.honest))
+
+
+def test_environment_build_peaks_below_two_copies_of_the_data():
+    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02),
+                    method=None)
+    matrix_bytes = 20000 * 50 * 8
+    tracemalloc.start()
+    try:
+        env = flsim.build_environment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert env.features.nbytes == matrix_bytes
+    assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
 
 
 def test_batches_are_drawn_once_per_environment(monkeypatch):
@@ -356,12 +448,12 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
 def test_single_mean_round_is_one_sgd_step():
     cfg = _cfg(rounds=1)
     sim = Simulation(cfg)
+    old = _train_local_environment(cfg, sim.honest)
     params0 = sim.params.copy()
     honest_grads = []
-    for m in sim.honest:
-        batch = _oracle_batch(cfg, sim.partitions[m], 0, m)
+    for batch in old.batches[0]:
         _, grad = sim.model.loss_and_gradient(
-            params0, sim.train.features[batch], sim.train.labels[batch]
+            params0, old.train.features[batch], old.train.labels[batch]
         )
         honest_grads.append(grad)
     want = params0 - cfg.lr.rate(0) * (sim.alpha @ np.stack(honest_grads))
@@ -372,12 +464,13 @@ def test_single_mean_round_is_one_sgd_step():
 def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
     cfg = replace(_RAGGED, rounds=1)
     sim = Simulation(cfg)
-    batches = [_oracle_batch(cfg, sim.partitions[m], 0, m) for m in sim.honest]
+    old = _train_local_environment(cfg, sim.honest)
+    batches = old.batches[0]
     assert len({batch.size for batch in batches}) > 1  # some partition is below batch_size
     want = np.stack(
         [
             sim.model.loss_and_gradient(
-                sim.params, sim.train.features[batch], sim.train.labels[batch]
+                sim.params, old.train.features[batch], old.train.labels[batch]
             )[1]
             for batch in batches
         ]
@@ -528,6 +621,12 @@ def test_server_clean_shard_feeds_reference():
     assert sim.shard is not None and sim.shard.size > 0
     claimed = np.concatenate([p.indices for p in sim.partitions])
     assert not np.intersect1d(claimed, sim.shard).size
+    old = _train_local_environment(cfg, sim.honest)
+    for t, batch in enumerate(old.server_batches):
+        _, want = sim.model.loss_and_gradient(
+            sim.params, old.train.features[batch], old.train.labels[batch]
+        )
+        assert _same_bits(sim._clean_gradient(t), want)
     result = run_to_result(cfg)
     assert all(r.filter_precision == 1.0 for r in result.records)
 

@@ -166,6 +166,29 @@ def test_stacked_call_matches_separate_batches(model):
         assert np.allclose(grads[h], grad, rtol=1e-12, atol=0.0)
 
 
+def _logits_by_expression(model, params, features):
+    """Logits written as one expression per layer, each step a fresh array."""
+    if isinstance(model, SoftmaxRegression):
+        weights, bias = model.unflatten(params)
+        return features @ weights + bias
+    w1, b1, w2, b2 = model.unflatten(params)
+    return np.maximum(features @ w1 + b1, 0.0) @ w2 + b2
+
+
+@pytest.mark.parametrize(
+    "model", [SoftmaxRegression(7, 4), OneHiddenMLP(7, 9, 4)], ids=["softmax", "mlp1"]
+)
+def test_logits_match_the_expression_bitwise(model):
+    rng = np.random.default_rng(23)
+    for n in (1, 30, 257):
+        params = rng.normal(size=model.n_params)
+        features = rng.normal(size=(n, model.dim))
+        got = model.logits(params, features)
+        want = _logits_by_expression(model, params, features)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------- spec
 
 
