@@ -275,7 +275,7 @@ def aggregate_fltrust(reference, vectors, weights=None) -> np.ndarray:
 class AggregatorSpec:
     """Which baseline rule to run, plus the knobs of the kinds that have them.
 
-    assumed_byzantine is Krum's f; when None the simulator fills in
+    assumed_byzantine is Krum's f; when None, RunConfig.krum_f fills in
     ceil(requested_ratio * M).
     """
 

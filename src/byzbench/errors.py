@@ -38,7 +38,7 @@ class InfeasiblePartition(ByzBenchError):
 
 
 class FormatError(ByzBenchError):
-    """An input file is malformed: an IDX dataset file, a round CSV or a summary JSON."""
+    """An input file is malformed: an IDX dataset file or a summary JSON."""
 
 
 class InvalidField(ValueError):

@@ -107,10 +107,9 @@ def anomaly_scores(
 
 @dataclass(frozen=True)
 class PassResult:
-    """Outcome of one filtering pass: the window, all scores, survivors."""
+    """Outcome of one filtering pass: the window and its survivors."""
 
     segment: Segment
-    scores: np.ndarray
     selected: tuple[int, ...]
 
 
@@ -129,7 +128,7 @@ def score_pass(
     scores = anomaly_scores(reference, uploads, segment, penalty_weight, norm_pivot)
     order = np.lexsort((np.arange(n_clients), -scores))
     selected = tuple(sorted(int(i) for i in order[:keep]))
-    return PassResult(segment, scores, selected)
+    return PassResult(segment, selected)
 
 
 def intersect_passes(passes: list[PassResult]) -> frozenset[int]:
@@ -175,7 +174,7 @@ class FilterParams:
     """Filter hyperparameters.
 
     passes: number of windows (K). segment_len: window width (r). keep: clients
-    kept per window (N); None lets the simulator default it to M - ceil(C * M).
+    kept per window (N); None lets RunConfig.keep default it to M - ceil(C * M).
     penalty_weight and norm_pivot shape the norm penalty (rho, tau).
     """
 

@@ -43,8 +43,6 @@ from .errors import (
     DivergenceDetected,
     InsufficientClients,
     InvalidField,
-    InvalidSelectionSize,
-    MissingReference,
 )
 from .filtering import FilterParams, FilterResult, build_reference, filter_and_aggregate
 from .models import ModelSpec, build_model
@@ -96,6 +94,8 @@ class DatasetSpec:
             for name, low in (("n", 1), ("dim", 1), ("classes", 2)):
                 if getattr(self, name) < low:
                     raise InvalidField(name, f"synthetic dataset needs {name} >= {low}")
+            if self.n < self.classes:
+                raise InvalidField("n", f"synthetic dataset needs n >= classes ({self.classes})")
             if self.separation <= 0.0:
                 raise InvalidField("separation", "separation must be positive")
             if not 0.0 < self.test_fraction < 1.0:
@@ -195,7 +195,9 @@ class RunConfig(TrainingProtocol):
     """Full declarative description of one training run.
 
     With `method` None it describes no run but the environment that the runs
-    differing from it only in method share (see `environment`).
+    differing from it only in method share (see `environment`). It checks
+    every rule that relates its fields, so a run fails only on what its drawn
+    environment alone shows (an infeasible partition, say).
     """
 
     beta: float = 0.6
@@ -207,16 +209,50 @@ class RunConfig(TrainingProtocol):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise InvalidField("beta", "beta must be positive")
         if not 0.0 <= self.requested_ratio < 1.0:
             raise InvalidField("requested_ratio", "requested_ratio must lie in [0, 1)")
         if self.requested_ratio > 0.0 and self.attack is None:
             raise InvalidField("attack", "requested_ratio > 0 needs an attack")
+        if self.keep > self.clients:
+            raise InvalidField("filter_params", f"N must be <= clients ({self.clients})")
+        clean_kind = None if self.clean is None else self.clean.kind
+        for i, client in enumerate(self.clean.clients if clean_kind == "trusted" else ()):
+            if not 0 <= client < self.clients:
+                raise InvalidField(f"clean.clients[{i}]", f"must lie in [0, {self.clients})")
+        method = self.resolved_method
+        if method is None:
+            return
+        if method.clean_kind not in (None, clean_kind):
+            raise InvalidField("method", f"{method.label!r} needs clean.kind = {method.clean_kind}")
+        if method.filtered and self.keep < 1:
+            raise InvalidField("requested_ratio", f"{method.label} would keep N = {self.keep}")
+        f = method.base.assumed_byzantine if method.base is not None else None
+        if f is not None and method.base.kind == "krum" and self.clients < f + 3:
+            raise InvalidField("method", f"krum needs clients >= f + 3 = {f + 3}")
 
     @property
     def attack_label(self) -> str:
         return self.attack.label if self.attack is not None else "None"
+
+    @property
+    def default_byzantine(self) -> int:
+        """ceil(C * M): the compromised count that N and Krum's f assume unless set."""
+        return ceil_ratio(self.requested_ratio, self.clients)
+
+    @property
+    def keep(self) -> int:
+        """N, the clients the filter keeps per window: hplus.N, else M - ceil(C * M)."""
+        return self.filter_params.keep or self.clients - self.default_byzantine
+
+    @property
+    def resolved_method(self) -> MethodSpec | None:
+        """`method` with Krum's f set: as given, else ceil(C * M)."""
+        base = None if self.method is None else self.method.base
+        if base is None or base.kind != "krum" or base.assumed_byzantine is not None:
+            return self.method
+        return replace(self.method, base=replace(base, assumed_byzantine=self.default_byzantine))
 
 
 @dataclass
@@ -239,7 +275,6 @@ class RoundRecord:
     empty_intersection: bool
     filter_precision: float
     filter_recall: float
-    realized_ratio: float
     aggregate_norm: float
     pass_segments: tuple[tuple[int, int], ...]
     wall: dict = field(default_factory=dict)
@@ -262,8 +297,6 @@ class ExperimentResult:
     diverged: bool
     byzantine: ByzantineMask
     keep: int | None  # clients the filter keeps per window; None for a bare method
-    method_label: str
-    attack_label: str
 
 
 @dataclass(frozen=True)
@@ -347,8 +380,6 @@ def build_environment(config: RunConfig) -> Environment:
             )
         else:
             trusted = tuple(sorted(set(config.clean.clients)))
-            if any(c < 0 or c >= m_clients for c in trusted):
-                raise ConfigError("clean.clients", f"ids must lie in [0, {m_clients})")
 
     min_size = config.min_client_size
     if min_size is None:
@@ -435,25 +466,10 @@ class Simulation:
         self.params = self.model.init_params(substream(config.seed, "init"))
         self.prev_aggregate = np.zeros(self.model.n_params)
 
-        self.method = self._resolve_method(config.method)
+        self.method = config.resolved_method
         self.attack = self._resolve_attack(config.attack)
-        self.filter_params = self._resolve_filter(config.filter_params)
-        needed = self.method.clean_kind
-        if needed is not None and (config.clean is None or config.clean.kind != needed):
-            raise MissingReference(f"{self.method.label} needs clean.kind = {needed}")
-
-    def _resolve_method(self, method: MethodSpec) -> MethodSpec:
-        base = method.base
-        if base is None or base.kind != "krum":
-            return method
-        if base.assumed_byzantine is None:
-            f = ceil_ratio(self.config.requested_ratio, self.config.clients)
-            base = replace(base, assumed_byzantine=f)
-        if self.config.clients < base.assumed_byzantine + 3:
-            raise InsufficientClients(
-                f"krum needs clients >= f + 3 = {base.assumed_byzantine + 3}, got {self.config.clients}"
-            )
-        return replace(method, base=base)
+        filtered = self.method.filtered
+        self.filter_params = replace(config.filter_params, keep=config.keep) if filtered else None
 
     def _resolve_attack(self, attack: AttackSpec | None) -> AttackSpec | None:
         if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
@@ -462,14 +478,6 @@ class Simulation:
         victim_is_correntropy = base is not None and base.kind == "mca"
         scale = -3.0 * (self.config.clients - self.mask.count) if victim_is_correntropy else -0.1
         return replace(attack, foe_scale=scale)
-
-    def _resolve_filter(self, params: FilterParams) -> FilterParams:
-        keep = params.keep
-        if keep is None:
-            keep = self.config.clients - ceil_ratio(self.config.requested_ratio, self.config.clients)
-        if not 1 <= keep <= self.config.clients:
-            raise InvalidSelectionSize(f"keep={keep} outside [1, {self.config.clients}]")
-        return replace(params, keep=keep)
 
     # ------------------------------------------------------------------ round
 
@@ -587,7 +595,6 @@ class Simulation:
             empty_intersection=empty_intersection,
             filter_precision=precision,
             filter_recall=recall,
-            realized_ratio=self.mask.realized_ratio,
             aggregate_norm=float(np.linalg.norm(agg)),
             pass_segments=segments,
             wall=wall,
@@ -613,7 +620,5 @@ def run_to_result(config: RunConfig) -> ExperimentResult:
         final_accuracy=accs[-1] if accs else initial,
         diverged=diverged,
         byzantine=sim.mask,
-        keep=sim.filter_params.keep if config.method.filtered else None,
-        method_label=config.method.label,
-        attack_label=config.attack_label,
+        keep=config.keep if config.method.filtered else None,
     )

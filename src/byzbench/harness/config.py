@@ -16,25 +16,27 @@ walks these tables:
 
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
-object that carries its base aggregator's knobs) and the rules that relate
-fields of different sections.
+object that carries its base aggregator's knobs) and the sweep's Cartesian
+product of RunConfigs, which check the rules that relate a run's fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import types
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..aggregators import AggregatorSpec
 from ..attacks import AttackSpec
 from ..errors import ConfigError, InvalidField, IoError
 from ..filtering import FilterParams
-from ..flsim import MethodSpec, TrainingProtocol
+from ..flsim import MethodSpec, RunConfig, TrainingProtocol
 
 _KIND_ALIASES = {"mlp": "mlp1", "negated-mean": "negated_mean"}
 
@@ -223,34 +225,53 @@ _ENTRIES = {
 }
 
 
+# ---------------------------------------------------------------- the sweep
+
+
+def _run_config(fields: dict, paths: dict) -> RunConfig:
+    """RunConfig(**fields), an InvalidField reported at the sweep key in `paths`."""
+    try:
+        return RunConfig(**fields)
+    except InvalidField as exc:
+        raise ConfigError(paths.get(exc.field, exc.field), str(exc)) from exc
+
+
+def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[tuple[RunConfig, list[RunConfig]]]:
+    """The sweep's Cartesian product at `seeds`: each environment's RunConfig
+    (method None) and the RunConfigs of its methods, in config order. A "none"
+    attack is a control, whose requested ratio is forced to 0. An error of a
+    field that no axis or section renames ("clean.clients[1]") keeps its path."""
+    shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
+    shared.update(method=None, filter_params=config.hplus)
+    axes = (config.attacks, enumerate(config.ratios), enumerate(config.betas), seeds)
+    for attack, (j, ratio), (k, beta), seed in itertools.product(*axes):
+        ratio = ratio if attack is not None else 0.0
+        fields = dict(shared, beta=beta, requested_ratio=ratio, attack=attack, seed=seed)
+        paths = dict(requested_ratio=f"ratios[{j}]", beta=f"beta[{k}]", filter_params="hplus.N")
+        yield _run_config(fields, paths), [
+            _run_config(dict(fields, method=method), dict(paths, method=f"methods[{i}]"))
+            for i, method in enumerate(config.methods)
+        ]
+
+
 # ---------------------------------------------------------------- entry points
 
 
-def _check_cross_field_rules(config: ExperimentConfig):
-    """Rules that relate fields of different sections, or a sweep axis to a spec."""
-    for i, beta in enumerate(config.betas):
-        if not beta > 0.0:
-            raise ConfigError(f"beta[{i}]", "must be positive")
+def parse_config_dict(obj: dict) -> ExperimentConfig:
+    """Parse a sweep and check one seed's runs: the rules never read the seed."""
+    config = _decode(ExperimentConfig, obj, "")
+    # A control forces its ratio to 0, so no RunConfig would see this one.
     for i, ratio in enumerate(config.ratios):
         if not 0.0 <= ratio < 1.0:
             raise ConfigError(f"ratios[{i}]", "must lie in [0, 1)")
-    if config.hplus.keep is not None and config.hplus.keep > config.clients:
-        raise ConfigError("hplus.N", f"must be <= clients ({config.clients})")
-    clean_kind = None if config.clean is None else config.clean.kind
-    for i, method in enumerate(config.methods):
-        if method.clean_kind not in (None, clean_kind):
+    # Rows, the report and the H+X - X pairing key on the label.
+    for j, method in enumerate(config.methods):
+        i = next(i for i, other in enumerate(config.methods) if other.label == method.label)
+        if config.methods[i] != method:
             raise ConfigError(
-                f"methods[{i}]", f"{method.label!r} needs clean.kind = {method.clean_kind}"
+                f"methods[{j}]", f"label {method.label!r} already used by methods[{i}]"
             )
-    if clean_kind == "trusted":
-        for i, client in enumerate(config.clean.clients):
-            if not 0 <= client < config.clients:
-                raise ConfigError(f"clean.clients[{i}]", f"must lie in [0, {config.clients})")
-
-
-def parse_config_dict(obj: dict) -> ExperimentConfig:
-    config = _decode(ExperimentConfig, obj, "")
-    _check_cross_field_rules(config)
+    list(sweep_runs(config, config.seeds[:1]))  # builds, and so checks, each run
     return config
 
 
@@ -265,8 +286,3 @@ def parse_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     return parse_config_dict(obj)
-
-
-def serialize_config(config: ExperimentConfig) -> dict:
-    """Inverse of parse_config_dict up to defaults: the output re-parses equal."""
-    return to_json(config)

@@ -15,7 +15,6 @@ the target, so a killed process leaves either the old file or the new one.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import json
 import os
@@ -23,25 +22,20 @@ import os
 from ..errors import FormatError, IoError
 from ..flsim import RoundRecord
 
-
-def _optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
-
-
 # One entry per round CSV column, in file order: (name, the cell text of a
-# RoundRecord, the value of a cell text).
+# RoundRecord).
 _ROUND_TABLE = (
-    ("round", lambda r: str(r.round_index), int),
-    ("train_loss", lambda r: repr(r.train_loss), float),
-    ("test_acc", lambda r: "" if r.test_accuracy is None else repr(r.test_accuracy), _optional_float),
-    ("n_selected", lambda r: str(r.n_selected), int),
-    ("empty_intersection", lambda r: str(int(r.empty_intersection)), lambda t: bool(int(t))),
-    ("filter_precision", lambda r: repr(r.filter_precision), float),
-    ("filter_recall", lambda r: repr(r.filter_recall), float),
-    ("wall_ms", lambda r: repr(r.wall_ms), float),
+    ("round", lambda r: str(r.round_index)),
+    ("train_loss", lambda r: repr(r.train_loss)),
+    ("test_acc", lambda r: "" if r.test_accuracy is None else repr(r.test_accuracy)),
+    ("n_selected", lambda r: str(r.n_selected)),
+    ("empty_intersection", lambda r: str(int(r.empty_intersection))),
+    ("filter_precision", lambda r: repr(r.filter_precision)),
+    ("filter_recall", lambda r: repr(r.filter_recall)),
+    ("wall_ms", lambda r: repr(r.wall_ms)),
 )
 
-ROUND_COLUMNS = tuple(name for name, _, _ in _ROUND_TABLE)
+ROUND_COLUMNS = tuple(name for name, _ in _ROUND_TABLE)
 
 
 def _write_text(path: str, text: str):
@@ -65,30 +59,8 @@ def _write_text(path: str, text: str):
 def write_round_csv(records: list[RoundRecord], path: str):
     lines = [",".join(ROUND_COLUMNS)]
     for rec in records:
-        lines.append(",".join(text(rec) for _, text, _ in _ROUND_TABLE))
+        lines.append(",".join(text(rec) for _, text in _ROUND_TABLE))
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def read_round_csv(path: str) -> list[dict]:
-    """Round CSV -> list of dicts with native types (test_acc None if blank)."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != ROUND_COLUMNS:
-                raise FormatError(f"{path}: unexpected round CSV header {header!r}")
-            out = []
-            for line in reader:
-                if len(line) != len(ROUND_COLUMNS):
-                    raise FormatError(f"{path}: row has {len(line)} fields")
-                out.append(
-                    {name: parse(cell) for (name, _, parse), cell in zip(_ROUND_TABLE, line)}
-                )
-            return out
-    except OSError as exc:
-        raise IoError(path, str(exc)) from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -------------------------------------------------------------- summary JSON

@@ -1,12 +1,12 @@
 """Sweep orchestration: expand a config into cells, run them, persist rows.
 
 Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
-the sha256 of its canonical-JSON resolved description. The fingerprint names
-the cell's output files and keys resume, so key order / whitespace in the
-source config cannot matter. The run's seed hashes the same description minus
-the method: cells that differ only in method are paired, with the same data,
-partition, compromised set, batches and attack noise, so their rows compare
-methods and nothing else.
+the sha256 of its RunConfig's canonical `to_json` form, with the master seed
+as `seed`. The fingerprint names the cell's output files and keys resume, so
+key order / whitespace in the source config cannot matter. The run's seed
+hashes the same description minus the method: cells that differ only in
+method are paired, with the same data, partition, compromised set, batches
+and attack noise, so their rows compare methods and nothing else.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from ..flsim import RoundRecord, RunConfig, TrainingProtocol, run_to_result
-from .config import ExperimentConfig, to_json
+from ..flsim import RoundRecord, RunConfig, run_to_result
+from .config import ExperimentConfig, sweep_runs, to_json
 from .reporting import SummaryRow, read_summary_rows, write_round_csv, write_summary_json
 
 _SEED_SPACE = 2**31 - 1
@@ -49,14 +49,6 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _cell_description(cell: RunConfig) -> dict:
-    """Everything that semantically determines the cell's result: the cell's
-    RunConfig in its compact JSON form, with `seed` the sweep's master seed.
-    With `method` None it leaves the method out and describes the cell's
-    environment."""
-    return to_json(cell)
-
-
 def cell_fingerprint(description: dict) -> str:
     return hashlib.sha256(_canonical(description).encode()).hexdigest()
 
@@ -67,38 +59,19 @@ def _cell_seed(master_seed: int, fingerprint: str) -> int:
 
 
 def expand_cells(config: ExperimentConfig) -> list[Cell]:
-    """Cartesian product over the sweep axes, deduplicated by fingerprint.
+    """The sweep's cells (`sweep_runs`), deduplicated by fingerprint.
 
-    A "none" attack is a control cell: its requested ratio is forced to 0, so
-    controls collapse to one cell per (method, beta, seed) no matter how many
+    Controls collapse to one cell per (method, beta, seed) no matter how many
     ratios are swept. Method is the innermost axis, so the cells that share an
     environment (all but the method equal) come out next to each other.
     """
     cells: dict[str, Cell] = {}
-    shared = {f.name: getattr(config, f.name) for f in fields(TrainingProtocol)}
-    for attack in config.attacks:
-        for ratio in config.ratios:
-            for beta in config.betas:
-                for seed in config.seeds:
-                    environment = RunConfig(
-                        **shared,
-                        beta=beta,
-                        requested_ratio=ratio if attack is not None else 0.0,
-                        attack=attack,
-                        method=None,
-                        filter_params=config.hplus,
-                        seed=seed,
-                    )
-                    cell_seed = _cell_seed(seed, cell_fingerprint(_cell_description(environment)))
-                    for method in config.methods:
-                        run_config = replace(environment, method=method)
-                        fingerprint = cell_fingerprint(_cell_description(run_config))
-                        if fingerprint not in cells:
-                            cells[fingerprint] = Cell(
-                                fingerprint=fingerprint,
-                                seed=seed,
-                                run_config=replace(run_config, seed=cell_seed),
-                            )
+    for environment, runs in sweep_runs(config, config.seeds):
+        cell_seed = _cell_seed(environment.seed, cell_fingerprint(to_json(environment)))
+        for run in runs:
+            fingerprint = cell_fingerprint(to_json(run))
+            if fingerprint not in cells:
+                cells[fingerprint] = Cell(fingerprint, run.seed, replace(run, seed=cell_seed))
     return list(cells.values())
 
 

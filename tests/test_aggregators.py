@@ -444,6 +444,40 @@ def test_krum_score_is_permutation_invariant():
     assert np.array_equal(np.sort(a), np.sort(b)) or np.array_equal(a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(4, 24),
+    p=st.integers(1, 80),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    colluders=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_rules_are_permutation_equivariant(m, p, scale, colluders, seed, data):
+    """Permuting the client rows and their weights together leaves the output
+    unchanged: bitwise for the median and Krum, up to summation order for the
+    rules that weight or iterate."""
+    rng = np.random.default_rng(seed)
+    mat = scale * rng.normal(size=(m, p))
+    weights = rng.uniform(0.01, 1.0, size=m)
+    center, reference = scale * rng.normal(size=(2, p))
+    perm = rng.permutation(m)
+    # At f = M - 3 a score is the distance to the nearest neighbour, so the
+    # closest pair ties exactly and the lowest id picks a different row.
+    f = data.draw(st.integers(0, m - 4), label="f")
+    assert np.array_equal(aggregate_krum(mat[perm], f), aggregate_krum(mat, f))
+
+    block = min(colluders, m // 2)
+    if block:
+        mat[:block] = mat[m - 1]  # identical colluding copies
+    assert np.array_equal(aggregate_median(mat[perm]), aggregate_median(mat))
+    for kind in ("mean", "gm", "mca", "cclip", "fltrust"):
+        spec = AggregatorSpec(kind)
+        want = aggregate(spec, weights, mat, center=center, reference=reference)
+        got = aggregate(spec, weights[perm], mat[perm], center=center, reference=reference)
+        assert _rel_err(got, want) <= 1e-9, kind
+
+
 def test_dispatcher_requires_center_and_reference():
     mat = np.ones((3, 2))
     weights = _unit_weights(3)

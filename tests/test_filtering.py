@@ -227,7 +227,7 @@ def test_pass_scale_covariance_general_scalar_keeps_selection():
 
 
 def _fake_pass(ids):
-    return PassResult(Segment(0, 1), np.zeros(8), tuple(sorted(ids)))
+    return PassResult(Segment(0, 1), tuple(sorted(ids)))
 
 
 def test_intersection_set_algebra():

@@ -13,11 +13,7 @@ from byzbench import data as datamod
 from byzbench import filtering, flsim
 from byzbench.aggregators import AggregatorSpec
 from byzbench.attacks import AttackSpec
-from byzbench.errors import (
-    InsufficientClients,
-    InvalidSelectionSize,
-    MissingReference,
-)
+from byzbench.errors import InvalidField
 from byzbench.filtering import FilterParams
 from byzbench.models import ModelSpec
 from byzbench.flsim import (
@@ -232,13 +228,13 @@ def test_krum_default_f_comes_from_ratio():
 
 
 def test_krum_rejects_too_few_clients():
-    cfg = _cfg(
-        requested_ratio=0.6,
-        attack=AttackSpec("signflip"),
-        method=MethodSpec(base=AggregatorSpec("krum")),
-    )  # f = 3 needs 6 clients, config has 5
-    with pytest.raises(InsufficientClients):
-        Simulation(cfg)
+    with pytest.raises(InvalidField) as info:
+        _cfg(
+            requested_ratio=0.6,
+            attack=AttackSpec("signflip"),
+            method=MethodSpec(base=AggregatorSpec("krum")),
+        )  # f = 3 needs 6 clients, config has 5
+    assert info.value.field == "method"
 
 
 def test_filter_keep_defaults_to_complement_of_ratio():
@@ -254,12 +250,12 @@ def test_filter_keep_defaults_to_complement_of_ratio():
 
 
 def test_filter_keep_out_of_range_rejected():
-    cfg = _cfg(
-        method=MethodSpec(filtered=True, base=AggregatorSpec("mean")),
-        filter_params=FilterParams(keep=9),  # only 5 clients
-    )
-    with pytest.raises(InvalidSelectionSize):
-        Simulation(cfg)
+    with pytest.raises(InvalidField) as info:
+        _cfg(
+            method=MethodSpec(filtered=True, base=AggregatorSpec("mean")),
+            filter_params=FilterParams(keep=9),  # only 5 clients
+        )
+    assert info.value.field == "filter_params"
 
 
 def test_foe_scale_resolution_depends_on_victim():
@@ -271,14 +267,62 @@ def test_foe_scale_resolution_depends_on_victim():
 
 
 def test_clean_gradient_requirements():
-    with pytest.raises(MissingReference):
-        Simulation(_cfg(method=MethodSpec(filtered=True, reference="server_clean")))
-    with pytest.raises(MissingReference):
-        Simulation(_cfg(method=MethodSpec(base=AggregatorSpec("fltrust"))))
-    with pytest.raises(MissingReference):
-        Simulation(_cfg(method=MethodSpec(filtered=True, base=AggregatorSpec("fltrust"))))
-    with pytest.raises(MissingReference):
-        Simulation(_cfg(method=MethodSpec(filtered=True, reference="trusted")))
+    for method in (
+        MethodSpec(filtered=True, reference="server_clean"),
+        MethodSpec(base=AggregatorSpec("fltrust")),
+        MethodSpec(filtered=True, base=AggregatorSpec("fltrust")),
+        MethodSpec(filtered=True, reference="trusted"),
+    ):
+        with pytest.raises(InvalidField, match="needs clean.kind"):
+            _cfg(method=method)
+
+
+_HIGH_RATIO = dict(requested_ratio=0.9, attack=AttackSpec("signflip"))
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        pytest.param(
+            "method",
+            dict(clean=CleanSpec("server"), method=MethodSpec(filtered=True, reference="trusted")),
+            id="clean-kind",
+        ),
+        pytest.param(
+            "clean.clients[1]", dict(clean=CleanSpec("trusted", clients=(0, 5))), id="trusted-id"
+        ),
+        pytest.param(
+            "requested_ratio",
+            dict(_HIGH_RATIO, method=MethodSpec(filtered=True, base=AggregatorSpec("mean"))),
+            id="default-N<1",
+        ),
+        pytest.param(
+            "method",
+            dict(method=MethodSpec(base=AggregatorSpec("krum", assumed_byzantine=3))),
+            id="krum-f",
+        ),
+    ],
+)
+def test_run_config_rejects_runs_that_could_never_run(field, overrides):
+    with pytest.raises(InvalidField) as info:
+        _cfg(**overrides)  # 5 clients
+    assert info.value.field == field
+
+
+def test_run_config_defaults_of_n_and_f():
+    attacked = dict(requested_ratio=0.4, attack=AttackSpec("signflip"))
+    assert _cfg(**attacked).keep == 5 - 2
+    assert _cfg(**attacked, filter_params=FilterParams(keep=4)).keep == 4
+    assert _cfg(**attacked).resolved_method == _cfg().method
+    krum = MethodSpec(filtered=True, base=AggregatorSpec("krum"))
+    assert _cfg(**attacked, method=krum).resolved_method.base.assumed_byzantine == 2
+    given = MethodSpec(base=AggregatorSpec("krum", assumed_byzantine=1))
+    assert _cfg(**attacked, method=given).resolved_method == given
+    # a bare method at a ratio whose default N is 0 still runs
+    bare = _cfg(clients=8, min_client_size=8, rounds=1, **_HIGH_RATIO)
+    assert bare.keep == 8 - 8
+    result = run_to_result(bare)
+    assert result.keep is None and result.byzantine.count == 7
 
 
 def test_trusted_clients_never_compromised():
@@ -586,7 +630,6 @@ def test_round_record_fields_are_sane():
     for rec in result.records:
         assert 0.0 <= rec.filter_precision <= 1.0
         assert 0.0 <= rec.filter_recall <= 1.0
-        assert rec.realized_ratio == result.byzantine.realized_ratio
         assert rec.aggregate_norm >= 0.0
         assert len(rec.pass_segments) == cfg.filter_params.passes
         assert rec.wall_ms >= 0.0
@@ -594,18 +637,18 @@ def test_round_record_fields_are_sane():
 
 
 def test_result_labels():
-    control = run_to_result(_cfg(rounds=1))
-    assert control.method_label == "Mean"
+    control = _cfg(rounds=1)
+    run_to_result(control)
+    assert control.method.label == "Mean"
     assert control.attack_label == "None"
-    attacked = run_to_result(
-        _cfg(
-            rounds=1,
-            requested_ratio=0.2,
-            attack=AttackSpec("negated_mean"),
-            method=MethodSpec(filtered=True, base=AggregatorSpec("gm")),
-        )
+    attacked = _cfg(
+        rounds=1,
+        requested_ratio=0.2,
+        attack=AttackSpec("negated_mean"),
+        method=MethodSpec(filtered=True, base=AggregatorSpec("gm")),
     )
-    assert attacked.method_label == "H+GM"
+    run_to_result(attacked)
+    assert attacked.method.label == "H+GM"
     assert attacked.attack_label == "NegatedMean"
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import ctypes
 import hashlib
 import json
@@ -18,11 +19,10 @@ from byzbench.harness.config import (
     ExperimentConfig,
     parse_config,
     parse_config_dict,
-    serialize_config,
+    to_json,
 )
 from byzbench.harness.reporting import (
     ROUND_COLUMNS,
-    read_round_csv,
     read_summary_rows,
     render_report,
     write_round_csv,
@@ -62,7 +62,6 @@ def _record(i: int, acc=None) -> RoundRecord:
         empty_intersection=bool(i % 2),
         filter_precision=1.0,
         filter_recall=0.75,
-        realized_ratio=0.25,
         aggregate_norm=2.5,
         pass_segments=((0, 5),),
         wall={"total": 0.002},
@@ -198,10 +197,44 @@ def test_config_range_checks():
         parse_config_dict({"beta": [-0.5]})
 
 
+# Krum at f = ceil(0.6 * 5) = 3 needs 6 clients, and H+Mean at ratio 0.9
+# would keep N = 5 - ceil(4.5) = 0 clients per window.
+_NEVER_RUNS = {
+    "clients": 5, "attacks": ["signflip"], "ratios": [0.6, 0.9], "methods": ["krum", "h+mean"]
+}
+
+
+def test_config_rejects_cells_that_could_never_run():
+    demo = _NEVER_RUNS
+    with pytest.raises(ConfigError, match=r"^methods\[0\]: krum needs clients >= f \+ 3"):
+        parse_config_dict(demo)
+    assert parse_config_dict(dict(demo, methods=[{"base": "krum", "assumed_byzantine": 2}]))
+    # a bare method needs no N
+    h_mean = dict(demo, methods=["h+mean"])
+    with pytest.raises(ConfigError, match=r"^ratios\[1\]: H\+Mean would keep N = 0"):
+        parse_config_dict(h_mean)
+    assert parse_config_dict(dict(h_mean, hplus={"N": 1}))
+    assert parse_config_dict(dict(demo, methods=["mean"]))
+    # the controls of a "none" attack run at ratio 0
+    assert parse_config_dict(dict(h_mean, attacks=["none"]))
+
+
+def test_config_rejects_methods_that_share_a_label():
+    with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'GM' already used by methods\[0\]"):
+        parse_config_dict({"methods": ["gm", {"base": "gm", "tolerance": 1e-3}]})
+    clean_gm = {"filtered": True, "reference": "server_clean", "base": "gm"}
+    with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'H\+Clean data' already used"):
+        parse_config_dict({"clean": {"kind": "server"}, "methods": ["h+clean", clean_gm]})
+    # an entry repeated as it is still stands for one method and one cell
+    cfg = parse_config_dict({"methods": ["gm", "h+gm", {"base": "gm", "tolerance": 1e-5}]})
+    assert len(expand_cells(cfg)) == 2
+
+
 @pytest.mark.parametrize(
     "section, config",
     [
         pytest.param("dataset", {"dataset": {"n": 0}}, id="dataset.n"),
+        pytest.param("dataset.n", {"dataset": {"n": 5, "classes": 10}}, id="dataset.n<classes"),
         pytest.param("model", {"model": {"kind": "mlp1", "hidden": 0}}, id="model.hidden"),
         pytest.param(
             "attacks[0]", {"attacks": [{"kind": "gaussian", "variance": 0}]}, id="attack.variance"
@@ -245,10 +278,10 @@ def test_config_serialization_round_trip(tmp_path):
             eval_interval=2,
         )
     )
-    again = parse_config_dict(serialize_config(cfg))
+    again = parse_config_dict(to_json(cfg))
     assert again == cfg
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(serialize_config(cfg)), encoding="utf-8")
+    path.write_text(json.dumps(to_json(cfg)), encoding="utf-8")
     assert parse_config(str(path)) == cfg
 
 
@@ -270,7 +303,7 @@ def test_shipped_config_fingerprints_are_pinned(name):
     fingerprints = sorted(cell.fingerprint for cell in expand_cells(cfg))
     digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()[:16]
     assert digest == _SHIPPED_DIGESTS[name]
-    assert parse_config_dict(serialize_config(cfg)) == cfg
+    assert parse_config_dict(to_json(cfg)) == cfg
 
 
 def test_expand_counts_and_control_dedupe():
@@ -346,38 +379,33 @@ def test_fingerprint_is_whitespace_independent():
 # ----------------------------------------------------------------- reporting
 
 
+def _read_rounds(path: str) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert tuple(reader.fieldnames) == ROUND_COLUMNS
+        return list(reader)
+
+
 def test_round_csv_round_trip(tmp_path):
     records = [_record(0, acc=None), _record(1, acc=0.8125)]
     path = str(tmp_path / "rounds.csv")
     write_round_csv(records, path)
     first_line = open(path, encoding="utf-8").readline().rstrip("\n")
     assert first_line == ",".join(ROUND_COLUMNS)
-    back = read_round_csv(path)
-    assert [r["round"] for r in back] == [0, 1]
-    assert back[0]["test_acc"] is None
-    assert back[1]["test_acc"] == 0.8125
-    assert back[0]["train_loss"] == records[0].train_loss
-    assert back[0]["empty_intersection"] is False and back[1]["empty_intersection"] is True
-    assert back[0]["n_selected"] == 3
-    assert back[1]["wall_ms"] == 2.0
+    back = _read_rounds(path)
+    assert [int(r["round"]) for r in back] == [0, 1]
+    assert back[0]["test_acc"] == ""
+    assert float(back[1]["test_acc"]) == 0.8125
+    assert float(back[0]["train_loss"]) == records[0].train_loss
+    assert back[0]["empty_intersection"] == "0" and back[1]["empty_intersection"] == "1"
+    assert int(back[0]["n_selected"]) == 3
+    assert float(back[1]["wall_ms"]) == 2.0
 
 
 def test_round_csv_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     write_round_csv([], path)
-    assert read_round_csv(path) == []
-
-
-def test_round_csv_format_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("round,oops\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_round_csv(str(path))
-    path.write_text(",".join(ROUND_COLUMNS) + "\n1,2\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_round_csv(str(path))
-    with pytest.raises(IoError):
-        read_round_csv(str(tmp_path / "missing.csv"))
+    assert _read_rounds(path) == []
 
 
 def test_summary_round_trip(tmp_path):
@@ -585,17 +613,21 @@ def test_run_sweep_fltrust_reference_cell_finishes(tmp_path):
 
 
 def test_run_sweep_captures_cell_failures(tmp_path):
-    # krum with f = ceil(0.5 * 4) = 2 needs 5 clients; the cell must fail, not the sweep
+    # 4 clients of at least 100 samples cannot come out of 320 training
+    # samples, which only the partition draw finds out: the cell must fail,
+    # not the sweep
     cfg = parse_config_dict(
-        _sweep_dict(attacks=["signflip"], methods=["krum"], ratios=[0.5], seeds=[0])
+        _sweep_dict(
+            attacks=["signflip"], methods=["krum"], ratios=[0.25], seeds=[0], min_client_size=100
+        )
     )
     rows = run_sweep(cfg, str(tmp_path / "out"))
     assert len(rows) == 1
     assert rows[0].status == "failed"
-    assert "InsufficientClients" in rows[0].error
+    assert "InfeasiblePartition" in rows[0].error
     row = rows[0]
     assert (row.attack, row.method, row.requested_ratio, row.beta, row.seed) == (
-        "SignFlip", "Krum", 0.5, 0.6, 0
+        "SignFlip", "Krum", 0.25, 0.6, 0
     )
 
 
@@ -714,8 +746,17 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 
 def test_cli_run_reports_failures(tmp_path):
-    path = _write_cfg(tmp_path, attacks=["signflip"], methods=["krum"], ratios=[0.5])
+    path = _write_cfg(
+        tmp_path, attacks=["signflip"], methods=["krum"], ratios=[0.25], min_client_size=100
+    )
     assert main(["run", "--config", path, "--out", str(tmp_path / "results")]) == 2
+
+
+def test_cli_validate_rejects_cells_that_could_never_run(tmp_path, capsys):
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(_NEVER_RUNS), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: methods[0]: ")
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
