@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import as_matrix, normalized_weights, weighted_average
 from .errors import (
-    EmptySelection,
     InsufficientClients,
     InvalidField,
     InvalidReference,
@@ -275,8 +274,8 @@ def aggregate_fltrust(reference, vectors, weights=None) -> np.ndarray:
 class AggregatorSpec:
     """Which baseline rule to run, plus the knobs of the kinds that have them.
 
-    assumed_byzantine is Krum's f; when None, RunConfig.krum_f fills in
-    ceil(requested_ratio * M).
+    assumed_byzantine is Krum's f; when None, RunConfig.resolved_method fills
+    in ceil(requested_ratio * M).
     """
 
     kind: str
@@ -327,4 +326,4 @@ def aggregate(spec: AggregatorSpec, weights, vectors, *, center=None, reference=
         if reference is None:
             raise MissingReference("fltrust needs a clean reference gradient")
         return aggregate_fltrust(reference, vectors, weights)
-    raise EmptySelection(f"unreachable aggregator kind {spec.kind!r}")
+    raise InvalidField("kind", f"unreachable aggregator kind {spec.kind!r}")

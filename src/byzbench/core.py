@@ -90,7 +90,6 @@ class ByzantineMask:
 
     members: frozenset[int]
     realized_ratio: float
-    requested_ratio: float
 
     @property
     def count(self) -> int:
@@ -116,7 +115,7 @@ def select_byzantine_set(
     if not (0.0 <= requested_ratio < 1.0):
         raise InvalidRatio(f"requested ratio {requested_ratio} outside [0, 1)")
     if requested_ratio == 0.0:
-        return ByzantineMask(frozenset(), 0.0, 0.0)
+        return ByzantineMask(frozenset(), 0.0)
     eligible = [m for m in range(w.shape[0]) if m not in exclude]
     order = rng.permutation(len(eligible))
     members: list[int] = []
@@ -126,7 +125,7 @@ def select_byzantine_set(
         members.append(client)
         cumulative += float(w[client])
         if cumulative >= requested_ratio - RATIO_TOL:
-            return ByzantineMask(frozenset(members), cumulative, requested_ratio)
+            return ByzantineMask(frozenset(members), cumulative)
     raise InvalidRatio(
         f"eligible weight {cumulative:.6f} cannot reach requested ratio {requested_ratio}"
     )

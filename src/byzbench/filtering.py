@@ -23,7 +23,6 @@ from .aggregators import AggregatorSpec, aggregate
 from .core import as_matrix, weighted_average
 from .errors import (
     DimensionMismatch,
-    EmptySelection,
     InvalidField,
     InvalidReference,
     InvalidSelectionSize,
@@ -46,99 +45,60 @@ def similarity_check(x, y) -> float:
 
 
 def _similarity_rows(ref_seg: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vectorized similarity of each row of `rows` against ref_seg."""
+    """Similarity of each row of `rows` against ref_seg, in one float buffer.
+
+    The buffer holds |row - ref| + |ref| and then the ratio in place; 0/0
+    terms are divided as 0/1 and then set to 1.
+    """
     num = np.abs(ref_seg)
-    den = np.abs(rows - ref_seg) + num
-    zero = den == 0.0
-    ratio = num / np.where(zero, 1.0, den)
-    if zero.any():
-        ratio = np.where(zero, 1.0, ratio)
+    ratio = np.subtract(rows, ref_seg)
+    np.abs(ratio, out=ratio)
+    ratio += num
+    zero = ratio == 0.0
+    np.copyto(ratio, 1.0, where=zero)
+    np.divide(num, ratio, out=ratio)
+    np.copyto(ratio, 1.0, where=zero)
     return ratio.mean(axis=1)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous coordinate window [start, start + length)."""
+def sample_windows(
+    dim: int, segment_len: int, passes: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """Draw one window start per pass, uniform over valid offsets, and the width.
 
-    start: int
-    length: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-
-def sample_segments(dim: int, segment_len: int, passes: int, rng: np.random.Generator) -> list[Segment]:
-    """Draw one window per pass, uniform over valid start offsets.
-
-    The effective length is min(segment_len, dim), so short models degrade to
+    The width is min(segment_len, dim), so short models degrade to
     whole-vector comparison. Windows may overlap; all clients in a round are
     scored on the same windows.
     """
     if dim < 1 or segment_len < 1 or passes < 1:
         raise InvalidSelectionSize("dim, segment_len and passes must all be >= 1")
-    eff = min(segment_len, dim)
-    starts = rng.integers(0, dim - eff + 1, size=passes)
-    return [Segment(int(s), eff) for s in starts]
+    width = min(segment_len, dim)
+    return rng.integers(0, dim - width + 1, size=passes), width
 
 
-def anomaly_scores(
+def window_scores(
     reference: np.ndarray,
     uploads: np.ndarray,
-    segment: Segment,
+    starts,
+    width: int,
     penalty_weight: float,
     norm_pivot: float,
 ) -> np.ndarray:
-    """Per-client score on one window: similarity minus a norm penalty.
+    """(M, K) scores: column k scores every client on window [starts[k], starts[k] + width).
 
-    score_m = H(ref_w, g_m_w) - penalty_weight * max(||g_m_w||, norm_pivot / ||g_m_w||).
+    score = H(ref_w, g_w) - penalty_weight * max(||g_w||, norm_pivot / ||g_w||).
     The penalty punishes both oversized and vanishing windows; a client whose
     window is exactly zero scores -inf.
     """
-    ref_seg = reference[segment.start : segment.stop]
-    seg = uploads[:, segment.start : segment.stop]
-    sim = _similarity_rows(ref_seg, seg)
-    norms = np.sqrt(np.einsum("ij,ij->i", seg, seg))
+    scores = np.empty((uploads.shape[0], len(starts)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        penalty = np.maximum(norms, norm_pivot / norms)
-        scores = sim - penalty_weight * penalty
-    return np.where(norms == 0.0, -np.inf, scores)
-
-
-@dataclass(frozen=True)
-class PassResult:
-    """Outcome of one filtering pass: the window and its survivors."""
-
-    segment: Segment
-    selected: tuple[int, ...]
-
-
-def score_pass(
-    reference: np.ndarray,
-    uploads: np.ndarray,
-    segment: Segment,
-    keep: int,
-    penalty_weight: float,
-    norm_pivot: float,
-) -> PassResult:
-    """Score one window and keep the top `keep` clients (ties to lower ids)."""
-    n_clients = uploads.shape[0]
-    if not 1 <= keep <= n_clients:
-        raise InvalidSelectionSize(f"keep={keep} outside [1, {n_clients}]")
-    scores = anomaly_scores(reference, uploads, segment, penalty_weight, norm_pivot)
-    order = np.lexsort((np.arange(n_clients), -scores))
-    selected = tuple(sorted(int(i) for i in order[:keep]))
-    return PassResult(segment, selected)
-
-
-def intersect_passes(passes: list[PassResult]) -> frozenset[int]:
-    """Clients surviving every pass."""
-    if not passes:
-        raise EmptySelection("no passes to intersect")
-    survivors = set(passes[0].selected)
-    for result in passes[1:]:
-        survivors &= set(result.selected)
-    return frozenset(survivors)
+        for k, start in enumerate(starts):
+            seg = uploads[:, start : start + width]
+            sim = _similarity_rows(reference[start : start + width], seg)
+            norms = np.sqrt(np.einsum("ij,ij->i", seg, seg))
+            scores[:, k] = sim - penalty_weight * np.maximum(norms, norm_pivot / norms)
+            scores[norms == 0.0, k] = -np.inf
+    return scores
 
 
 def build_reference(
@@ -202,24 +162,40 @@ def select_clients(
     uploads: np.ndarray,
     params: FilterParams,
     rng: np.random.Generator,
-) -> tuple[frozenset[int], list[PassResult]]:
-    """Run all passes and intersect the survivors. O(passes * M * segment_len)."""
-    if params.keep is None:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], np.ndarray]:
+    """Keep the top N clients per window and intersect. O(passes * M * segment_len).
+
+    Returns the sorted ids surviving every window, the windows as
+    (start, width) pairs, and the (K, N) survivors, each row sorted. Score
+    ties go to lower ids.
+    """
+    keep, n_clients = params.keep, uploads.shape[0]
+    if keep is None:
         raise InvalidSelectionSize("FilterParams.keep must be resolved before filtering")
-    segments = sample_segments(uploads.shape[1], params.segment_len, params.passes, rng)
-    passes = [
-        score_pass(reference, uploads, seg, params.keep, params.penalty_weight, params.norm_pivot)
-        for seg in segments
-    ]
-    return intersect_passes(passes), passes
+    if not 1 <= keep <= n_clients:
+        raise InvalidSelectionSize(f"keep={keep} outside [1, {n_clients}]")
+    starts, width = sample_windows(uploads.shape[1], params.segment_len, params.passes, rng)
+    scores = window_scores(
+        reference, uploads, starts, width, params.penalty_weight, params.norm_pivot
+    )
+    survivors = np.sort(np.argsort(-scores, axis=0, kind="stable")[:keep].T, axis=1)
+    hits = np.bincount(survivors.ravel(), minlength=n_clients)
+    selected = tuple(np.flatnonzero(hits == len(starts)).tolist())
+    return selected, tuple((int(s), width) for s in starts), survivors
 
 
 @dataclass(frozen=True)
 class FilterResult:
-    selected: frozenset[int]
+    """Survivors of every window, their aggregate, the windows and the (K, N) survivors."""
+
+    selected: tuple[int, ...]
     aggregate: np.ndarray
-    passes: list[PassResult]
-    empty_intersection: bool
+    windows: tuple[tuple[int, int], ...]
+    survivors: np.ndarray
+
+    @property
+    def empty_intersection(self) -> bool:
+        return not self.selected
 
 
 def filter_and_aggregate(
@@ -244,9 +220,7 @@ def filter_and_aggregate(
     if not np.isfinite(ref).all():
         raise InvalidReference("reference gradient has non-finite entries")
     w = np.asarray(weights, dtype=np.float64)
-    selected, passes = select_clients(ref, mat, params, rng)
-    if not selected:
-        return FilterResult(selected, ref.copy(), passes, True)
-    ids = sorted(selected)
-    agg = weighted_average(w[ids], mat[ids])
-    return FilterResult(selected, agg, passes, False)
+    selected, windows, survivors = select_clients(ref, mat, params, rng)
+    ids = list(selected)
+    agg = weighted_average(w[ids], mat[ids]) if ids else ref.copy()
+    return FilterResult(selected, agg, windows, survivors)

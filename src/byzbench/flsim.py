@@ -44,7 +44,7 @@ from .errors import (
     InsufficientClients,
     InvalidField,
 )
-from .filtering import FilterParams, FilterResult, build_reference, filter_and_aggregate
+from .filtering import FilterParams, build_reference, filter_and_aggregate
 from .models import ModelSpec, build_model
 
 
@@ -146,6 +146,8 @@ class MethodSpec:
             raise InvalidField("base", "bare method needs a base aggregator")
         if self.filtered and self.reference == "aggregator" and self.base is None:
             raise InvalidField("base", "filtered aggregator reference needs a base aggregator")
+        if self.filtered and self.reference != "aggregator" and self.base is not None:
+            raise InvalidField("base", f"a {self.reference} reference runs no base aggregator")
 
     @property
     def label(self) -> str:
@@ -456,13 +458,8 @@ class Simulation:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        env = environment(config)
-        self.features, self.labels = env.features, env.labels
-        self.test, self.shard = env.test, env.shard
-        self.trusted, self.partitions, self.alpha = env.trusted, env.partitions, env.alpha
-        self.mask, self.honest, self.batches = env.mask, env.honest, env.batches
-
-        self.model = build_model(config.model, self.features.shape[1], env.n_classes)
+        self.env = env = environment(config)
+        self.model = build_model(config.model, env.features.shape[1], env.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
         self.prev_aggregate = np.zeros(self.model.n_params)
 
@@ -471,31 +468,36 @@ class Simulation:
         filtered = self.method.filtered
         self.filter_params = replace(config.filter_params, keep=config.keep) if filtered else None
 
+    @property
+    def mask(self) -> ByzantineMask:
+        """The environment's compromised set, as `tests/test_acceptance.py` reads it."""
+        return self.env.mask
+
     def _resolve_attack(self, attack: AttackSpec | None) -> AttackSpec | None:
         if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
             return attack
         base = self.method.base
         victim_is_correntropy = base is not None and base.kind == "mca"
-        scale = -3.0 * (self.config.clients - self.mask.count) if victim_is_correntropy else -0.1
+        honest = self.config.clients - self.env.mask.count
+        scale = -3.0 * honest if victim_is_correntropy else -0.1
         return replace(attack, foe_scale=scale)
 
     # ------------------------------------------------------------------ round
 
     def _clean_gradient(self, round_index: int) -> np.ndarray:
+        env = self.env
         rng = substream(self.config.seed, "server_batch", round_index)
-        size = min(self.config.batch_size, self.shard.size)
-        batch = rng.choice(self.shard, size=size, replace=False)
-        _, grad = self.model.loss_and_gradient(
-            self.params, self.features[batch], self.labels[batch]
-        )
+        size = min(self.config.batch_size, env.shard.size)
+        batch = rng.choice(env.shard, size=size, replace=False)
+        _, grad = self.model.loss_and_gradient(self.params, env.features[batch], env.labels[batch])
         return grad
 
     def run_round(self, round_index: int) -> RoundRecord:
-        cfg = self.config
+        cfg, env = self.config, self.env
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
 
-        inputs = [(self.features[idx], self.labels[idx]) for idx in self.batches[round_index]]
+        inputs = [(env.features[idx], env.labels[idx]) for idx in env.batches[round_index]]
         wall["batches"] = time.perf_counter() - t_start
 
         t_mark = time.perf_counter()
@@ -503,17 +505,17 @@ class Simulation:
         losses = np.concatenate([loss for loss, _ in results])
         honest_stack = np.concatenate([grad for _, grad in results])
         uploads = np.empty((cfg.clients, self.model.n_params))
-        uploads[list(self.honest)] = honest_stack
-        honest_alpha = self.alpha[list(self.honest)]
+        uploads[list(env.honest)] = honest_stack
+        honest_alpha = env.alpha[list(env.honest)]
         train_loss = float((honest_alpha / honest_alpha.sum()) @ losses)
         wall["gradients"] = time.perf_counter() - t_mark
 
         t_mark = time.perf_counter()
-        if self.attack is not None and self.mask.count:
+        if self.attack is not None and env.mask.count:
             payloads = byzantine_payloads(
                 self.attack,
                 honest_stack,
-                self.mask.members,
+                env.mask.members,
                 cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
@@ -529,49 +531,44 @@ class Simulation:
             clean_grad = self._clean_gradient(round_index)
             wall["clean"] = time.perf_counter() - t_mark
 
-        selected: tuple[int, ...]
         if self.method.filtered:
             t_mark = time.perf_counter()
             reference = build_reference(
                 self.method.reference,
                 self.method.base,
-                self.alpha,
+                env.alpha,
                 uploads,
-                trusted=self.trusted,
+                trusted=env.trusted,
                 clean_gradient=clean_grad,
                 center=self.prev_aggregate,
             )
             wall["reference"] = time.perf_counter() - t_mark
             t_mark = time.perf_counter()
-            result: FilterResult = filter_and_aggregate(
+            result = filter_and_aggregate(
                 reference,
                 uploads,
-                self.alpha,
+                env.alpha,
                 self.filter_params,
                 substream(cfg.seed, "segments", round_index),
             )
             wall["filter"] = time.perf_counter() - t_mark
-            agg = result.aggregate
-            selected = tuple(sorted(result.selected))
-            empty_intersection = result.empty_intersection
-            segments = tuple((p.segment.start, p.segment.length) for p in result.passes)
+            agg, selected, windows = result.aggregate, result.selected, result.windows
         else:
             t_mark = time.perf_counter()
             agg = aggregate(
                 self.method.base,
-                self.alpha,
+                env.alpha,
                 uploads,
                 center=self.prev_aggregate,
                 reference=clean_grad,
             )
             selected = tuple(range(cfg.clients))
-            empty_intersection = False
-            segments = ()
+            windows = ()
             wall["aggregate"] = time.perf_counter() - t_mark
 
-        honest_selected = sum(1 for m in selected if m not in self.mask.members)
+        honest_selected = sum(1 for m in selected if m not in env.mask.members)
         precision = honest_selected / len(selected) if selected else 1.0
-        recall = honest_selected / len(self.honest)
+        recall = honest_selected / len(env.honest)
 
         t_mark = time.perf_counter()
         self.params = self.params - cfg.lr.rate(round_index) * agg
@@ -583,7 +580,7 @@ class Simulation:
         test_accuracy = None
         if (round_index + 1) % cfg.eval_interval == 0 or round_index == cfg.rounds - 1:
             t_mark = time.perf_counter()
-            test_accuracy = self.model.accuracy(self.params, self.test.features, self.test.labels)
+            test_accuracy = self.model.accuracy(self.params, env.test.features, env.test.labels)
             wall["eval"] = time.perf_counter() - t_mark
 
         wall["total"] = time.perf_counter() - t_start
@@ -592,11 +589,11 @@ class Simulation:
             train_loss=train_loss,
             test_accuracy=test_accuracy,
             selected=selected,
-            empty_intersection=empty_intersection,
+            empty_intersection=not selected,
             filter_precision=precision,
             filter_recall=recall,
             aggregate_norm=float(np.linalg.norm(agg)),
-            pass_segments=segments,
+            pass_segments=windows,
             wall=wall,
         )
 
@@ -604,7 +601,7 @@ class Simulation:
 def run_to_result(config: RunConfig) -> ExperimentResult:
     """Run all rounds; on divergence, return the rounds finished with diverged=True."""
     sim = Simulation(config)
-    initial = sim.model.accuracy(sim.params, sim.test.features, sim.test.labels)
+    initial = sim.model.accuracy(sim.params, sim.env.test.features, sim.env.test.labels)
     records: list[RoundRecord] = []
     diverged = False
     try:
@@ -619,6 +616,6 @@ def run_to_result(config: RunConfig) -> ExperimentResult:
         max_accuracy=max([initial, *accs]),
         final_accuracy=accs[-1] if accs else initial,
         diverged=diverged,
-        byzantine=sim.mask,
+        byzantine=sim.env.mask,
         keep=config.keep if config.method.filtered else None,
     )

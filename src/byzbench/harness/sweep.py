@@ -79,17 +79,18 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 
 
 def pin_heap_thresholds() -> None:
-    """Give every allocation of at least 4 MB its own mapping (glibc only).
+    """Serve allocations below 4 MB from the heap, and give larger ones their
+    own mapping (glibc only).
 
-    By default glibc raises its mmap threshold to the size of each mapped
-    block freed, so after a worker's first cell the dataset-sized arrays come
-    from the heap. Whether a freed one then strands its pages behind a later
-    small object depends on which cells the worker ran before, and its peak
-    RSS moved by a whole dataset copy (15 MB at n = 40000, d = 50) from one
-    sweep to the next. With both thresholds pinned, big arrays go back to the
-    system when freed and the peak is the live set of the largest cell. The
-    trim threshold keeps glibc's own ratio of twice the mmap threshold.
-    Where the C library has no mallopt this does nothing.
+    glibc's mmap threshold starts at 128 KB and rises only when a mapped
+    block is freed, so unpinned, a round's arrays of about 1 MB (an mlp1
+    gradient stack, say) may be mapped, faulted in and unmapped on every
+    call. Pinned, they reuse heap pages: wide-model sweeps (mlp1, p = 7,818,
+    108 cells) took 3.86-4.79 s with the pin and 5.28-6.62 s without it, in 6
+    of 6 interleaved runs on 2 vCPUs, while setup-heavy's peak RSS was the
+    same either way (56.3-56.7 MB over 6 seeds). The trim threshold keeps
+    glibc's own ratio of twice the mmap threshold. Where the C library has
+    no mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

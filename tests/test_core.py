@@ -182,4 +182,3 @@ def test_selection_realized_ratio_is_sum_of_member_weights(m, ratio, seed):
     mask = select_byzantine_set(weights, ratio, substream(seed, "byzantine"))
     assert mask.realized_ratio == pytest.approx(sum(weights[i] for i in mask.members), abs=1e-12)
     assert mask.realized_ratio >= ratio - RATIO_TOL
-    assert mask.requested_ratio == ratio

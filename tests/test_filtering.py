@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from byzbench.aggregators import AggregatorSpec, aggregate_mean
 from byzbench.errors import (
     DimensionMismatch,
-    EmptySelection,
     InvalidField,
     InvalidReference,
     InvalidSelectionSize,
@@ -17,16 +19,12 @@ from byzbench.errors import (
 )
 from byzbench.filtering import (
     FilterParams,
-    PassResult,
-    Segment,
-    anomaly_scores,
     build_reference,
     filter_and_aggregate,
-    intersect_passes,
-    sample_segments,
-    score_pass,
+    sample_windows,
     select_clients,
     similarity_check,
+    window_scores,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -86,8 +84,9 @@ def test_similarity_length_mismatch_rejected():
 
 
 def _one_client_score(ref, client, rho, tau):
-    seg = Segment(0, len(ref))
-    return float(anomaly_scores(np.asarray(ref), np.asarray([client]), seg, rho, tau)[0])
+    scores = window_scores(np.asarray(ref), np.asarray([client]), [0], len(ref), rho, tau)
+    assert scores.shape == (1, 1)
+    return float(scores[0, 0])
 
 
 def test_anomaly_score_penalty_disabled():
@@ -118,87 +117,158 @@ def test_anomaly_score_penalizes_tiny_windows():
     assert got == pytest.approx(1.0 - 0.1 / 1e-6, rel=1e-12)
 
 
-# ------------------------------------------------------------ segment sampling
+# ------------------------------------------------------------- window sampling
 
 
 def test_segments_full_window_when_model_is_small():
-    rng = np.random.default_rng(0)
-    for seg in sample_segments(10, 10, 5, rng):
-        assert (seg.start, seg.length) == (0, 10)
+    starts, width = sample_windows(10, 10, 5, np.random.default_rng(0))
+    assert width == 10 and starts.tolist() == [0] * 5
 
 
 def test_segments_longer_than_model_degrade_to_full_window():
-    rng = np.random.default_rng(0)
-    for seg in sample_segments(100, 150, 4, rng):
-        assert (seg.start, seg.length) == (0, 100)
+    starts, width = sample_windows(100, 150, 4, np.random.default_rng(0))
+    assert width == 100 and starts.tolist() == [0] * 4
 
 
 def test_segments_stay_in_bounds():
-    rng = np.random.default_rng(1)
-    for seg in sample_segments(100, 50, 200, rng):
-        assert 0 <= seg.start <= 50
-        assert seg.stop <= 100
+    starts, width = sample_windows(100, 50, 200, np.random.default_rng(1))
+    assert width == 50 and starts.shape == (200,)
+    assert np.all((starts >= 0) & (starts <= 50))
 
 
 def test_segments_deterministic_per_seed():
-    a = sample_segments(1000, 50, 7, np.random.default_rng(42))
-    b = sample_segments(1000, 50, 7, np.random.default_rng(42))
-    assert a == b
+    a_starts, a_width = sample_windows(1000, 50, 7, np.random.default_rng(42))
+    b_starts, b_width = sample_windows(1000, 50, 7, np.random.default_rng(42))
+    assert a_width == b_width and np.array_equal(a_starts, b_starts)
 
 
 def test_segments_reject_degenerate_arguments():
     rng = np.random.default_rng(0)
     for bad in [(0, 5, 1), (10, 0, 1), (10, 5, 0)]:
         with pytest.raises(InvalidSelectionSize):
-            sample_segments(*bad, rng)
+            sample_windows(*bad, rng)
 
 
-# -------------------------------------------------------------------- passes
+# ------------------------------------------------------------ window scores
+
+
+def _per_window_scores(reference, uploads, starts, width, rho, tau):
+    """The score formula applied one window slice at a time, as a reference."""
+    columns = []
+    for start in starts:
+        ref_seg = reference[start : start + width]
+        seg = uploads[:, start : start + width]
+        num = np.abs(ref_seg)
+        den = np.abs(seg - ref_seg) + num
+        zero = den == 0.0
+        ratio = num / np.where(zero, 1.0, den)
+        if zero.any():
+            ratio = np.where(zero, 1.0, ratio)
+        sim = ratio.mean(axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", seg, seg))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = sim - rho * np.maximum(norms, tau / norms)
+        columns.append(np.where(norms == 0.0, -np.inf, scores))
+    return np.stack(columns, axis=1)
+
+
+@st.composite
+def _score_cases(draw):
+    """Uploads with zero rows and exact or near copies of a reference with zero coordinates."""
+    clients = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reference = rng.normal(size=dim)
+    reference[rng.random(dim) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    uploads = rng.normal(size=(clients, dim)) * 10.0 ** rng.integers(-3, 4, size=(clients, 1))
+    kind = rng.integers(0, 4, size=clients)  # 0: zero row, 1: copy, 2: near copy, 3: noise
+    uploads[kind == 0] = 0.0
+    uploads[(kind == 1) | (kind == 2)] = reference
+    uploads[kind == 2, rng.integers(0, dim)] += 1.0
+    starts, width = sample_windows(dim, draw(st.integers(1, 50)), draw(st.integers(1, 5)), rng)
+    rho = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    return reference, uploads, starts, width, rho, draw(st.sampled_from([0.1, 1.0]))
+
+
+@given(_score_cases())
+@settings(max_examples=200, deadline=None)
+def test_window_scores_match_the_per_window_formula_bitwise(case):
+    reference, uploads, starts, width, rho, tau = case
+    got = window_scores(reference, uploads, starts, width, rho, tau)
+    want = _per_window_scores(reference, uploads, starts, width, rho, tau)
+    assert got.shape == (uploads.shape[0], len(starts))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_window_scores_single_window_is_one_column():
+    rng = np.random.default_rng(21)
+    reference = rng.normal(size=50)
+    reference[15:18] = 0.0
+    uploads = rng.normal(size=(7, 50))
+    uploads[2] = 0.0
+    uploads[3] = reference
+    got = window_scores(reference, uploads, np.array([13]), 20, 10.0, 0.1)
+    want = _per_window_scores(reference, uploads, [13], 20, 10.0, 0.1)
+    assert got.shape == (7, 1) and got.tobytes() == want.tobytes()
+    assert got[2, 0] == -np.inf
+
+
+# ------------------------------------------------------------ one window
+
+
+def _unchecked(passes=1, segment_len=2, keep=1):
+    """Filter knobs that skip FilterParams' own checks, to reach select_clients' checks."""
+    return SimpleNamespace(passes=passes, segment_len=segment_len, keep=keep,
+                           penalty_weight=0.0, norm_pivot=0.1)
 
 
 def _whole_vector_pass(ref, uploads, keep, rho=0.0, tau=0.1):
-    seg = Segment(0, len(ref))
-    return score_pass(np.asarray(ref), np.asarray(uploads, dtype=np.float64), seg, keep, rho, tau)
+    """Survivors of one window covering the whole vector."""
+    params = FilterParams(passes=1, segment_len=len(ref), keep=keep, penalty_weight=rho,
+                          norm_pivot=tau)
+    selected, windows, survivors = select_clients(
+        np.asarray(ref), np.asarray(uploads, dtype=np.float64), params, np.random.default_rng(0)
+    )
+    assert windows == ((0, len(ref)),)
+    assert survivors.shape == (1, keep) and tuple(survivors[0].tolist()) == selected
+    return selected
 
 
 def test_pass_keep_all_selects_everyone():
     ref = np.ones(3)
     uploads = [np.ones(3), -np.ones(3), 5 * np.ones(3)]
-    res = _whole_vector_pass(ref, uploads, keep=3)
-    assert res.selected == (0, 1, 2)
+    assert _whole_vector_pass(ref, uploads, keep=3) == (0, 1, 2)
 
 
 def test_pass_orders_by_score():
     ref = np.ones(4)
     uploads = [ref.copy(), -ref, 1.5 * ref]  # similarity 1, 1/3, 2/3
-    res = _whole_vector_pass(ref, uploads, keep=2)
-    assert res.selected == (0, 2)
+    assert _whole_vector_pass(ref, uploads, keep=2) == (0, 2)
 
 
 def test_pass_ties_break_to_lower_ids():
     ref = np.ones(2)
     uploads = [ref.copy()] * 5
-    res = _whole_vector_pass(ref, uploads, keep=3)
-    assert res.selected == (0, 1, 2)
+    assert _whole_vector_pass(ref, uploads, keep=3) == (0, 1, 2)
 
 
 def test_pass_rejects_out_of_range_keep():
     ref = np.ones(2)
-    uploads = [ref, ref]
+    uploads = np.array([ref, ref])
     for keep in (0, 3):
         with pytest.raises(InvalidSelectionSize):
-            _whole_vector_pass(ref, uploads, keep=keep)
+            select_clients(ref, uploads, _unchecked(keep=keep), np.random.default_rng(0))
 
 
 def test_pass_selection_monotone_in_keep():
     rng = np.random.default_rng(8)
     ref = rng.normal(size=20)
     uploads = rng.normal(size=(9, 20))
-    seg = Segment(3, 11)
     previous: set[int] = set()
-    for keep in range(1, 10):
-        res = score_pass(ref, uploads, seg, keep, 10.0, 0.1)
-        current = set(res.selected)
+    for keep in range(1, 10):  # one seed, so one window for every keep
+        params = FilterParams(passes=1, segment_len=11, keep=keep)
+        selected, _, _ = select_clients(ref, uploads, params, np.random.default_rng(3))
+        current = set(selected)
         assert previous <= current
         previous = current
 
@@ -207,9 +277,8 @@ def test_pass_scale_covariance_power_of_two_is_bitwise():
     rng = np.random.default_rng(15)
     ref = rng.normal(size=30)
     uploads = rng.normal(size=(6, 30))
-    seg = Segment(5, 20)
-    base = anomaly_scores(ref, uploads, seg, 0.0, 0.1)
-    scaled = anomaly_scores(4.0 * ref, 4.0 * uploads, seg, 0.0, 0.1)
+    base = window_scores(ref, uploads, [5], 20, 0.0, 0.1)
+    scaled = window_scores(4.0 * ref, 4.0 * uploads, [5], 20, 0.0, 0.1)
     assert np.array_equal(base, scaled)
 
 
@@ -217,35 +286,50 @@ def test_pass_scale_covariance_general_scalar_keeps_selection():
     rng = np.random.default_rng(16)
     ref = rng.normal(size=30)
     uploads = rng.normal(size=(8, 30))
-    seg = Segment(0, 30)
-    a = score_pass(ref, uploads, seg, 4, 0.0, 0.1)
-    b = score_pass(3.0 * ref, 3.0 * uploads, seg, 4, 0.0, 0.1)
-    assert a.selected == b.selected
+    a = _whole_vector_pass(ref, uploads, keep=4)
+    b = _whole_vector_pass(3.0 * ref, 3.0 * uploads, keep=4)
+    assert a == b
 
 
 # ---------------------------------------------------------------- intersection
 
 
-def _fake_pass(ids):
-    return PassResult(Segment(0, 1), tuple(sorted(ids)))
+def _select_by_coordinate(winners, clients, seed):
+    """select_clients on 1-wide windows where coordinate c is won by the ids in winners[c].
+
+    Winners copy the all-ones reference (similarity 1), the rest negate it
+    (similarity 1/3); with no norm penalty each window keeps exactly its winners.
+    """
+    dim = len(winners)
+    uploads = -np.ones((clients, dim))
+    for coord, ids in enumerate(winners):
+        uploads[list(ids), coord] = 1.0
+    params = FilterParams(passes=dim, segment_len=1, keep=len(winners[0]), penalty_weight=0.0)
+    selected, windows, survivors = select_clients(
+        np.ones(dim), uploads, params, np.random.default_rng(seed)
+    )
+    assert sorted(start for start, _ in windows) == list(range(dim))  # one window per coordinate
+    for (start, _), row in zip(windows, survivors):
+        assert set(row.tolist()) == set(winners[start])
+    return selected
 
 
 def test_intersection_set_algebra():
-    got = intersect_passes([_fake_pass({1, 2, 3}), _fake_pass({2, 3, 4}), _fake_pass({3, 4, 5})])
-    assert got == frozenset({3})
+    assert _select_by_coordinate([{1, 2, 3}, {2, 3, 4}, {3, 4, 5}], clients=6, seed=12) == (3,)
 
 
 def test_intersection_single_pass_is_identity():
-    assert intersect_passes([_fake_pass({0, 4})]) == frozenset({0, 4})
+    assert _select_by_coordinate([{0, 4}], clients=5, seed=0) == (0, 4)
 
 
 def test_intersection_disjoint_passes_is_empty():
-    assert intersect_passes([_fake_pass({0}), _fake_pass({1})]) == frozenset()
+    assert _select_by_coordinate([{0}, {1}], clients=3, seed=12) == ()
 
 
 def test_intersection_requires_at_least_one_pass():
-    with pytest.raises(EmptySelection):
-        intersect_passes([])
+    # with no window every client would meet "hit count == K"
+    with pytest.raises(InvalidSelectionSize):
+        select_clients(np.ones(2), np.ones((3, 2)), _unchecked(passes=0), np.random.default_rng(0))
 
 
 def test_intersection_is_subset_of_each_pass():
@@ -253,12 +337,29 @@ def test_intersection_is_subset_of_each_pass():
     ref = rng.normal(size=40)
     uploads = rng.normal(size=(10, 40))
     params = FilterParams(passes=4, segment_len=12, keep=6)
-    selected, passes = select_clients(ref, uploads, params, np.random.default_rng(3))
-    for p in passes:
-        assert selected <= frozenset(p.selected)
+    selected, _, survivors = select_clients(ref, uploads, params, np.random.default_rng(3))
+    assert survivors.shape == (4, 6)
+    for row in survivors:
+        assert set(selected) <= set(row.tolist())
 
 
-# ------------------------------------------------------------------ reference
+def test_select_clients_peak_memory_is_about_one_window_buffer():
+    rng = np.random.default_rng(31)
+    clients, width = 50, 2000
+    uploads = rng.standard_normal((clients, 100_000))
+    reference = np.ascontiguousarray(uploads[0])
+    params = FilterParams(passes=3, segment_len=width, keep=40)
+    select_clients(reference, uploads, params, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        select_clients(reference, uploads, params, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * clients * width * 8
+
+
+# ------------------------------------------------------------------ reference# ------------------------------------------------------------------ reference
 
 
 def test_reference_trusted_singleton_is_that_upload():
@@ -298,7 +399,7 @@ def test_filter_identical_honest_uploads_keeps_everyone():
     uploads = np.tile(v, (5, 1))
     params = FilterParams(passes=3, segment_len=2, keep=5, penalty_weight=0.0)
     res = filter_and_aggregate(v, uploads, np.full(5, 0.2), params, np.random.default_rng(0))
-    assert res.selected == frozenset(range(5))
+    assert res.selected == (0, 1, 2, 3, 4)
     assert not res.empty_intersection
     assert np.allclose(res.aggregate, v, atol=1e-15)
 
@@ -310,9 +411,9 @@ def test_filter_excludes_sign_flip_attackers():
     uploads = np.vstack([honest, payload, payload])
     reference = honest.mean(axis=0)
     params = FilterParams(passes=3, segment_len=10, keep=3, penalty_weight=0.0)
-    selected, _ = select_clients(reference, uploads, params, np.random.default_rng(5))
+    selected, _, _ = select_clients(reference, uploads, params, np.random.default_rng(5))
     assert selected
-    assert selected <= frozenset({0, 1, 2})
+    assert set(selected) <= {0, 1, 2}
 
 
 def test_filter_empty_intersection_falls_back_to_reference():
@@ -324,10 +425,9 @@ def test_filter_empty_intersection_falls_back_to_reference():
     res = filter_and_aggregate(
         reference, uploads, np.array([0.5, 0.5]), params, np.random.default_rng(0)
     )
-    starts = {p.segment.start for p in res.passes}
-    assert starts == {0, 1}  # seed 0 draws both windows
+    assert {start for start, _ in res.windows} == {0, 1}  # seed 0 draws both windows
     assert res.empty_intersection
-    assert res.selected == frozenset()
+    assert res.selected == ()
     assert np.array_equal(res.aggregate, reference)
 
 
@@ -339,7 +439,7 @@ def test_filter_with_keep_all_matches_plain_mean_bitwise():
     reference = uploads.mean(axis=0)
     params = FilterParams(passes=3, segment_len=6, keep=7, penalty_weight=0.0)
     res = filter_and_aggregate(reference, uploads, weights, params, np.random.default_rng(2))
-    assert res.selected == frozenset(range(7))
+    assert res.selected == tuple(range(7))
     assert np.array_equal(res.aggregate, aggregate_mean(weights, uploads))
 
 
@@ -349,7 +449,7 @@ def test_filter_aggregates_survivors_with_renormalized_weights():
     weights = np.array([0.3, 0.3, 0.4])
     params = FilterParams(passes=2, segment_len=3, keep=2, penalty_weight=0.0)
     res = filter_and_aggregate(reference, uploads, weights, params, np.random.default_rng(0))
-    assert res.selected == frozenset({0, 1})
+    assert res.selected == (0, 1)
     want = (0.3 * uploads[0] + 0.3 * uploads[1]) / 0.6
     assert np.allclose(res.aggregate, want, atol=1e-15)
 
@@ -410,11 +510,17 @@ def _filter_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_pass_keeps_exactly_keep_and_contains_the_intersection(case):
     uploads, reference, params, seed = case
-    selected, passes = select_clients(reference, uploads, params, np.random.default_rng(seed))
-    assert len(passes) == params.passes
-    for result in passes:
-        assert len(result.selected) == params.keep
-        assert selected <= frozenset(result.selected)
+    selected, windows, survivors = select_clients(
+        reference, uploads, params, np.random.default_rng(seed)
+    )
+    starts, width = sample_windows(
+        uploads.shape[1], params.segment_len, params.passes, np.random.default_rng(seed)
+    )
+    assert windows == tuple((int(start), width) for start in starts)
+    assert survivors.shape == (params.passes, params.keep)
+    assert np.all(np.diff(survivors, axis=1) > 0)  # sorted rows of N distinct ids
+    rows = [set(row.tolist()) for row in survivors]
+    assert selected == tuple(sorted(set.intersection(*rows)))
 
 
 @given(_filter_cases(), st.data())
@@ -422,15 +528,17 @@ def test_every_pass_keeps_exactly_keep_and_contains_the_intersection(case):
 def test_selection_is_permutation_equivariant(case, data):
     uploads, reference, params, seed = case
     perm = np.array(data.draw(st.permutations(range(uploads.shape[0]))), dtype=np.int64)
-    selected, passes = select_clients(reference, uploads, params, np.random.default_rng(seed))
-    moved, moved_passes = select_clients(
+    selected, windows, survivors = select_clients(
+        reference, uploads, params, np.random.default_rng(seed)
+    )
+    moved, moved_windows, moved_survivors = select_clients(
         reference, uploads[perm], params, np.random.default_rng(seed)
     )
     position = np.argsort(perm)  # row perm[i] of uploads is row i of uploads[perm]
-    assert moved == frozenset(int(position[i]) for i in selected)
-    for result, moved_result in zip(passes, moved_passes):
-        assert moved_result.segment == result.segment
-        assert set(moved_result.selected) == {int(position[i]) for i in result.selected}
+    assert moved == tuple(sorted(int(position[i]) for i in selected))
+    assert moved_windows == windows
+    for row, moved_row in zip(survivors, moved_survivors):
+        assert np.array_equal(moved_row, np.sort(position[row]))
 
 
 @given(_filter_cases())
@@ -442,7 +550,7 @@ def test_survivor_average_lies_in_the_survivors_box(case):
     if res.empty_intersection:
         assert np.array_equal(res.aggregate, reference)
         return
-    survivors = uploads[sorted(res.selected)]
+    survivors = uploads[list(res.selected)]
     tol = 1e-12 * (1.0 + np.abs(survivors).max(axis=0))
     assert np.all(res.aggregate >= survivors.min(axis=0) - tol)
     assert np.all(res.aggregate <= survivors.max(axis=0) + tol)

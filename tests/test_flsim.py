@@ -204,6 +204,13 @@ def test_spec_validation_errors():
         RunConfig(beta=0.0)
 
 
+@pytest.mark.parametrize("reference", ["server_clean", "trusted"])
+def test_method_rejects_a_base_its_reference_never_runs(reference):
+    with pytest.raises(InvalidField) as info:
+        MethodSpec(filtered=True, reference=reference, base=AggregatorSpec("krum"))
+    assert info.value.field == "base"
+
+
 def test_method_labels():
     assert MethodSpec(base=AggregatorSpec("gm")).label == "GM"
     assert MethodSpec(filtered=True, base=AggregatorSpec("gm")).label == "H+GM"
@@ -333,7 +340,7 @@ def test_trusted_clients_never_compromised():
         method=MethodSpec(filtered=True, reference="trusted"),
     )
     sim = Simulation(cfg)
-    assert not (set(sim.mask.members) & {0, 1})
+    assert not (set(sim.env.mask.members) & {0, 1})
 
 
 # ------------------------------------------------------------------ training
@@ -492,7 +499,7 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
 def test_single_mean_round_is_one_sgd_step():
     cfg = _cfg(rounds=1)
     sim = Simulation(cfg)
-    old = _train_local_environment(cfg, sim.honest)
+    old = _train_local_environment(cfg, sim.env.honest)
     params0 = sim.params.copy()
     honest_grads = []
     for batch in old.batches[0]:
@@ -500,7 +507,7 @@ def test_single_mean_round_is_one_sgd_step():
             params0, old.train.features[batch], old.train.labels[batch]
         )
         honest_grads.append(grad)
-    want = params0 - cfg.lr.rate(0) * (sim.alpha @ np.stack(honest_grads))
+    want = params0 - cfg.lr.rate(0) * (sim.env.alpha @ np.stack(honest_grads))
     sim.run_round(0)
     assert np.allclose(sim.params, want, atol=1e-12)
 
@@ -508,7 +515,7 @@ def test_single_mean_round_is_one_sgd_step():
 def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
     cfg = replace(_RAGGED, rounds=1)
     sim = Simulation(cfg)
-    old = _train_local_environment(cfg, sim.honest)
+    old = _train_local_environment(cfg, sim.env.honest)
     batches = old.batches[0]
     assert len({batch.size for batch in batches}) > 1  # some partition is below batch_size
     want = np.stack(
@@ -533,8 +540,8 @@ def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
     monkeypatch.setattr(sim.model, "loss_and_gradient", counted)
     monkeypatch.setattr(flsim, "aggregate", spy)
     sim.run_round(0)
-    assert seen["calls"] == len(sim.honest)
-    assert np.array_equal(seen["uploads"][list(sim.honest)], want)
+    assert seen["calls"] == len(sim.env.honest)
+    assert np.array_equal(seen["uploads"][list(sim.env.honest)], want)
 
 
 @pytest.mark.parametrize(
@@ -661,10 +668,10 @@ def test_server_clean_shard_feeds_reference():
         method=MethodSpec(filtered=True, reference="server_clean"),
     )
     sim = Simulation(cfg)
-    assert sim.shard is not None and sim.shard.size > 0
-    claimed = np.concatenate([p.indices for p in sim.partitions])
-    assert not np.intersect1d(claimed, sim.shard).size
-    old = _train_local_environment(cfg, sim.honest)
+    assert sim.env.shard is not None and sim.env.shard.size > 0
+    claimed = np.concatenate([p.indices for p in sim.env.partitions])
+    assert not np.intersect1d(claimed, sim.env.shard).size
+    old = _train_local_environment(cfg, sim.env.honest)
     for t, batch in enumerate(old.server_batches):
         _, want = sim.model.loss_and_gradient(
             sim.params, old.train.features[batch], old.train.labels[batch]

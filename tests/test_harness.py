@@ -222,8 +222,9 @@ def test_config_rejects_cells_that_could_never_run():
 def test_config_rejects_methods_that_share_a_label():
     with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'GM' already used by methods\[0\]"):
         parse_config_dict({"methods": ["gm", {"base": "gm", "tolerance": 1e-3}]})
+    # a second server_clean method could only differ by a base it never runs
     clean_gm = {"filtered": True, "reference": "server_clean", "base": "gm"}
-    with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'H\+Clean data' already used"):
+    with pytest.raises(ConfigError, match=r"^methods\[1\]\.base: a server_clean reference runs no"):
         parse_config_dict({"clean": {"kind": "server"}, "methods": ["h+clean", clean_gm]})
     # an entry repeated as it is still stands for one method and one cell
     cfg = parse_config_dict({"methods": ["gm", "h+gm", {"base": "gm", "tolerance": 1e-5}]})
