@@ -19,8 +19,6 @@ from .errors import (
     MissingReference,
 )
 
-AGGREGATOR_KINDS = ("mean", "median", "krum", "gm", "mca", "cclip", "fltrust")
-
 _LABELS = {
     "mean": "Mean",
     "median": "Median",
@@ -30,6 +28,7 @@ _LABELS = {
     "cclip": "CClip",
     "fltrust": "FLTrust",
 }
+AGGREGATOR_KINDS = tuple(_LABELS)
 
 
 def aggregate_mean(weights, vectors) -> np.ndarray:
@@ -242,16 +241,14 @@ def aggregate_cclip(weights, vectors, center, clip_radius: float = 10.0, iters: 
     return c
 
 
-def aggregate_fltrust(reference, vectors, weights=None) -> np.ndarray:
+def aggregate_fltrust(reference, vectors) -> np.ndarray:
     """Trust-score aggregation against a clean reference gradient.
 
     Each update earns trust ts_m = max(0, cos(g_m, reference)) and is rescaled
     to the reference norm (updates with norm < 1e-12 are left unscaled). The
     output is sum ts_m g~_m / sum ts_m; if every trust score is zero the
-    reference itself is returned. Partition weights do not enter the formula;
-    the parameter exists for interface uniformity.
+    reference itself is returned. Partition weights do not enter the formula.
     """
-    del weights
     mat = as_matrix(vectors)
     ref = np.asarray(reference, dtype=np.float64)
     ref_norm = float(np.linalg.norm(ref))
@@ -325,5 +322,5 @@ def aggregate(spec: AggregatorSpec, weights, vectors, *, center=None, reference=
     if spec.kind == "fltrust":
         if reference is None:
             raise MissingReference("fltrust needs a clean reference gradient")
-        return aggregate_fltrust(reference, vectors, weights)
+        return aggregate_fltrust(reference, vectors)
     raise InvalidField("kind", f"unreachable aggregator kind {spec.kind!r}")

@@ -16,8 +16,6 @@ import numpy as np
 from .core import as_matrix
 from .errors import InsufficientClients, InvalidField, InvalidRatio
 
-ATTACK_KINDS = ("gaussian", "signflip", "lie", "foe", "negated_mean")
-
 _LABELS = {
     "gaussian": "Gaussian",
     "signflip": "SignFlip",
@@ -25,6 +23,7 @@ _LABELS = {
     "foe": "FoE",
     "negated_mean": "NegatedMean",
 }
+ATTACK_KINDS = tuple(_LABELS)
 
 
 def attack_gaussian(dim: int, variance: float, rng: np.random.Generator) -> np.ndarray:
@@ -76,8 +75,9 @@ def attack_negated_mean(honest, n_clients: int, n_byzantine: int) -> np.ndarray:
 class AttackSpec:
     """Which attack to run, plus the knobs of the kinds that have them.
 
-    foe_scale None means "resolve at config time": -3 * (M - B) against
-    correntropy-style victims, -0.1 otherwise.
+    foe_scale None is resolved per run, once the method and the compromised
+    count B the run drew are known: -3 * (M - B) against a correntropy-style
+    (MCA) victim, -0.1 otherwise (see flsim.Simulation).
     """
 
     kind: str

@@ -128,17 +128,6 @@ def carve_clean_shard(
     return np.sort(np.concatenate(parts))
 
 
-@dataclass(frozen=True)
-class ClientPartition:
-    client_id: int
-    indices: np.ndarray
-    weight: float
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-
 def dirichlet_partition(
     labels: np.ndarray,
     n_classes: int,
@@ -147,14 +136,14 @@ def dirichlet_partition(
     min_size: int,
     rng: np.random.Generator,
     exclude: np.ndarray | None = None,
-) -> list[ClientPartition]:
+) -> list[np.ndarray]:
     """Non-IID split of the positions in `labels`: per class, client shares
-    follow Dirichlet(beta * 1_M).
+    follow Dirichlet(beta * 1_M). Client m's sorted positions are at index m.
 
     Small beta concentrates each class on few clients; large beta approaches
     uniform. Positions in `exclude` (e.g. a server shard) never reach a client.
     Whole partitions are redrawn until every client holds at least min_size
-    samples; weights are the exact size ratios S_m / sum(S).
+    samples.
     """
     if n_clients < 1 or beta <= 0.0 or min_size < 0:
         raise InfeasiblePartition("need n_clients >= 1, beta > 0, min_size >= 0")
@@ -183,11 +172,7 @@ def dirichlet_partition(
                 shards[m].append(piece)
         sizes = np.array([sum(p.size for p in pieces) for pieces in shards])
         if np.all(sizes >= min_size):
-            total = int(sizes.sum())
-            return [
-                ClientPartition(m, np.sort(np.concatenate(shards[m])), sizes[m] / total)
-                for m in range(n_clients)
-            ]
+            return [np.sort(np.concatenate(pieces)) for pieces in shards]
     raise InfeasiblePartition(
         f"no partition with min_size {min_size} found in {_MAX_PARTITION_ATTEMPTS} draws"
     )

@@ -144,6 +144,8 @@ class MethodSpec:
             raise InvalidField("reference", f"unknown reference {self.reference!r}")
         if not self.filtered and self.base is None:
             raise InvalidField("base", "bare method needs a base aggregator")
+        if not self.filtered and self.reference != "aggregator":
+            raise InvalidField("reference", "a bare method builds no reference")
         if self.filtered and self.reference == "aggregator" and self.base is None:
             raise InvalidField("base", "filtered aggregator reference needs a base aggregator")
         if self.filtered and self.reference != "aggregator" and self.base is not None:
@@ -274,7 +276,6 @@ class RoundRecord:
     train_loss: float
     test_accuracy: Optional[float]
     selected: tuple[int, ...]
-    empty_intersection: bool
     filter_precision: float
     filter_recall: float
     aggregate_norm: float
@@ -286,19 +287,29 @@ class RoundRecord:
         return len(self.selected)
 
     @property
+    def empty_intersection(self) -> bool:
+        """No client survived every window; a bare method selects every client."""
+        return not self.selected
+
+    @property
     def wall_ms(self) -> float:
         return 1000.0 * self.wall.get("total", 0.0)
 
 
 @dataclass
 class ExperimentResult:
+    """A run's rounds and outcome.
+
+    max_accuracy and final_accuracy are the best and the last evaluated
+    round's test accuracy, None when no round was evaluated (zero rounds, or
+    a divergence in round 0). `byzantine` is the compromised set the run drew.
+    """
+
     records: list[RoundRecord]
-    initial_accuracy: float
-    max_accuracy: float
-    final_accuracy: float
+    max_accuracy: float | None
+    final_accuracy: float | None
     diverged: bool
     byzantine: ByzantineMask
-    keep: int | None  # clients the filter keeps per window; None for a bare method
 
 
 @dataclass(frozen=True)
@@ -306,10 +317,11 @@ class Environment:
     """What a run draws before its method matters: data, split, clean shard,
     partition, compromised set and client batches.
 
-    Every index is a row of `features` (and of `labels`): the partitions'
-    indices, the clean `shard` and the batches. The rows of the test split
-    are in `features` too, but no index names them; `test` holds them
-    gathered, contiguous for evaluation.
+    Every index is a row of `features` (and of `labels`): the partitions
+    (`partitions[m]` holds client m's rows), the clean `shard` and the
+    batches. `alpha[m]` is client m's share of the partitioned rows. The
+    rows of the test split are in `features` too, but no index names them;
+    `test` holds them gathered, contiguous for evaluation.
 
     `batches[t]` holds round t's honest batch rows, in `honest` order, as
     index stacks for one gradient call each: one (H, B) stack when every
@@ -328,7 +340,7 @@ class Environment:
     test: datamod.LabeledDataset
     shard: np.ndarray | None
     trusted: tuple[int, ...]
-    partitions: tuple[datamod.ClientPartition, ...]
+    partitions: tuple[np.ndarray, ...]
     alpha: np.ndarray
     mask: ByzantineMask
     honest: tuple[int, ...]
@@ -387,7 +399,7 @@ def build_environment(config: RunConfig) -> Environment:
     if min_size is None:
         min_size = 2 * config.batch_size
     partitions = tuple(
-        datamod.ClientPartition(part.client_id, rows[part.indices], part.weight)
+        rows[part]
         for part in datamod.dirichlet_partition(
             train_labels, data.n_classes, m_clients, config.beta, min_size,
             substream(seed, "partition"), exclude=shard,
@@ -419,13 +431,13 @@ def build_environment(config: RunConfig) -> Environment:
     batches = []
     for t in range(config.rounds):
         drawn = [
-            substream(seed, "batch", t, m).choice(partitions[m].indices, size=size, replace=False)
+            substream(seed, "batch", t, m).choice(partitions[m], size=size, replace=False)
             for m, size in zip(honest, batch_sizes)
         ]
         batches.append(tuple(batch[None] for batch in drawn) if ragged else (np.stack(drawn),))
 
     _read_only(data.features, data.labels, test.features, test.labels, shard, alpha)
-    _read_only(*(part.indices for part in partitions))
+    _read_only(*partitions)
     _read_only(*(stack for stacks in batches for stack in stacks))
     return Environment(
         data.features, data.labels, data.n_classes, test, shard, trusted, partitions,
@@ -589,7 +601,6 @@ class Simulation:
             train_loss=train_loss,
             test_accuracy=test_accuracy,
             selected=selected,
-            empty_intersection=not selected,
             filter_precision=precision,
             filter_recall=recall,
             aggregate_norm=float(np.linalg.norm(agg)),
@@ -601,7 +612,6 @@ class Simulation:
 def run_to_result(config: RunConfig) -> ExperimentResult:
     """Run all rounds; on divergence, return the rounds finished with diverged=True."""
     sim = Simulation(config)
-    initial = sim.model.accuracy(sim.params, sim.env.test.features, sim.env.test.labels)
     records: list[RoundRecord] = []
     diverged = False
     try:
@@ -612,10 +622,8 @@ def run_to_result(config: RunConfig) -> ExperimentResult:
     accs = [r.test_accuracy for r in records if r.test_accuracy is not None]
     return ExperimentResult(
         records=records,
-        initial_accuracy=initial,
-        max_accuracy=max([initial, *accs]),
-        final_accuracy=accs[-1] if accs else initial,
+        max_accuracy=max(accs) if accs else None,
+        final_accuracy=accs[-1] if accs else None,
         diverged=diverged,
         byzantine=sim.env.mask,
-        keep=config.keep if config.method.filtered else None,
     )

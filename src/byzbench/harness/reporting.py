@@ -71,8 +71,7 @@ class SummaryRow:
     """One sweep cell's outcome; the unit of summary.json.
 
     max_accuracy and final_accuracy cover the evaluated rounds only, so they
-    are None for a cell that evaluated none. ExperimentResult.max_accuracy
-    also counts the accuracy before the first round. byzantine_count and
+    are None for a cell that evaluated none. byzantine_count and
     realized_ratio are the compromised set the run drew, which can exceed the
     request; keep_exceeds_honest says, for a filtered method, whether the
     filter keeps more clients per window than there are honest ones, so that

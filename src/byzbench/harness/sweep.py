@@ -123,13 +123,12 @@ def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
         error = f"{type(exc).__name__}: {exc}"
         return SummaryRow(**_labels(cell), wall_ms=wall_ms, status="failed", error=error), []
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    records = result.records
-    evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
-    honest = cell.run_config.clients - result.byzantine.count
+    config, records = cell.run_config, result.records
+    honest = config.clients - result.byzantine.count
     row = SummaryRow(
         **_labels(cell),
-        max_accuracy=max(evaluated) if evaluated else None,
-        final_accuracy=evaluated[-1] if evaluated else None,
+        max_accuracy=result.max_accuracy,
+        final_accuracy=result.final_accuracy,
         empty_intersections=sum(1 for r in records if r.empty_intersection),
         mean_precision=(
             sum(r.filter_precision for r in records) / len(records) if records else None
@@ -137,7 +136,7 @@ def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
         mean_recall=(sum(r.filter_recall for r in records) / len(records) if records else None),
         byzantine_count=result.byzantine.count,
         realized_ratio=result.byzantine.realized_ratio,
-        keep_exceeds_honest=None if result.keep is None else result.keep > honest,
+        keep_exceeds_honest=config.keep > honest if config.method.filtered else None,
         wall_ms=wall_ms,
         status="diverged" if result.diverged else "ok",
     )

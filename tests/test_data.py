@@ -119,27 +119,25 @@ def test_holdout_rejects_bad_fraction():
 def test_partition_disjoint_and_covering():
     ds = _dataset()
     parts = dirichlet_partition(ds.labels, ds.n_classes, 8, 0.6, 0, np.random.default_rng(5))
-    all_idx = np.concatenate([p.indices for p in parts])
+    all_idx = np.concatenate(parts)
     assert len(all_idx) == len(set(all_idx.tolist()))  # disjoint
     assert np.array_equal(np.sort(all_idx), np.arange(ds.n))  # covering
 
 
-def test_partition_weights_are_exact_size_ratios():
+def test_partition_positions_are_sorted_per_client():
     ds = _dataset()
     parts = dirichlet_partition(ds.labels, ds.n_classes, 6, 0.4, 0, np.random.default_rng(6))
-    total = sum(p.size for p in parts)
-    assert total == ds.n
+    assert len(parts) == 6
+    assert sum(p.size for p in parts) == ds.n
     for p in parts:
-        assert p.weight == p.size / total
-    assert abs(sum(p.weight for p in parts) - 1.0) < 1e-12
+        assert p.dtype == np.int64 and np.all(np.diff(p) > 0)
 
 
 def test_partition_single_client_takes_everything():
     ds = _dataset(n=200)
     parts = dirichlet_partition(ds.labels, ds.n_classes, 1, 0.6, 0, np.random.default_rng(0))
     assert len(parts) == 1
-    assert np.array_equal(parts[0].indices, np.arange(200))
-    assert parts[0].weight == 1.0
+    assert np.array_equal(parts[0], np.arange(200))
 
 
 def test_partition_near_uniform_at_huge_beta():
@@ -149,7 +147,7 @@ def test_partition_near_uniform_at_huge_beta():
         global_hist = np.bincount(ds.labels, minlength=4) / ds.n
         parts = dirichlet_partition(ds.labels, ds.n_classes, 5, 1e4, 0, np.random.default_rng(100 + seed))
         for p in parts:
-            hist = np.bincount(ds.labels[p.indices], minlength=4) / p.size
+            hist = np.bincount(ds.labels[p], minlength=4) / p.size
             assert np.abs(hist - global_hist).max() < 0.05
 
 
@@ -160,7 +158,7 @@ def test_partition_skew_grows_as_beta_shrinks():
         parts = dirichlet_partition(ds.labels, ds.n_classes, 10, beta, 1, np.random.default_rng(200 + seed))
         kls = []
         for p in parts:
-            hist = np.bincount(ds.labels[p.indices], minlength=4) / p.size
+            hist = np.bincount(ds.labels[p], minlength=4) / p.size
             mask = hist > 0
             kls.append(float(np.sum(hist[mask] * np.log(hist[mask] / global_hist[mask]))))
         return float(np.mean(kls))
@@ -180,7 +178,7 @@ def test_partition_excludes_reserved_indices():
     ds = _dataset()
     reserved = np.arange(0, ds.n, 10)
     parts = dirichlet_partition(ds.labels, ds.n_classes, 4, 0.6, 0, np.random.default_rng(8), exclude=reserved)
-    claimed = np.concatenate([p.indices for p in parts])
+    claimed = np.concatenate(parts)
     assert not np.intersect1d(claimed, reserved).size
     assert sum(p.size for p in parts) == ds.n - reserved.size
 

@@ -50,7 +50,7 @@ _RAGGED = _cfg(rounds=3, batch_size=64, min_client_size=8)
 def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.ndarray:
     """The batch-draw contract: one keyed stream per (round, client)."""
     rng = substream(cfg.seed, "batch", round_index, client)
-    return rng.choice(part.indices, size=min(cfg.batch_size, part.size), replace=False)
+    return rng.choice(part, size=min(cfg.batch_size, part.size), replace=False)
 
 
 @dataclass
@@ -62,6 +62,7 @@ class _TrainLocal:
     test: datamod.LabeledDataset
     shard: np.ndarray | None
     partitions: list
+    alpha: np.ndarray
     batches: list  # batches[t][k]: train positions of honest client k in round t
     server_batches: list  # server_batches[t]: train positions of the shard batch
 
@@ -87,6 +88,8 @@ def _train_local_environment(cfg: RunConfig, honest) -> _TrainLocal:
         cfg.min_client_size or 2 * cfg.batch_size, substream(cfg.seed, "partition"),
         exclude=shard,
     )
+    sizes = np.array([part.size for part in partitions])
+    alpha = sizes / sizes.sum()  # the exact size ratios S_m / sum(S)
     batches = [[_oracle_batch(cfg, partitions[m], t, m) for m in honest] for t in range(cfg.rounds)]
     server_batches = []
     if shard is not None:
@@ -96,7 +99,7 @@ def _train_local_environment(cfg: RunConfig, honest) -> _TrainLocal:
             )
             for t in range(cfg.rounds)
         ]
-    return _TrainLocal(train, test, shard, partitions, batches, server_batches)
+    return _TrainLocal(train, test, shard, partitions, alpha, batches, server_batches)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -114,9 +117,9 @@ def _assert_rows_match(env, old: _TrainLocal):
     assert _same_bits(env.test.features, old.test.features)
     assert _same_bits(env.test.labels, old.test.labels)
     assert env.n_classes == old.test.n_classes == old.train.n_classes
+    assert _same_bits(env.alpha, old.alpha) and abs(env.alpha.sum() - 1.0) < 1e-12
     for part, old_part in zip(env.partitions, old.partitions, strict=True):
-        assert part.weight == old_part.weight
-        assert same_rows(part.indices, old_part.indices)
+        assert same_rows(part, old_part)
     assert (env.shard is None) == (old.shard is None)
     assert env.shard is None or same_rows(env.shard, old.shard)
     assert len(env.batches) == len(old.batches)
@@ -196,6 +199,9 @@ def test_spec_validation_errors():
         MethodSpec(filtered=True)  # aggregator reference without a base
     with pytest.raises(ValueError):
         MethodSpec(filtered=True, reference="bogus")
+    with pytest.raises(InvalidField, match="builds no reference") as info:
+        MethodSpec(base=AggregatorSpec("gm"), reference="trusted")  # a bare method
+    assert info.value.field == "reference"
     with pytest.raises(ValueError):
         RunConfig(requested_ratio=0.3)  # ratio without an attack
     with pytest.raises(ValueError):
@@ -328,8 +334,7 @@ def test_run_config_defaults_of_n_and_f():
     # a bare method at a ratio whose default N is 0 still runs
     bare = _cfg(clients=8, min_client_size=8, rounds=1, **_HIGH_RATIO)
     assert bare.keep == 8 - 8
-    result = run_to_result(bare)
-    assert result.keep is None and result.byzantine.count == 7
+    assert run_to_result(bare).byzantine.count == 7
 
 
 def test_trusted_clients_never_compromised():
@@ -346,10 +351,10 @@ def test_trusted_clients_never_compromised():
 # ------------------------------------------------------------------ training
 
 
-def test_zero_rounds_reports_initial_accuracy():
+def test_zero_rounds_report_no_accuracy():
     result = run_to_result(_cfg(rounds=0))
     assert result.records == []
-    assert result.max_accuracy == result.final_accuracy == result.initial_accuracy
+    assert result.max_accuracy is None and result.final_accuracy is None
     assert not result.diverged
 
 
@@ -366,8 +371,8 @@ def _same_result(a, b) -> bool:
     return (
         _records_equal(a.records, b.records)
         and [r.filter_precision for r in a.records] == [r.filter_precision for r in b.records]
-        and (a.initial_accuracy, a.max_accuracy, a.final_accuracy, a.diverged, a.keep)
-        == (b.initial_accuracy, b.max_accuracy, b.final_accuracy, b.diverged, b.keep)
+        and (a.max_accuracy, a.final_accuracy, a.diverged)
+        == (b.max_accuracy, b.final_accuracy, b.diverged)
         and a.byzantine == b.byzantine
     )
 
@@ -414,7 +419,7 @@ def test_environment_arrays_reject_writes(monkeypatch):
     for cfg in (_cfg(clean=CleanSpec("server", fraction=0.1)), _RAGGED):
         env = flsim.environment(cfg)
         arrays = [env.features, env.labels, env.test.features, env.test.labels,
-                  env.alpha, *(part.indices for part in env.partitions),
+                  env.alpha, *env.partitions,
                   *(stack for stacks in env.batches for stack in stacks)]
         if env.shard is not None:
             arrays.append(env.shard)
@@ -669,7 +674,7 @@ def test_server_clean_shard_feeds_reference():
     )
     sim = Simulation(cfg)
     assert sim.env.shard is not None and sim.env.shard.size > 0
-    claimed = np.concatenate([p.indices for p in sim.env.partitions])
+    claimed = np.concatenate(sim.env.partitions)
     assert not np.intersect1d(claimed, sim.env.shard).size
     old = _train_local_environment(cfg, sim.env.honest)
     for t, batch in enumerate(old.server_batches):
@@ -684,4 +689,3 @@ def test_server_clean_shard_feeds_reference():
 def test_control_keeps_learning():
     result = run_to_result(replace(_cfg(), rounds=30))
     assert result.max_accuracy > 0.9
-    assert result.max_accuracy > result.initial_accuracy

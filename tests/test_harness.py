@@ -58,8 +58,7 @@ def _record(i: int, acc=None) -> RoundRecord:
         round_index=i,
         train_loss=1.1 + 0.01 * i,
         test_accuracy=acc,
-        selected=(0, 1, 2),
-        empty_intersection=bool(i % 2),
+        selected=() if i % 2 else (0, 1, 2),  # odd rounds: an empty intersection
         filter_precision=1.0,
         filter_recall=0.75,
         aggregate_norm=2.5,
@@ -155,6 +154,8 @@ def test_config_method_forms():
     assert cfg.methods[3].base.assumed_byzantine == 2
     with pytest.raises(ConfigError, match=r"methods\[0\]"):
         parse_config_dict({"methods": ["sorcery"]})
+    with pytest.raises(ConfigError, match=r"^methods\[1\]\.reference: a bare method builds no"):
+        parse_config_dict({"methods": ["gm", {"base": "mean", "reference": "trusted"}]})
 
 
 def test_config_model_names():
@@ -399,7 +400,7 @@ def test_round_csv_round_trip(tmp_path):
     assert float(back[1]["test_acc"]) == 0.8125
     assert float(back[0]["train_loss"]) == records[0].train_loss
     assert back[0]["empty_intersection"] == "0" and back[1]["empty_intersection"] == "1"
-    assert int(back[0]["n_selected"]) == 3
+    assert int(back[0]["n_selected"]) == 3 and int(back[1]["n_selected"]) == 0
     assert float(back[1]["wall_ms"]) == 2.0
 
 
@@ -647,15 +648,16 @@ def test_smoke_sweep_pairs_methods_and_records_caveats(tmp_path):
     groups: dict[tuple, list] = {}
     for cell in expand_cells(cfg):
         result = run_to_result(cell.run_config)
-        groups.setdefault(_cell_environment(cell), []).append(result)
+        groups.setdefault(_cell_environment(cell), []).append((cell, result))
     assert len(groups) == 2
-    for results in groups.values():
+    for pairs in groups.values():
+        results = [result for _, result in pairs]
         assert len({frozenset(r.byzantine.members) for r in results}) == 1
-        filtered = [r for r in results if r.keep is not None]
+        filtered = [result for cell, result in pairs if cell.run_config.method.filtered]
         segments = {tuple(rec.pass_segments for rec in r.records) for r in filtered}
         assert len(segments) == 1 and () not in next(iter(segments))
-    attacked = next(results for env, results in groups.items() if env[0] == "SignFlip")
-    assert attacked[0].byzantine.count > 0
+    attacked = next(pairs for env, pairs in groups.items() if env[0] == "SignFlip")
+    assert attacked[0][1].byzantine.count > 0
 
     default_keep = cfg.clients - ceil_ratio(0.4, cfg.clients)
     for row in rows:
@@ -670,6 +672,18 @@ def test_smoke_sweep_pairs_methods_and_records_caveats(tmp_path):
         else:
             assert row.keep_exceeds_honest is None
     assert read_summary_rows(os.path.join(str(tmp_path / "out"), "summary.json")) == rows
+
+
+def test_library_result_reports_the_summary_accuracies():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = parse_config(str(configs / "smoke.json"))
+    for cell in expand_cells(cfg):
+        result = run_to_result(cell.run_config)
+        row, _ = run_cell(cell)
+        assert row.status == "ok"
+        assert (result.max_accuracy, result.final_accuracy) == (
+            row.max_accuracy, row.final_accuracy
+        ), row.method
 
 
 def test_sequential_sweep_builds_each_environment_once(tmp_path, monkeypatch):
