@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to a JSON sweep config")
     run.add_argument("--out", help=f"output directory (overrides ${ENV_OUT} and the config)")
     run.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
-    run.add_argument("--resume", action="store_true", help="skip cells whose outputs exist")
+    run.add_argument("--resume", action="store_true", help="skip cells that already finished")
 
     validate = sub.add_parser("validate", help="parse a config and report the cell count")
     validate.add_argument("--config", required=True, help="path to a JSON sweep config")

@@ -132,17 +132,22 @@ def _span(values: list, fmt: str) -> str:
     return f"[{min(values):{fmt}}, {max(values):{fmt}}]" if values else "n/a"
 
 
+def _mean(values: list) -> str:
+    return f"{sum(values) / len(values):.3f}" if values else "n/a"
+
+
 def render_report(rows: list[SummaryRow]) -> str:
     """Markdown comparison of methods, one section per sweep condition.
 
     A section holds the rows of one (attack, requested ratio, beta); its
     heading gives the range of the compromised count and ratio that the
     cells drew, which can exceed the request. Each method label gets a row
-    with its cell count; the mean and range over seeds of max accuracy,
-    failed cells excluded; for a label H+X whose bare X is in the section,
-    the mean of H+X - X over the seeds both have and the number of those
-    seeds where H+X is higher; and its failed, diverged and keep > honest
-    cell counts. The text depends on the rows, not on their order.
+    with its cell count; the mean and range over seeds of max accuracy and
+    the mean of final accuracy, failed cells excluded; for a label H+X whose
+    bare X is in the section, the mean of H+X - X in max accuracy over the
+    seeds both have and the number of those seeds where H+X is higher; and
+    its failed, diverged and keep > honest cell counts. The text depends on
+    the rows, not on their order.
     """
     sections: dict[tuple, dict[str, list[SummaryRow]]] = {}
     for row in sorted(
@@ -155,9 +160,10 @@ def render_report(rows: list[SummaryRow]) -> str:
     lines = [
         "# byzbench report",
         "",
-        "Max accuracy is the best evaluated round of a cell; mean and range are over seeds,",
-        "failed cells excluded. H+X - X is the mean paired difference over the seeds that",
-        "both methods have, and wins counts the seeds where H+X is higher.",
+        "Max accuracy is the best evaluated round of a cell, so it selects on the test set;",
+        "final accuracy is the last evaluated round. Means and range are over seeds, failed",
+        "cells excluded. H+X - X is the mean paired difference in max accuracy over the",
+        "seeds that both methods have, and wins counts the seeds where H+X is higher.",
     ]
     for (attack, ratio, beta), methods in sections.items():
         done = [r for group in methods.values() for r in group if r.status != "failed"]
@@ -168,8 +174,8 @@ def render_report(rows: list[SummaryRow]) -> str:
             f"## {attack}, ratio {ratio:g}, beta {beta:g}: byzantine {_span(counts, 'd')}, "
             f"realized ratio {_span(realized, '.3f')}",
             "",
-            "| method | cells | max acc | range | H+X - X | wins | flags |",
-            "|---|---:|---:|---:|---:|---:|---|",
+            "| method | cells | max acc | range | final acc | H+X - X | wins | flags |",
+            "|---|---:|---:|---:|---:|---:|---:|---|",
         ]
         accuracy = {
             label: {
@@ -181,7 +187,11 @@ def render_report(rows: list[SummaryRow]) -> str:
         }
         for label, group in methods.items():
             values = list(accuracy[label].values())
-            mean = f"{sum(values) / len(values):.3f}" if values else "n/a"
+            finals = [
+                r.final_accuracy
+                for r in group
+                if r.status != "failed" and r.final_accuracy is not None
+            ]
             diff = wins = ""
             bare = accuracy.get(label[2:]) if label.startswith("H+") else None
             if bare is not None:
@@ -199,7 +209,7 @@ def render_report(rows: list[SummaryRow]) -> str:
                 if count
             ]
             lines.append(
-                f"| {label} | {len(group)} | {mean} | {_span(values, '.3f')} | {diff} | {wins} "
-                f"| {', '.join(flags)} |"
+                f"| {label} | {len(group)} | {_mean(values)} | {_span(values, '.3f')} "
+                f"| {_mean(finals)} | {diff} | {wins} | {', '.join(flags)} |"
             )
     return "\n".join(lines) + "\n"

@@ -152,7 +152,8 @@ def _rounds_path(out_dir: str, fingerprint: str) -> str:
 
 
 def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
-    """Rows whose outputs already exist on disk, keyed by fingerprint."""
+    """Rows of cells that finished (ok or diverged) in an earlier run, keyed by
+    fingerprint; a failed cell's files are on disk too, but it runs again."""
     finished: dict[str, SummaryRow] = {}
     for cell in cells:
         row_path = _row_path(out_dir, cell.fingerprint)
@@ -162,7 +163,11 @@ def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
             rows = read_summary_rows(row_path)
         except Exception:  # noqa: BLE001 - a corrupt row file means "recompute"
             continue
-        if len(rows) == 1 and rows[0].fingerprint == cell.fingerprint:
+        if (
+            len(rows) == 1
+            and rows[0].fingerprint == cell.fingerprint
+            and rows[0].status in ("ok", "diverged")
+        ):
             finished[cell.fingerprint] = rows[0]
     return finished
 

@@ -7,7 +7,9 @@ keeps simulated training deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,54 +32,53 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return loss, probs / y.shape[-1]
 
 
-def _as_stack(features: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-    """View a single (B, d) batch as a stack of one; an (H, B, d) stack passes through."""
-    y = np.asarray(y)
-    if features.ndim == 2:
-        return features[None], y[None]
-    return features, y
+class _DenseNet:
+    """Dense layers of the given widths with a ReLU between consecutive layers.
 
+    Layer k maps widths[k] to widths[k + 1]. The ReLU subgradient at zero is
+    taken as zero.
+    """
 
-def _unstack(
-    features: np.ndarray, loss: np.ndarray, grads: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Return (loss, gradient) in the shape of the batch the caller passed."""
-    if features.ndim == 2:
-        return float(loss[0]), grads[0]
-    return loss, grads
+    def __init__(self, widths: tuple[int, ...]):
+        shapes = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        bounds = list(accumulate(map(math.prod, shapes), initial=0))
+        self._parts = tuple(
+            (slice(lo, hi), shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)
+        )
+        self.n_params = bounds[-1]
 
-
-class SoftmaxRegression:
-    """Multinomial logistic regression: (d + 1) * C parameters."""
-
-    def __init__(self, dim: int, n_classes: int):
-        self.dim = dim
-        self.n_classes = n_classes
-
-    @property
-    def n_params(self) -> int:
-        return (self.dim + 1) * self.n_classes
-
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        del rng  # convex objective: the zero start is canonical and deterministic
-        return np.zeros(self.n_params)
-
-    def unflatten(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def unflatten(self, params: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of the parts: w1, b1, w2, b2, ... in layer order."""
         if params.shape != (self.n_params,):
             raise DimensionMismatch(f"expected {self.n_params} params, got {params.shape}")
-        cut = self.dim * self.n_classes
-        return params[:cut].reshape(self.dim, self.n_classes), params[cut:]
+        return tuple(params[bounds].reshape(shape) for bounds, shape in self._parts)
 
-    def flatten(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    def flatten(self, *parts: np.ndarray) -> np.ndarray:
         """Lay parts out as a parameter vector; stacked (H, ...) parts give (H, p) rows."""
-        lead = bias.shape[:-1]
-        return np.concatenate([weights.reshape(*lead, -1), bias], axis=-1)
+        lead = parts[-1].shape[:-1]
+        return np.concatenate([part.reshape(*lead, -1) for part in parts], axis=-1)
+
+    def _forward(self, parts: tuple[np.ndarray, ...], features: np.ndarray) -> list[np.ndarray]:
+        """Each layer's input, then the logits: outputs[k] feeds layer k.
+
+        Each output is updated in place: allocating a fresh one per step costs
+        more than the arithmetic at these sizes, and an (n, C) eval would
+        otherwise allocate twice.
+        """
+        outputs = [features]
+        n_layers = len(parts) // 2
+        for k in range(n_layers):
+            out = outputs[k] @ parts[2 * k]
+            out += parts[2 * k + 1]
+            if k + 1 < n_layers:
+                np.maximum(out, 0.0, out=out)
+            outputs.append(out)
+        return outputs
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        weights, bias = self.unflatten(params)
-        out = features @ weights
-        out += bias  # in place: an (n, C) eval would otherwise allocate twice
-        return out
+        return self._forward(self.unflatten(params), features)[-1]
 
     def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient on one batch or on a stack of batches.
@@ -86,12 +87,22 @@ class SoftmaxRegression:
         gives (H,) losses and an (H, p) gradient stack whose row h is the
         result for batch h alone.
         """
-        weights, bias = self.unflatten(np.asarray(params, dtype=np.float64))
-        x, labels = _as_stack(features, y)
-        loss, g_logits = _cross_entropy(x @ weights + bias, labels)
-        grad_w = np.swapaxes(x, 1, 2) @ g_logits
-        grad_b = g_logits.sum(axis=1)
-        return _unstack(features, loss, self.flatten(grad_w, grad_b))
+        parts = self.unflatten(np.asarray(params, dtype=np.float64))
+        single = features.ndim == 2
+        x, labels = (features[None], np.asarray(y)[None]) if single else (features, np.asarray(y))
+        outputs = self._forward(parts, x)
+        loss, g_out = _cross_entropy(outputs[-1], labels)
+        grads = [None] * len(parts)
+        for k in reversed(range(len(parts) // 2)):
+            grads[2 * k] = np.swapaxes(outputs[k], 1, 2) @ g_out
+            grads[2 * k + 1] = g_out.sum(axis=1)
+            if k:
+                g_out = g_out @ parts[2 * k].T
+                # max(pre, 0) > 0 exactly where pre > 0, so the ReLU mask is
+                # read off the layer's input.
+                g_out *= outputs[k] > 0.0
+        grad = self.flatten(*grads)
+        return (float(loss[0]), grad[0]) if single else (loss, grad)
 
     def predict(self, params, features) -> np.ndarray:
         return np.argmax(self.logits(params, features), axis=1)
@@ -100,79 +111,40 @@ class SoftmaxRegression:
         return float(np.mean(self.predict(params, features) == y))
 
 
-class OneHiddenMLP:
-    """One ReLU hidden layer: (d + 1) * h + (h + 1) * C parameters.
+class SoftmaxRegression(_DenseNet):
+    """Multinomial logistic regression: (d + 1) * C parameters."""
 
-    The ReLU subgradient at zero is taken as zero.
-    """
+    def __init__(self, dim: int, n_classes: int):
+        super().__init__((dim, n_classes))
+        self.dim = dim
+        self.n_classes = n_classes
+
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        del rng  # convex objective: the zero start is canonical and deterministic
+        return np.zeros(self.n_params)
+
+    # benchmarks/tracing.py wraps these two in each model class's own __dict__.
+    loss_and_gradient = _DenseNet.loss_and_gradient
+    accuracy = _DenseNet.accuracy
+
+
+class OneHiddenMLP(_DenseNet):
+    """One ReLU hidden layer: (d + 1) * h + (h + 1) * C parameters."""
 
     def __init__(self, dim: int, hidden: int, n_classes: int):
+        super().__init__((dim, hidden, n_classes))
         self.dim = dim
         self.hidden = hidden
         self.n_classes = n_classes
-
-    @property
-    def n_params(self) -> int:
-        return (self.dim + 1) * self.hidden + (self.hidden + 1) * self.n_classes
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         w1 = rng.standard_normal((self.dim, self.hidden)) * np.sqrt(2.0 / self.dim)
         w2 = rng.standard_normal((self.hidden, self.n_classes)) * np.sqrt(2.0 / self.hidden)
         return self.flatten(w1, np.zeros(self.hidden), w2, np.zeros(self.n_classes))
 
-    def unflatten(self, params: np.ndarray):
-        if params.shape != (self.n_params,):
-            raise DimensionMismatch(f"expected {self.n_params} params, got {params.shape}")
-        d, h, c = self.dim, self.hidden, self.n_classes
-        parts = np.split(params, [d * h, d * h + h, d * h + h + h * c])
-        return parts[0].reshape(d, h), parts[1], parts[2].reshape(h, c), parts[3]
-
-    def flatten(self, w1, b1, w2, b2) -> np.ndarray:
-        """Lay parts out as a parameter vector; stacked (H, ...) parts give (H, p) rows."""
-        lead = b1.shape[:-1]
-        return np.concatenate([w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2], axis=-1)
-
-    def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self.unflatten(params)
-        hidden = features @ w1
-        hidden += b1
-        np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ w2
-        out += b2
-        return out
-
-    def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
-        """Mean cross-entropy and its gradient on one batch or on a stack of batches.
-
-        A (B, d) batch gives (float loss, (p,) gradient). An (H, B, d) stack
-        gives (H,) losses and an (H, p) gradient stack whose row h is the
-        result for batch h alone.
-        """
-        w1, b1, w2, b2 = self.unflatten(np.asarray(params, dtype=np.float64))
-        x, labels = _as_stack(features, y)
-        # The (H, B, hidden) arrays are updated in place: allocating a fresh
-        # one per step costs more than the arithmetic at these sizes.
-        # max(pre, 0) > 0 exactly where pre > 0, so the ReLU mask is read
-        # off the activations.
-        hidden = x @ w1
-        hidden += b1
-        np.maximum(hidden, 0.0, out=hidden)
-        logits = hidden @ w2
-        logits += b2
-        loss, g_logits = _cross_entropy(logits, labels)
-        grad_w2 = np.swapaxes(hidden, 1, 2) @ g_logits
-        grad_b2 = g_logits.sum(axis=1)
-        g_hidden = g_logits @ w2.T
-        g_hidden *= hidden > 0.0
-        grad_w1 = np.swapaxes(x, 1, 2) @ g_hidden
-        grad_b1 = g_hidden.sum(axis=1)
-        return _unstack(features, loss, self.flatten(grad_w1, grad_b1, grad_w2, grad_b2))
-
-    def predict(self, params, features) -> np.ndarray:
-        return np.argmax(self.logits(params, features), axis=1)
-
-    def accuracy(self, params, features, y) -> float:
-        return float(np.mean(self.predict(params, features) == y))
+    # benchmarks/tracing.py wraps these two in each model class's own __dict__.
+    loss_and_gradient = _DenseNet.loss_and_gradient
+    accuracy = _DenseNet.accuracy
 
 
 @dataclass(frozen=True)

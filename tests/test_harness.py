@@ -5,6 +5,7 @@ import ctypes
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,15 @@ def test_config_serialization_round_trip(tmp_path):
     assert parse_config(str(path)) == cfg
 
 
+def test_readme_schema_and_round_columns_match_the_code():
+    # A changed default or round CSV column fails here until the README says so.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    [schema] = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    assert parse_config_dict(json.loads(re.sub(r"//.*", "", schema))) == ExperimentConfig()
+    [columns] = re.findall(r"columns\s+`([a-z_,]+)`", readme)
+    assert tuple(columns.split(",")) == ROUND_COLUMNS
+
+
 # --------------------------------------------------------------------- cells
 
 
@@ -464,13 +474,16 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["summary.json"]
 
 
-def _report_row(method, seed, max_accuracy, attack="SignFlip", byzantine_count=2, **overrides):
+def _report_row(
+    method, seed, max_accuracy, final_accuracy, attack="SignFlip", byzantine_count=2, **overrides
+):
     fields = dict(
         fingerprint=f"{attack}-{method}-{seed}",
         attack=attack,
         method=method,
         seed=seed,
         max_accuracy=max_accuracy,
+        final_accuracy=final_accuracy,
         byzantine_count=byzantine_count,
         realized_ratio=None if byzantine_count is None else byzantine_count / 10,
         keep_exceeds_honest=None,
@@ -480,45 +493,49 @@ def _report_row(method, seed, max_accuracy, attack="SignFlip", byzantine_count=2
 
 
 _REPORT_ROWS = [
-    _report_row("Mean", 0, 0.91, attack="None", byzantine_count=0),
-    _report_row("GM", 0, 0.70),
-    _report_row("GM", 1, 0.60, byzantine_count=3),
+    _report_row("Mean", 0, 0.91, 0.90, attack="None", byzantine_count=0),
+    _report_row("GM", 0, 0.70, 0.65),
+    _report_row("GM", 1, 0.60, 0.40, byzantine_count=3),
     _report_row(
-        "GM", 2, None, status="failed", error="boom", final_accuracy=None,
+        "GM", 2, None, None, status="failed", error="boom",
         empty_intersections=None, mean_precision=None, mean_recall=None, byzantine_count=None,
     ),
-    _report_row("H+GM", 0, 0.90, keep_exceeds_honest=True),
-    _report_row("H+GM", 1, 0.55, byzantine_count=3, status="diverged", keep_exceeds_honest=False),
-    _report_row("H+GM", 2, 0.85, byzantine_count=3, keep_exceeds_honest=False),
-    _report_row("H+Clean data", 0, 0.88, keep_exceeds_honest=False),
+    _report_row("H+GM", 0, 0.90, 0.88, keep_exceeds_honest=True),
+    _report_row(
+        "H+GM", 1, 0.55, 0.20, byzantine_count=3, status="diverged", keep_exceeds_honest=False
+    ),
+    _report_row("H+GM", 2, 0.85, 0.84, byzantine_count=3, keep_exceeds_honest=False),
+    _report_row("H+Clean data", 0, 0.88, None, keep_exceeds_honest=False),
 ]
 
 _REPORT_TEXT = """\
 # byzbench report
 
-Max accuracy is the best evaluated round of a cell; mean and range are over seeds,
-failed cells excluded. H+X - X is the mean paired difference over the seeds that
-both methods have, and wins counts the seeds where H+X is higher.
+Max accuracy is the best evaluated round of a cell, so it selects on the test set;
+final accuracy is the last evaluated round. Means and range are over seeds, failed
+cells excluded. H+X - X is the mean paired difference in max accuracy over the
+seeds that both methods have, and wins counts the seeds where H+X is higher.
 
 ## None, ratio 0.2, beta 0.6: byzantine [0, 0], realized ratio [0.000, 0.000]
 
-| method | cells | max acc | range | H+X - X | wins | flags |
-|---|---:|---:|---:|---:|---:|---|
-| Mean | 1 | 0.910 | [0.910, 0.910] |  |  |  |
+| method | cells | max acc | range | final acc | H+X - X | wins | flags |
+|---|---:|---:|---:|---:|---:|---:|---|
+| Mean | 1 | 0.910 | [0.910, 0.910] | 0.900 |  |  |  |
 
 ## SignFlip, ratio 0.2, beta 0.6: byzantine [2, 3], realized ratio [0.200, 0.300]
 
-| method | cells | max acc | range | H+X - X | wins | flags |
-|---|---:|---:|---:|---:|---:|---|
-| GM | 3 | 0.650 | [0.600, 0.700] |  |  | 1 failed |
-| H+Clean data | 1 | 0.880 | [0.880, 0.880] |  |  |  |
-| H+GM | 3 | 0.767 | [0.550, 0.900] | +0.075 | 1/2 | 1 diverged, 1 keep>honest |
+| method | cells | max acc | range | final acc | H+X - X | wins | flags |
+|---|---:|---:|---:|---:|---:|---:|---|
+| GM | 3 | 0.650 | [0.600, 0.700] | 0.525 |  |  | 1 failed |
+| H+Clean data | 1 | 0.880 | [0.880, 0.880] | n/a |  |  |  |
+| H+GM | 3 | 0.767 | [0.550, 0.900] | 0.640 | +0.075 | 1/2 | 1 diverged, 1 keep>honest |
 """
 
 
 def test_report_text_is_pinned():
     # H+GM's seed 2 has no bare GM partner (that cell failed), so the
-    # difference is (0.90 - 0.70 + 0.55 - 0.60) / 2 over seeds 0 and 1.
+    # difference is (0.90 - 0.70 + 0.55 - 0.60) / 2 over seeds 0 and 1. Its
+    # final accuracy averages all three seeds, the diverged one included.
     assert render_report(_REPORT_ROWS) == _REPORT_TEXT
     assert render_report(_REPORT_ROWS[::-1]) == _REPORT_TEXT
     shuffled = list(_REPORT_ROWS)
@@ -563,6 +580,30 @@ def test_run_sweep_resume_recomputes_only_missing(tmp_path):
     second = run_sweep(cfg, out, resume=True, progress=lambda row: recomputed.append(row))
     assert [row.fingerprint for row in recomputed] == [victim]
     assert _strip_wall(second) == _strip_wall(first)
+
+
+def test_run_sweep_resume_retries_failed_cells(tmp_path, monkeypatch):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25], seeds=[0])
+    )
+    out = str(tmp_path / "out")
+
+    def fail_attacked(config):
+        if config.attack is not None:
+            raise FileNotFoundError("data not there yet")
+        return run_to_result(config)
+
+    monkeypatch.setattr(sweep, "run_to_result", fail_attacked)
+    first = run_sweep(cfg, out)
+    [failed] = [row for row in first if row.status == "failed"]
+    assert os.path.exists(os.path.join(out, "cells", f"{failed.fingerprint}.json"))
+    assert os.path.exists(os.path.join(out, "rounds", f"{failed.fingerprint}.csv"))
+
+    monkeypatch.setattr(sweep, "run_to_result", run_to_result)
+    recomputed = []
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [failed.fingerprint]
+    assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
 
 
 class _Mallinfo2(ctypes.Structure):

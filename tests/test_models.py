@@ -189,6 +189,61 @@ def test_logits_match_the_expression_bitwise(model):
         assert got.tobytes() == want.tobytes()
 
 
+def _loss_and_gradient_by_expression(model, params, features, y):
+    """Loss and gradient on an (H, B, d) stack, each layer's step a fresh array."""
+    y = np.asarray(y)
+    parts = model.unflatten(params)
+    if isinstance(model, SoftmaxRegression):
+        weights, bias = parts
+        logits = features @ weights + bias
+    else:
+        w1, b1, w2, b2 = parts
+        hidden = np.maximum(features @ w1 + b1, 0.0)
+        logits = hidden @ w2 + b2
+    top = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, y[..., None], axis=-1)[..., 0]
+    loss = np.mean((np.log(total) + top)[..., 0] - picked, axis=-1)
+    g_logits = (exp / total - (y[..., None] == np.arange(model.n_classes))) / y.shape[-1]
+    lead = features.shape[0]
+    if isinstance(model, SoftmaxRegression):
+        grad_w = np.swapaxes(features, 1, 2) @ g_logits
+        return loss, np.concatenate([grad_w.reshape(lead, -1), g_logits.sum(axis=1)], axis=-1)
+    grad_w2 = np.swapaxes(hidden, 1, 2) @ g_logits
+    g_hidden = (g_logits @ w2.T) * (hidden > 0.0)
+    grad_w1 = np.swapaxes(features, 1, 2) @ g_hidden
+    parts = [grad_w1.reshape(lead, -1), g_hidden.sum(axis=1), grad_w2.reshape(lead, -1),
+             g_logits.sum(axis=1)]
+    return loss, np.concatenate(parts, axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_gradient_matches_the_expression_bitwise(kind):
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        dim, hidden, batch = rng.integers(1, 40, size=3).tolist()
+        classes, stack = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        if kind == "softmax":
+            model = SoftmaxRegression(dim, classes)
+        else:
+            model = OneHiddenMLP(dim, hidden, classes)
+        params = rng.normal(size=model.n_params)
+        features = rng.normal(size=(stack, batch, dim))
+        y = rng.integers(0, classes, size=(stack, batch))
+        want_loss, want_grad = _loss_and_gradient_by_expression(model, params, features, y)
+        loss, grad = model.loss_and_gradient(params, features, y)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+        # a (B, d) batch goes through as a stack of one
+        want_loss, want_grad = _loss_and_gradient_by_expression(
+            model, params, features[:1], y[:1]
+        )
+        loss, grad = model.loss_and_gradient(params, features[0], y[0])
+        assert loss == float(want_loss[0])
+        assert grad.tobytes() == want_grad[0].tobytes()
+
+
 # ---------------------------------------------------------------------- spec
 
 
