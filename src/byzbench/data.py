@@ -11,6 +11,7 @@ import numpy as np
 from .errors import EmptySelection, FormatError, InfeasiblePartition
 
 _MAX_PARTITION_ATTEMPTS = 10000
+_TAKE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,19 @@ class LabeledDataset:
 
 
 def take(dataset: LabeledDataset, indices) -> LabeledDataset:
+    """The samples at `indices`, with (k, d) features laid out feature-major.
+
+    The features are the transpose view of a C-contiguous (d, k) array, the
+    layout `_DenseNet.accuracy` scores fastest. They are gathered into it
+    _TAKE_BLOCK rows at a time, so besides the source and the result no more
+    than one block of them is held.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    return LabeledDataset(dataset.features[idx], dataset.labels[idx], dataset.n_classes)
+    features = np.empty((dataset.dim, idx.size), dtype=dataset.features.dtype)
+    for lo in range(0, idx.size, _TAKE_BLOCK):
+        block = idx[lo : lo + _TAKE_BLOCK]
+        features[:, lo : lo + block.size] = dataset.features[block].T
+    return LabeledDataset(features.T, dataset.labels[idx], dataset.n_classes)
 
 
 def synth_classification(
@@ -89,6 +101,11 @@ def synth_classification(
     return LabeledDataset(features, labels.astype(np.int64), n_classes), order
 
 
+def class_share(fraction: float, count: int) -> int:
+    """How many of a class's `count` samples a holdout or shard `fraction` takes."""
+    return int(fraction * count + 0.5)
+
+
 def stratified_holdout(
     labels: np.ndarray, n_classes: int, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +115,7 @@ def stratified_holdout(
     test_parts = []
     for c in range(n_classes):
         idx = np.flatnonzero(labels == c)
-        k = int(fraction * idx.size + 0.5)
+        k = class_share(fraction, idx.size)
         test_parts.append(rng.permutation(idx)[:k])
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.ones(labels.size, dtype=bool)
@@ -120,7 +137,7 @@ def carve_clean_shard(
     parts = []
     for c in range(n_classes):
         idx = np.flatnonzero(labels == c)
-        k = int(fraction * idx.size + 0.5)
+        k = class_share(fraction, idx.size)
         if k:
             parts.append(rng.permutation(idx)[:k])
     if not parts:

@@ -6,7 +6,7 @@ class ByzBenchError(Exception):
 
 
 class EmptySelection(ByzBenchError):
-    """An operation received an empty (or zero-weight) client selection."""
+    """An operation received an empty (or zero-weight) selection of clients or samples."""
 
 
 class DimensionMismatch(ByzBenchError):

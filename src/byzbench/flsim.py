@@ -19,10 +19,10 @@ An environment holds one feature matrix, generated once and never copied,
 and every index it holds (partitions, clean shard, batches) is a row of that
 matrix. The data shuffle is not applied to the features but composed into
 the indices, and only the test split is gathered into an array of its own,
-so a build peaks at about 1.5x the matrix's bytes, never at two copies of
-the data set. The batches cost rounds x H x batch_size x 8 bytes of indices
-(H honest clients), never the gathered features: about 0.5 MB for 100
-rounds of 20 clients at B = 32.
+feature-major for evaluation (see `data.take`), so a build peaks at about
+1.5x the matrix's bytes, never at two copies of the data set. The batches
+cost rounds x H x batch_size x 8 bytes of indices (H honest clients), never
+the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32.
 """
 
 from __future__ import annotations
@@ -100,6 +100,13 @@ class DatasetSpec:
                 raise InvalidField("separation", "separation must be positive")
             if not 0.0 < self.test_fraction < 1.0:
                 raise InvalidField("test_fraction", "test_fraction must lie in (0, 1)")
+            largest = -(-self.n // self.classes)  # class counts are balanced
+            if datamod.class_share(self.test_fraction, largest) == 0:
+                raise InvalidField(
+                    "test_fraction",
+                    f"test_fraction {self.test_fraction} of {largest} samples per class "
+                    "rounds to an empty test split",
+                )
         elif self.kind == "idx":
             for name in ("train_images", "train_labels", "test_images", "test_labels"):
                 if getattr(self, name) is None:
@@ -321,7 +328,10 @@ class Environment:
     (`partitions[m]` holds client m's rows), the clean `shard` and the
     batches. `alpha[m]` is client m's share of the partitioned rows. The
     rows of the test split are in `features` too, but no index names them;
-    `test` holds them gathered, contiguous for evaluation.
+    `test` holds them gathered, its (n_test, d) features the transpose view
+    of a C-contiguous (d, n_test) array, the layout evaluation scores
+    fastest. Gathering them per evaluation instead would cost more than the
+    evaluation itself.
 
     `batches[t]` holds round t's honest batch rows, in `honest` order, as
     index stacks for one gradient call each: one (H, B) stack when every
@@ -380,6 +390,7 @@ def build_environment(config: RunConfig) -> Environment:
         test = datamod.load_idx(config.dataset.test_images, config.dataset.test_labels)
         if test.n_classes > data.n_classes:
             raise ConfigError("dataset", "test split contains unseen classes")
+        test = datamod.take(test, np.arange(test.n))  # feature-major, as in the synthetic branch
         rows = np.arange(data.n)
 
     # The shard and the partition are drawn over train positions, as in the

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidField
+from .errors import DimensionMismatch, EmptySelection, InvalidField
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +104,38 @@ class _DenseNet:
         grad = self.flatten(*grads)
         return (float(loss[0]), grad[0]) if single else (loss, grad)
 
-    def predict(self, params, features) -> np.ndarray:
-        return np.argmax(self.logits(params, features), axis=1)
-
     def accuracy(self, params, features, y) -> float:
-        return float(np.mean(self.predict(params, features) == y))
+        """Share of the (n, d) rows whose highest logit is at their label.
+
+        Scored class-major: each layer computes W.T @ out on (d, n) inputs,
+        giving (C, n) logits, which with few classes runs faster than the
+        row-major (n, C) product and its row-wise argmax. Pass `features` as
+        the transpose of a C-contiguous (d, n) array, as `data.take` returns
+        it; any other layout works, slower. The class-major logits may
+        differ from `logits` in the last bits, so training never reads them.
+        A row whose highest logit is tied, or that holds a NaN, is predicted
+        as argmax predicts it: the first highest (or first NaN) class.
+        """
+        y = np.asarray(y)
+        n = y.shape[0]
+        if n == 0:
+            raise EmptySelection("accuracy of an empty test set")
+        parts = self.unflatten(params)
+        out = features.T
+        n_layers = len(parts) // 2
+        for k in range(n_layers):
+            out = parts[2 * k].T @ out
+            out += parts[2 * k + 1][:, None]
+            if k + 1 < n_layers:
+                np.maximum(out, 0.0, out=out)
+        top = out.max(axis=0)
+        hit = out == top
+        # A NaN column holds no hit, so a tie elsewhere could make up its count.
+        if np.count_nonzero(hit) == n and not np.isnan(top).any():
+            correct = np.count_nonzero(hit[y, np.arange(n)])
+        else:
+            correct = np.count_nonzero(np.argmax(out, axis=0) == y)
+        return float(correct / n)
 
 
 class SoftmaxRegression(_DenseNet):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ def test_take_subsets_rows():
     assert sub.n == 3
     assert np.array_equal(sub.features, ds.features[[4, 7, 9]])
     assert np.array_equal(sub.labels, ds.labels[[4, 7, 9]])
+
+
+def test_take_gathers_feature_major_without_a_second_copy():
+    ds = _dataset(n=5000, d=50)
+    idx = np.random.default_rng(1).permutation(ds.n)[:4000]  # many gather blocks
+    tracemalloc.start()
+    try:
+        sub = take(ds, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.features.T.flags.c_contiguous
+    assert np.array_equal(sub.features, ds.features[idx])
+    assert np.array_equal(sub.labels, ds.labels[idx])
+    # the result, its labels and indices, and one block: far below two copies
+    assert peak < 1.2 * sub.features.nbytes
+    assert take(ds, []).features.shape == (0, ds.dim)
 
 
 def test_synth_balanced_labels():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -457,6 +458,46 @@ def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
         for row, batch in zip(got, want):
             assert row.dtype == batch.dtype and np.array_equal(row, batch)
     _assert_rows_match(env, _train_local_environment(cfg, env.honest))
+
+
+def test_environment_holds_the_test_split_feature_major():
+    env = flsim.build_environment(_cfg())
+    assert env.test.features.shape == (env.test.n, env.features.shape[1])
+    assert env.test.features.T.flags.c_contiguous
+    assert not env.test.features.flags.writeable
+
+
+def _write_idx_pair(directory, name, pixels, labels):
+    images, label_file = directory / f"{name}-images.idx", directory / f"{name}-labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, *pixels.shape) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x801, labels.size) + labels.tobytes())
+    return str(images), str(label_file)
+
+
+def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
+    rng = np.random.default_rng(4)
+    paths = {}
+    for name, n in (("train", 300), ("test", 90)):
+        pixels = rng.integers(0, 256, size=(n, 3, 4), dtype=np.uint8)
+        labels = (np.arange(n) % 3).astype(np.uint8)
+        paths[name] = _write_idx_pair(tmp_path, name, pixels, labels)
+    spec = DatasetSpec(kind="idx", train_images=paths["train"][0], train_labels=paths["train"][1],
+                       test_images=paths["test"][0], test_labels=paths["test"][1])
+    env = flsim.build_environment(_cfg(dataset=spec))
+    loaded = datamod.load_idx(*paths["test"])
+    assert env.test.features.T.flags.c_contiguous
+    assert np.array_equal(env.test.features, loaded.features)
+    assert np.array_equal(env.test.labels, loaded.labels)
+
+
+def test_dataset_rejects_an_empty_test_split():
+    with pytest.raises(InvalidField) as info:
+        DatasetSpec(n=20, dim=3, classes=10)  # 2 per class: int(0.2 * 2 + 0.5) = 0
+    assert info.value.field == "test_fraction"
+    with pytest.raises(InvalidField):
+        DatasetSpec(n=40, classes=4, test_fraction=0.04)
+    assert DatasetSpec(n=30, dim=3, classes=10)  # 3 per class: one test row each
+    assert DatasetSpec(n=21, dim=3, classes=10, test_fraction=0.17)  # one class of 3
 
 
 def test_environment_build_peaks_below_two_copies_of_the_data():

@@ -221,6 +221,12 @@ def test_config_rejects_cells_that_could_never_run():
     assert parse_config_dict(dict(h_mean, attacks=["none"]))
 
 
+def test_config_rejects_an_empty_test_split():
+    tiny = dict(_SMALL, dataset={"kind": "synthetic", "n": 20, "dim": 3, "classes": 10})
+    with pytest.raises(ConfigError, match=r"^dataset\.test_fraction: .* empty test split"):
+        parse_config_dict(tiny)
+
+
 def test_config_rejects_methods_that_share_a_label():
     with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'GM' already used by methods\[0\]"):
         parse_config_dict({"methods": ["gm", {"base": "gm", "tolerance": 1e-3}]})

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from byzbench.errors import DimensionMismatch
+from byzbench.errors import DimensionMismatch, EmptySelection
 from byzbench.models import ModelSpec, OneHiddenMLP, SoftmaxRegression, build_model
 
 
@@ -267,3 +267,79 @@ def test_accuracy_bounds():
     features, y = _batch(rng, 30, 4, 3)
     acc = model.accuracy(rng.normal(size=model.n_params), features, y)
     assert 0.0 <= acc <= 1.0
+
+
+def _accuracy_by_expression(model, params, features, y) -> float:
+    """The row-major definition: the first highest logit of each row against its label."""
+    logits = _logits_by_expression(model, params, features)
+    return float(np.mean(np.argmax(logits, axis=1) == y))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_accuracy_matches_the_row_wise_argmax(kind, order):
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        dim, hidden, n = (int(v) for v in rng.integers(1, 40, size=3))
+        classes = int(rng.integers(2, 12))
+        model = build_model(ModelSpec(kind, hidden=hidden), dim, classes)
+        params = rng.normal(size=model.n_params)
+        features, y = _batch(rng, n * 7, dim, classes)
+        features = np.asarray(features, order=order)
+        got = model.accuracy(params, features, y)
+        assert type(got) is float
+        assert got == _accuracy_by_expression(model, params, features, y)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_accuracy_breaks_ties_at_the_first_class(kind):
+    rng = np.random.default_rng(31)
+    model = build_model(ModelSpec(kind, hidden=5), 6, 4)
+    # Small integers keep every sum exact in either orientation, so classes 1
+    # and 2, with equal weight columns and biases, tie bitwise.
+    params = rng.integers(-3, 4, size=model.n_params).astype(np.float64)
+    w_out, b_out = model.unflatten(params)[-2:]
+    w_out[:, 2], b_out[2] = w_out[:, 1], b_out[1]
+    features = rng.integers(-3, 4, size=(300, 6)).astype(np.float64)
+    logits = _logits_by_expression(model, params, features)
+    assert np.count_nonzero(logits[:, 2] == logits.max(axis=1)) > 10
+    for y in (np.full(300, 1), np.full(300, 2), rng.integers(0, 4, size=300)):
+        assert model.accuracy(params, features, y) == _accuracy_by_expression(
+            model, params, features, y
+        )
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_accuracy_on_non_finite_logits_takes_the_argmax_path(kind, monkeypatch):
+    rng = np.random.default_rng(37)
+    model = build_model(ModelSpec(kind, hidden=5), 6, 4)
+    params = rng.normal(size=model.n_params)
+    features, y = _batch(rng, 50, 6, 4)
+    features[3, 0] = np.nan
+    features[7, 1] = np.inf
+    features[9, 1:3] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        want = _accuracy_by_expression(model, params, features, y)
+        calls = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(a) or argmax(*a, **k))
+        assert model.accuracy(params, features, y) == want
+    assert calls
+
+
+def test_accuracy_counts_a_nan_row_apart_from_a_tie():
+    # Row 0's logits are NaN (no highest logit), row 1's tie: together they
+    # hold as many highest logits as there are rows.
+    model = SoftmaxRegression(2, 3)
+    params = model.flatten(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
+    features = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    y = np.array([0, 0, 2])
+    assert model.accuracy(params, features, y) == _accuracy_by_expression(
+        model, params, features, y
+    ) == 1.0
+
+
+def test_accuracy_of_an_empty_test_set_raises():
+    model = SoftmaxRegression(4, 3)
+    with pytest.raises(EmptySelection, match="empty test set"):
+        model.accuracy(np.zeros(model.n_params), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
