@@ -12,8 +12,10 @@ and the records it emits; aggregation and filtering code never sees it.
 The setup draws that do not depend on the method (data, split, clean shard,
 partition, compromised set, and every round's client batch indices) form an
 `Environment`. Each process keeps the last one it built, so consecutive runs
-that differ only in method build it, and draw their batches, once; a run's
-result does not depend on which runs came before it.
+in one process that differ only in method build it, and draw their batches,
+once; a parallel sweep hands each environment's runs to one worker, apart
+from the sweep's tail (see `harness.sweep`). A run's result does not depend
+on which runs came before it.
 
 An environment holds one feature matrix, generated once and never copied,
 and every index it holds (partitions, clean shard, batches) is a row of that
@@ -456,20 +458,26 @@ def build_environment(config: RunConfig) -> Environment:
     )
 
 
+def environment_key(config: RunConfig) -> RunConfig:
+    """What `config`'s environment depends on: the whole config with `method`
+    blanked, so runs that differ only in method share one environment, and
+    every other field, one added later included, keys it."""
+    return replace(config, method=None)
+
+
 # The one environment this process holds: (its key, the environment).
 _cached: tuple[RunConfig, Environment] | None = None
 
 
 def environment(config: RunConfig) -> Environment:
-    """`config`'s environment, from a one-entry cache per process.
+    """`config`'s environment, from a one-entry cache per process, keyed by
+    `environment_key`.
 
-    The key is the whole config with `method` blanked, so runs that differ only
-    in method share one environment, and every other field, one added later
-    included, keys it. The old entry is dropped before the new one is built,
-    so a process never holds two datasets. IDX files are read once per key.
+    The old entry is dropped before the new one is built, so a process never
+    holds two datasets. IDX files are read once per key.
     """
     global _cached
-    key = replace(config, method=None)
+    key = environment_key(config)
     if _cached is None or _cached[0] != key:
         _cached = None
         _cached = (key, build_environment(key))

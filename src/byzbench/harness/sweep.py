@@ -16,11 +16,13 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import groupby
 
-from ..flsim import RoundRecord, RunConfig, run_to_result
+from ..flsim import RoundRecord, RunConfig, environment_key, run_to_result
 from .config import ExperimentConfig, sweep_runs, to_json
 from .reporting import SummaryRow, read_summary_rows, write_round_csv, write_summary_json
 
@@ -176,6 +178,94 @@ def row_sort_key(row: SummaryRow):
     return (row.attack, row.method, row.requested_ratio, row.beta, row.seed, row.fingerprint)
 
 
+class _Lane:
+    """One worker process and the cells it holds, oldest first.
+
+    The worker runs its cells in order, so the oldest unfinished one is the
+    cell it is running.
+    """
+
+    def __init__(self):
+        self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
+        self.held: list[tuple[Future, Cell]] = []
+
+    def submit(self, cells: list[Cell]):
+        for cell in cells:
+            try:
+                future = self.pool.submit(run_cell, cell)
+            except Exception as exc:  # noqa: BLE001 - a broken pool, a worker that cannot start
+                future = Future()
+                future.set_exception(exc)
+            self.held.append((future, cell))
+
+    def release(self, count: int) -> list[Cell]:
+        """Take back up to `count` of the newest cells, those not yet started.
+
+        A cancelled cell stays listed in the pool until the worker reaches
+        it. If the worker dies first, CPython 3.11.7's pool thread fails the
+        cells before it and then prints an InvalidStateError traceback.
+        """
+        cut = len(self.held) - count
+        kept, released = self.held[:cut], []
+        for future, cell in self.held[cut:]:
+            if future.cancel():
+                released.append(cell)
+            else:
+                kept.append((future, cell))
+        self.held = kept
+        return released
+
+    def restart(self):
+        """Replace a dead worker and hand the new one every cell still held."""
+        self.pool.shutdown()
+        self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
+        cells = [cell for _, cell in self.held]
+        self.held = []
+        self.submit(cells)
+
+
+def _run_lanes(pending: list[Cell], lanes: int, record, fail):
+    """Run `pending` on `lanes` single-worker pools, one environment per worker.
+
+    The cells of one environment are adjacent in `pending`. A lane down to
+    its last cell takes the next whole group, so its queue never runs dry and
+    one worker builds that environment. Once no group is left, a lane that
+    runs dry takes the newer half of the busiest lane's cells, those of them
+    that have not started. A lane whose worker dies fails only the cell it
+    was running and restarts with the rest, so every death costs at least
+    one cell and no lane is lost.
+    """
+    grouped = groupby(pending, key=lambda cell: environment_key(cell.run_config))
+    groups = deque(list(group) for _, group in grouped)
+    running = [_Lane() for _ in range(lanes)]
+    try:
+        while True:
+            for lane in running:
+                if groups and len(lane.held) <= 1:
+                    lane.submit(groups.popleft())
+                elif not groups and not lane.held:
+                    busiest = max(running, key=lambda other: len(other.held))
+                    lane.submit(busiest.release(len(busiest.held) // 2))
+            oldest = [lane.held[0][0] for lane in running if lane.held]
+            if not oldest:
+                return
+            wait(oldest, return_when=FIRST_COMPLETED)
+            for lane in running:
+                while lane.held and lane.held[0][0].done():
+                    future, cell = lane.held.pop(0)
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:  # noqa: BLE001 - a lost cell must not kill the sweep
+                        fail(cell, exc)
+                        if isinstance(exc, BrokenProcessPool):
+                            lane.restart()
+                        continue
+                    record(*outcome)
+    finally:
+        for lane in running:
+            lane.pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(
     config: ExperimentConfig,
     out_dir: str,
@@ -190,11 +280,12 @@ def run_sweep(
     of the same config produce identical summary files. Whichever process runs
     the cells, the calling one included, gets pin_heap_thresholds first.
 
-    Cells are submitted in expansion order, where the cells of one environment
-    are adjacent, so a worker mostly reuses the environment it holds. If a
-    worker dies (killed by the OS, say), every cell the pool still held gets a
-    failed row but no cell file, so `--resume` runs it again; summary.json is
-    written all the same.
+    In parallel, each worker takes whole environment groups (`_run_lanes`),
+    so one worker builds each environment, and only the sweep's tail is split
+    across workers. If a worker dies (killed by the OS, say), the cell it was
+    running gets a failed row but no cell file, so `--resume` runs it again;
+    a fresh worker takes the cells it held, and summary.json is written all
+    the same.
     """
     cells = expand_cells(config)
     rows: dict[str, SummaryRow] = {}
@@ -212,24 +303,16 @@ def run_sweep(
         write_summary_json([row], _row_path(out_dir, row.fingerprint))
         collect(row)
 
+    def fail(cell: Cell, exc: Exception):
+        error = f"{type(exc).__name__}: {exc}"
+        collect(SummaryRow(**_labels(cell), status="failed", error=error))
+
     if parallelism <= 1 or len(pending) <= 1:
         pin_heap_thresholds()
         for cell in pending:
             record(*run_cell(cell))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism, initializer=pin_heap_thresholds) as pool:
-            futures = {pool.submit(run_cell, cell): cell for cell in pending}
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    cell = futures.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        collect(SummaryRow(**_labels(cell), status="failed", error=error))
-                        continue
-                    record(*outcome)
+        _run_lanes(pending, min(parallelism, len(pending)), record, fail)
 
     ordered = sorted(rows.values(), key=row_sort_key)
     write_summary_json(ordered, os.path.join(out_dir, "summary.json"))

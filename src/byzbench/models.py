@@ -77,9 +77,6 @@ class _DenseNet:
             outputs.append(out)
         return outputs
 
-    def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        return self._forward(self.unflatten(params), features)[-1]
-
     def loss_and_gradient(self, params, features, y) -> tuple[float | np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient on one batch or on a stack of batches.
 
@@ -112,7 +109,8 @@ class _DenseNet:
         row-major (n, C) product and its row-wise argmax. Pass `features` as
         the transpose of a C-contiguous (d, n) array, as `data.take` returns
         it; any other layout works, slower. The class-major logits may
-        differ from `logits` in the last bits, so training never reads them.
+        differ from the training forward pass's in the last bits, so training
+        never reads them.
         A row whose highest logit is tied, or that holds a NaN, is predicted
         as argmax predicts it: the first highest (or first NaN) class.
         """

@@ -780,6 +780,92 @@ def test_run_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
     assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
 
 
+
+def _count_builds(monkeypatch, tmp_path) -> Path:
+    """Log the pid of every environment build, forked workers' included."""
+    log = tmp_path / "builds.log"
+    log.touch()
+    build = flsim.build_environment
+
+    def counting(key):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return build(key)
+
+    monkeypatch.setattr(flsim, "build_environment", counting)
+    monkeypatch.setattr(flsim, "_cached", None)
+    return log
+
+
+def test_parallel_sweep_builds_each_environment_in_one_worker(tmp_path, monkeypatch):
+    log = _count_builds(monkeypatch, tmp_path)
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["none", "signflip"],
+            methods=["mean", "median", "h+gm"],
+            ratios=[0.25],
+            seeds=[0, 1, 2],
+        )
+    )
+    groups = len({flsim.environment_key(cell.run_config) for cell in expand_cells(cfg)})
+    par = run_sweep(cfg, str(tmp_path / "par"), parallelism=2)
+    assert (groups, len(par)) == (6, 18)
+    # workers sharing one queue would each build nearly every environment
+    assert len(log.read_text().split()) <= groups + 2
+    monkeypatch.setattr(flsim, "_cached", None)
+    assert _strip_wall(par) == _strip_wall(run_sweep(cfg, str(tmp_path / "seq")))
+
+
+_SIX_METHODS = ["mean", "median", "gm", "cclip", "mca", "h+gm"]
+
+
+def test_one_environment_is_split_between_the_workers(tmp_path, monkeypatch):
+    # The first worker gets the whole group; the second takes its newer half,
+    # which has not started, and builds the environment too.
+    log = _count_builds(monkeypatch, tmp_path)
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["signflip"], methods=_SIX_METHODS, ratios=[0.25], seeds=[0])
+    )
+    rows = run_sweep(cfg, str(tmp_path / "out"), parallelism=2)
+    assert len(rows) == 6 and all(row.status == "ok" for row in rows)
+    builds = log.read_text().split()
+    assert len(builds) == 2 and len(set(builds)) == 2
+
+
+def _die_on_median(cell):
+    if cell.run_config.method.label == "Median":
+        os._exit(3)
+    return run_cell(cell)
+
+
+# CPython 3.11.7's pool manager thread raises InvalidStateError when its worker
+# dies while the pool still lists futures that were cancelled (here, the
+# cells the other worker took); every other future is failed first, so the
+# sweep is unaffected and only the thread's traceback is noise.
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_dead_worker_fails_only_its_running_cell(tmp_path, monkeypatch):
+    # Median is the second cell of the only group, so the worker that dies
+    # on it still holds the third one.
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["signflip"], methods=_SIX_METHODS, ratios=[0.25], seeds=[0])
+    )
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(sweep, "run_cell", _die_on_median)
+    rows = run_sweep(cfg, out, parallelism=2)
+    assert read_summary_rows(os.path.join(out, "summary.json")) == rows
+    [lost] = [row for row in rows if row.status != "ok"]
+    assert lost.method == "Median" and lost.status == "failed"
+    assert lost.error.startswith("BrokenProcessPool")
+    assert not os.path.exists(os.path.join(out, "cells", f"{lost.fingerprint}.json"))
+    assert len(rows) == 6
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    recomputed = []
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [lost.fingerprint]
+    assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
+
+
 # ----------------------------------------------------------------------- cli
 
 

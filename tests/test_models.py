@@ -175,20 +175,6 @@ def _logits_by_expression(model, params, features):
     return np.maximum(features @ w1 + b1, 0.0) @ w2 + b2
 
 
-@pytest.mark.parametrize(
-    "model", [SoftmaxRegression(7, 4), OneHiddenMLP(7, 9, 4)], ids=["softmax", "mlp1"]
-)
-def test_logits_match_the_expression_bitwise(model):
-    rng = np.random.default_rng(23)
-    for n in (1, 30, 257):
-        params = rng.normal(size=model.n_params)
-        features = rng.normal(size=(n, model.dim))
-        got = model.logits(params, features)
-        want = _logits_by_expression(model, params, features)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 def _loss_and_gradient_by_expression(model, params, features, y):
     """Loss and gradient on an (H, B, d) stack, each layer's step a fresh array."""
     y = np.asarray(y)
@@ -231,6 +217,11 @@ def test_gradient_matches_the_expression_bitwise(kind):
         params = rng.normal(size=model.n_params)
         features = rng.normal(size=(stack, batch, dim))
         y = rng.integers(0, classes, size=(stack, batch))
+        # the training forward pass, on the stack and on one (B, d) batch
+        for x in (features, features[0]):
+            logits = model._forward(model.unflatten(params), x)[-1]
+            want = _logits_by_expression(model, params, x)
+            assert logits.shape == want.shape and logits.tobytes() == want.tobytes()
         want_loss, want_grad = _loss_and_gradient_by_expression(model, params, features, y)
         loss, grad = model.loss_and_gradient(params, features, y)
         assert loss.tobytes() == want_loss.tobytes()
