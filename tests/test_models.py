@@ -175,6 +175,22 @@ def _logits_by_expression(model, params, features):
     return np.maximum(features @ w1 + b1, 0.0) @ w2 + b2
 
 
+@pytest.mark.parametrize(
+    "model", [SoftmaxRegression(7, 4), OneHiddenMLP(7, 9, 4)], ids=["softmax", "mlp1"]
+)
+def test_logits_match_the_expression_bitwise(model):
+    # the training forward pass, on one (n, d) batch and on an (H, n, d) stack
+    rng = np.random.default_rng(23)
+    for n in (1, 30, 257):
+        params = rng.normal(size=model.n_params)
+        for shape in ((n, model.dim), (3, n, model.dim)):
+            features = rng.normal(size=shape)
+            got = model._forward(model.unflatten(params), features)[-1]
+            want = _logits_by_expression(model, params, features)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def _loss_and_gradient_by_expression(model, params, features, y):
     """Loss and gradient on an (H, B, d) stack, each layer's step a fresh array."""
     y = np.asarray(y)
@@ -217,11 +233,6 @@ def test_gradient_matches_the_expression_bitwise(kind):
         params = rng.normal(size=model.n_params)
         features = rng.normal(size=(stack, batch, dim))
         y = rng.integers(0, classes, size=(stack, batch))
-        # the training forward pass, on the stack and on one (B, d) batch
-        for x in (features, features[0]):
-            logits = model._forward(model.unflatten(params), x)[-1]
-            want = _logits_by_expression(model, params, x)
-            assert logits.shape == want.shape and logits.tobytes() == want.tobytes()
         want_loss, want_grad = _loss_and_gradient_by_expression(model, params, features, y)
         loss, grad = model.loss_and_gradient(params, features, y)
         assert loss.tobytes() == want_loss.tobytes()
