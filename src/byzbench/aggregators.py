@@ -57,6 +57,19 @@ def _coordinate_median(mat: np.ndarray) -> np.ndarray:
     return (srt[half - 1] + srt[half]) / 2.0
 
 
+# A squared distance at most this fraction of G_mm counts as landing on input
+# m: it is at the level of the round-off of the cancellation that produced
+# it. At the start (lam = 0) the distance is G_mm itself, so there the test
+# is exact: it holds only for an input equal to the weighted mean.
+_ON_POINT = 1e-14
+# Once the iterate comes within sqrt(_RECENTER) of the frame's distance to an
+# input, that distance would lose most of its digits to cancellation, so GM
+# moves the frame's origin onto that input, where distances to it are exact
+# up to rounding. Weiszfeld converges onto an input whenever the geometric
+# median is one, as it often is for a block of colluding copies.
+_RECENTER = 1e-6
+
+
 class _GramFrame:
     """The inputs seen from an origin z inside their cloud.
 
@@ -76,6 +89,9 @@ class _GramFrame:
         self.centered = mat - origin
         self.gram = self.centered @ self.centered.T
         self.diag = self.gram.diagonal().copy()
+        # GM's landing and re-centring thresholds, per input (see _ON_POINT).
+        self.on_point = _ON_POINT * self.diag
+        self.recenter = _RECENTER * self.diag
 
     def sq_dists(self, lam: np.ndarray) -> np.ndarray:
         """||g_m - c||^2 for every input m, clamped at 0."""
@@ -118,19 +134,6 @@ def aggregate_krum(vectors, assumed_byzantine: int) -> np.ndarray:
     return mat[winner].copy()
 
 
-# A squared distance at most this fraction of G_mm counts as landing on input
-# m: it is at the level of the round-off of the cancellation that produced
-# it. At the start (lam = 0) the distance is G_mm itself, so there the test
-# is exact: it holds only for an input equal to the weighted mean.
-_ON_POINT = 1e-14
-# Once the iterate comes within sqrt(_RECENTER) of the frame's distance to an
-# input, that distance would lose most of its digits to cancellation, so GM
-# moves the frame's origin onto that input, where distances to it are exact
-# up to rounding. Weiszfeld converges onto an input whenever the geometric
-# median is one, as it often is for a block of colluding copies.
-_RECENTER = 1e-6
-
-
 def aggregate_gm(
     weights,
     vectors,
@@ -162,7 +165,7 @@ def aggregate_gm(
         objective_trace.append(float(alpha @ np.sqrt(sq)))
     for _ in range(max_iter):
         work = sq
-        if (sq <= _ON_POINT * frame.diag).any():
+        if (sq <= frame.on_point).any():
             # distances to c + eps * e_0
             first = frame.centered[:, 0]
             work = np.maximum(sq - 2.0 * eps * (first - lam @ first) + eps * eps, 0.0)
@@ -172,7 +175,7 @@ def aggregate_gm(
             break
         lam = lam_next
         sq = frame.sq_dists(lam)
-        close = sq < _RECENTER * frame.diag
+        close = sq < frame.recenter
         if close.any():
             # lam sums to one, so it names the same iterate in the new frame
             frame = _GramFrame(mat, mat[int(np.argmax(close))])
@@ -208,7 +211,7 @@ def aggregate_mca(weights, vectors, tol: float = 1e-5, max_iter: int = 1000) -> 
     for _ in range(max_iter):
         sq = frame.sq_dists(lam)
         sigma = max(float(norm_alpha @ np.sqrt(sq)), 1e-12)
-        combined = alpha * np.exp(-sq / (2.0 * sigma * sigma))
+        combined = alpha * np.exp(sq / (-2.0 * sigma * sigma))
         lam_next = combined / combined.sum()
         if frame.sq_step(lam_next - lam) < tol * tol:
             return frame.point(lam_next)

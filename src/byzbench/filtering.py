@@ -12,6 +12,12 @@ With a one-hidden-layer MLP (hidden 128, dim 50, p = 7,818), 20 clients and
 a LIE attack at ratio 0.2 over 100 rounds, the geometric-median reference
 took about 23% of each H+GM round on 2 vCPUs, against 11% for the filter
 (window draw, selection and survivor average).
+
+At the headline's sizes the scoring is numpy dispatch more than arithmetic,
+so `window_scores` scores all K windows of a block of clients in one slab:
+at M = 20, K = 3, r = 50 it takes about 70 us where scoring one window at a
+time took about 125 us, and at M = 50, K * r = 6,000 about 1.1-1.3 ms where
+it took 1.7-1.9 ms (2-vCPU Xeon, numpy 2.4, bitwise equal scores).
 """
 
 from __future__ import annotations
@@ -45,21 +51,24 @@ def similarity_check(x, y) -> float:
     return float(_similarity_rows(xv, yv[None, :])[0])
 
 
-def _similarity_rows(ref_seg: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Similarity of each row of `rows` against ref_seg, in one float buffer.
+def _similarity_rows(
+    ref_seg: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Similarity of each row of `rows` (along the last axis) against ref_seg,
+    in one float buffer: `out`, which may be `rows` itself, or a fresh one.
 
     The buffer holds |row - ref| + |ref| and then the ratio in place; 0/0
     terms are divided as 0/1 and then set to 1.
     """
     num = np.abs(ref_seg)
-    ratio = np.subtract(rows, ref_seg)
+    ratio = np.subtract(rows, ref_seg, out=out)
     np.abs(ratio, out=ratio)
     ratio += num
     zero = ratio == 0.0
     np.copyto(ratio, 1.0, where=zero)
     np.divide(num, ratio, out=ratio)
     np.copyto(ratio, 1.0, where=zero)
-    return ratio.mean(axis=1)
+    return ratio.mean(axis=-1)
 
 
 def sample_windows(
@@ -77,6 +86,12 @@ def sample_windows(
     return rng.integers(0, dim - width + 1, size=passes), width
 
 
+# window_scores works on blocks of clients whose (clients, K, r) slab holds
+# about this many float64s (1 MB), so a block's slab and its masks stay in a
+# 2 MB per-core L2 cache however many clients and windows a round has.
+_SLAB_ELEMENTS = 1 << 17
+
+
 def window_scores(
     reference: np.ndarray,
     uploads: np.ndarray,
@@ -90,15 +105,28 @@ def window_scores(
     score = H(ref_w, g_w) - penalty_weight * max(||g_w||, norm_pivot / ||g_w||).
     The penalty punishes both oversized and vanishing windows; a client whose
     window is exactly zero scores -inf.
+
+    All K windows of a block of clients are copied into one (clients, K, r)
+    slab and scored together, in place, with the same per-element
+    operations and per-window reductions as scoring one window at a time, so
+    the scores are bitwise the same.
     """
-    scores = np.empty((uploads.shape[0], len(starts)))
+    n_clients, passes = uploads.shape[0], len(starts)
+    ref = np.stack([reference[start : start + width] for start in starts])
+    block = max(1, _SLAB_ELEMENTS // (passes * width))
+    slab = np.empty((min(block, n_clients), passes, width))
+    scores = np.empty((n_clients, passes))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, start in enumerate(starts):
-            seg = uploads[:, start : start + width]
-            sim = _similarity_rows(reference[start : start + width], seg)
-            norms = np.sqrt(np.einsum("ij,ij->i", seg, seg))
-            scores[:, k] = sim - penalty_weight * np.maximum(norms, norm_pivot / norms)
-            scores[norms == 0.0, k] = -np.inf
+        for lo in range(0, n_clients, block):
+            rows = uploads[lo : lo + block]
+            part = slab[: rows.shape[0]]
+            for k, start in enumerate(starts):
+                part[:, k] = rows[:, start : start + width]
+            norms = np.sqrt(np.einsum("mkr,mkr->mk", part, part))
+            sim = _similarity_rows(ref, part, out=part)
+            out = scores[lo : lo + block]
+            np.subtract(sim, penalty_weight * np.maximum(norms, norm_pivot / norms), out=out)
+            out[norms == 0.0] = -np.inf
     return scores
 
 

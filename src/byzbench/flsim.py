@@ -201,6 +201,32 @@ class TrainingProtocol:
                 raise InvalidField(name, f"{name} must be >= {low}")
         if self.min_client_size is not None and self.min_client_size < 1:
             raise InvalidField("min_client_size", "min_client_size must be >= 1")
+        if self.dataset.kind == "synthetic" and self.clients * self.min_size > self.partition_rows:
+            raise InvalidField(
+                "min_client_size",
+                f"clients ({self.clients}) x min_client_size ({self.min_size}) exceeds the "
+                f"{self.partition_rows} samples left to partition",
+            )
+
+    @property
+    def min_size(self) -> int:
+        """The fewest samples a client's partition holds: min_client_size, else 2 * batch_size."""
+        return 2 * self.batch_size if self.min_client_size is None else self.min_client_size
+
+    @property
+    def partition_rows(self) -> int:
+        """The samples a synthetic dataset's partition draws from: n minus the
+        test split minus the server shard, counted per class as the build
+        counts them."""
+        ds = self.dataset
+        shard = self.clean.fraction if self.clean is not None and self.clean.kind == "server" else 0.0
+
+        def rows(count: int) -> int:  # of one class of `count` samples
+            train = count - datamod.class_share(ds.test_fraction, count)
+            return train - datamod.class_share(shard, train)
+
+        per_class, extra = divmod(ds.n, ds.classes)  # class counts are balanced
+        return extra * rows(per_class + 1) + (ds.classes - extra) * rows(per_class)
 
 
 @dataclass(frozen=True)
@@ -408,13 +434,10 @@ def build_environment(config: RunConfig) -> Environment:
         else:
             trusted = tuple(sorted(set(config.clean.clients)))
 
-    min_size = config.min_client_size
-    if min_size is None:
-        min_size = 2 * config.batch_size
     partitions = tuple(
         rows[part]
         for part in datamod.dirichlet_partition(
-            train_labels, data.n_classes, m_clients, config.beta, min_size,
+            train_labels, data.n_classes, m_clients, config.beta, config.min_size,
             substream(seed, "partition"), exclude=shard,
         )
     )
@@ -498,6 +521,11 @@ class Simulation:
         self.attack = self._resolve_attack(config.attack)
         filtered = self.method.filtered
         self.filter_params = replace(config.filter_params, keep=config.keep) if filtered else None
+        # Where the honest gradients go in the upload matrix, and the weights
+        # of their losses in the round's train loss.
+        self.honest_rows = np.array(env.honest, dtype=np.intp)
+        honest_alpha = env.alpha[self.honest_rows]
+        self.honest_weights = honest_alpha / honest_alpha.sum()
 
     @property
     def mask(self) -> ByzantineMask:
@@ -528,17 +556,21 @@ class Simulation:
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
 
-        inputs = [(env.features[idx], env.labels[idx]) for idx in env.batches[round_index]]
+        # `take` gathers the batch rows in about half the time indexing takes.
+        features, labels = env.features, env.labels
+        inputs = [(features.take(idx, axis=0), labels[idx]) for idx in env.batches[round_index]]
         wall["batches"] = time.perf_counter() - t_start
 
         t_mark = time.perf_counter()
         results = [self.model.loss_and_gradient(self.params, x, y) for x, y in inputs]
-        losses = np.concatenate([loss for loss, _ in results])
-        honest_stack = np.concatenate([grad for _, grad in results])
+        if len(results) == 1:
+            losses, honest_stack = results[0]
+        else:
+            losses = np.concatenate([loss for loss, _ in results])
+            honest_stack = np.concatenate([grad for _, grad in results])
         uploads = np.empty((cfg.clients, self.model.n_params))
-        uploads[list(env.honest)] = honest_stack
-        honest_alpha = env.alpha[list(env.honest)]
-        train_loss = float((honest_alpha / honest_alpha.sum()) @ losses)
+        uploads[self.honest_rows] = honest_stack
+        train_loss = float(self.honest_weights @ losses)
         wall["gradients"] = time.perf_counter() - t_mark
 
         t_mark = time.perf_counter()
@@ -550,8 +582,10 @@ class Simulation:
                 cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
-            for m, payload in payloads.items():
-                uploads[m] = payload
+            ids, rows = list(payloads), list(payloads.values())
+            # The colluding attacks hand every compromised client one payload.
+            shared = all(row is rows[0] for row in rows)
+            uploads[ids] = rows[0] if shared else rows
         if not np.isfinite(uploads).all():
             raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark

@@ -72,10 +72,11 @@ class SummaryRow:
 
     max_accuracy and final_accuracy cover the evaluated rounds only, so they
     are None for a cell that evaluated none. byzantine_count and
-    realized_ratio are the compromised set the run drew, which can exceed the
-    request; keep_exceeds_honest says, for a filtered method, whether the
-    filter keeps more clients per window than there are honest ones, so that
-    it must admit attackers. All outcome fields are None for a failed cell.
+    realized_ratio are the compromised set the run drew, out of `clients`,
+    which can exceed the request; keep_exceeds_honest says, for a filtered
+    method, whether the filter keeps more clients per window than there are
+    honest ones, so that it must admit attackers. All outcome fields are None
+    for a failed cell.
     """
 
     fingerprint: str
@@ -84,6 +85,7 @@ class SummaryRow:
     requested_ratio: float
     beta: float
     seed: int
+    clients: int | None = None
     max_accuracy: float | None = None
     final_accuracy: float | None = None
     empty_intersections: int | None = None
@@ -145,9 +147,11 @@ def render_report(rows: list[SummaryRow]) -> str:
     with its cell count; the mean and range over seeds of max accuracy and
     the mean of final accuracy, failed cells excluded; for a label H+X whose
     bare X is in the section, the mean of H+X - X in max accuracy over the
-    seeds both have and the number of those seeds where H+X is higher; and
-    its failed, diverged and keep > honest cell counts. The text depends on
-    the rows, not on their order.
+    seeds both have and the number of those seeds where H+X is higher; for a
+    filtered label, the mean filter precision beside the mean honest base
+    rate 1 - B/M, the precision that keeping clients at random would get;
+    and its failed, diverged and keep > honest cell counts. The text depends
+    on the rows, not on their order.
     """
     sections: dict[tuple, dict[str, list[SummaryRow]]] = {}
     for row in sorted(
@@ -164,6 +168,8 @@ def render_report(rows: list[SummaryRow]) -> str:
         "final accuracy is the last evaluated round. Means and range are over seeds, failed",
         "cells excluded. H+X - X is the mean paired difference in max accuracy over the",
         "seeds that both methods have, and wins counts the seeds where H+X is higher.",
+        "Precision is an H+ method's mean filter precision, with in brackets the honest",
+        "base rate 1 - B/M that keeping clients at random would reach.",
     ]
     for (attack, ratio, beta), methods in sections.items():
         done = [r for group in methods.values() for r in group if r.status != "failed"]
@@ -174,8 +180,8 @@ def render_report(rows: list[SummaryRow]) -> str:
             f"## {attack}, ratio {ratio:g}, beta {beta:g}: byzantine {_span(counts, 'd')}, "
             f"realized ratio {_span(realized, '.3f')}",
             "",
-            "| method | cells | max acc | range | final acc | H+X - X | wins | flags |",
-            "|---|---:|---:|---:|---:|---:|---:|---|",
+            "| method | cells | max acc | range | final acc | H+X - X | wins | precision | flags |",
+            "|---|---:|---:|---:|---:|---:|---:|---:|---|",
         ]
         accuracy = {
             label: {
@@ -199,6 +205,12 @@ def render_report(rows: list[SummaryRow]) -> str:
                 wins = f"{sum(d > 0.0 for d in pairs)}/{len(pairs)}"
                 if pairs:
                     diff = f"{sum(pairs) / len(pairs):+.3f}"
+            precision = ""
+            scored = [r for r in group if r.mean_precision is not None and r.clients]
+            if label.startswith("H+") and scored:
+                kept = sum(r.mean_precision for r in scored) / len(scored)
+                base = sum(1.0 - r.byzantine_count / r.clients for r in scored) / len(scored)
+                precision = f"{kept:.2f} ({base:.2f})"
             flags = [
                 f"{count} {name}"
                 for name, count in (
@@ -210,6 +222,6 @@ def render_report(rows: list[SummaryRow]) -> str:
             ]
             lines.append(
                 f"| {label} | {len(group)} | {_mean(values)} | {_span(values, '.3f')} "
-                f"| {_mean(finals)} | {diff} | {wins} | {', '.join(flags)} |"
+                f"| {_mean(finals)} | {diff} | {wins} | {precision} | {', '.join(flags)} |"
             )
     return "\n".join(lines) + "\n"

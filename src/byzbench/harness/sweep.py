@@ -112,6 +112,7 @@ def _labels(cell: Cell) -> dict:
         requested_ratio=config.requested_ratio,
         beta=config.beta,
         seed=cell.seed,
+        clients=config.clients,
     )
 
 
@@ -181,47 +182,45 @@ def row_sort_key(row: SummaryRow):
 class _Lane:
     """One worker process and the cells it holds, oldest first.
 
-    The worker runs its cells in order, so the oldest unfinished one is the
-    cell it is running.
+    At most two held cells are `submitted`: the one the worker runs
+    and the next, waiting in the pool's call queue so the worker never waits
+    for the parent. The rest stay `queued` in the parent, where another lane
+    can take them without cancelling anything in the pool.
     """
 
     def __init__(self):
         self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
-        self.held: list[tuple[Future, Cell]] = []
+        self.submitted: list[tuple[Future, Cell]] = []
+        self.queued: list[Cell] = []
 
-    def submit(self, cells: list[Cell]):
-        for cell in cells:
+    @property
+    def load(self) -> int:
+        return len(self.submitted) + len(self.queued)
+
+    def top_up(self):
+        """Submit queued cells, oldest first, until two are submitted."""
+        while len(self.submitted) < 2 and self.queued:
+            cell = self.queued.pop(0)
             try:
                 future = self.pool.submit(run_cell, cell)
             except Exception as exc:  # noqa: BLE001 - a broken pool, a worker that cannot start
                 future = Future()
                 future.set_exception(exc)
-            self.held.append((future, cell))
+            self.submitted.append((future, cell))
 
     def release(self, count: int) -> list[Cell]:
-        """Take back up to `count` of the newest cells, those not yet started.
-
-        A cancelled cell stays listed in the pool until the worker reaches
-        it. If the worker dies first, CPython 3.11.7's pool thread fails the
-        cells before it and then prints an InvalidStateError traceback.
-        """
-        cut = len(self.held) - count
-        kept, released = self.held[:cut], []
-        for future, cell in self.held[cut:]:
-            if future.cancel():
-                released.append(cell)
-            else:
-                kept.append((future, cell))
-        self.held = kept
+        """Give up to `count` of the newest queued cells, oldest first."""
+        cut = max(len(self.queued) - count, 0)
+        released = self.queued[cut:]
+        del self.queued[cut:]
         return released
 
     def restart(self):
-        """Replace a dead worker and hand the new one every cell still held."""
+        """Replace a dead worker; the cells it had been handed queue again."""
         self.pool.shutdown()
         self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
-        cells = [cell for _, cell in self.held]
-        self.held = []
-        self.submit(cells)
+        self.queued[:0] = [cell for _, cell in self.submitted]
+        self.submitted = []
 
 
 def _run_lanes(pending: list[Cell], lanes: int, record, fail):
@@ -230,10 +229,10 @@ def _run_lanes(pending: list[Cell], lanes: int, record, fail):
     The cells of one environment are adjacent in `pending`. A lane down to
     its last cell takes the next whole group, so its queue never runs dry and
     one worker builds that environment. Once no group is left, a lane that
-    runs dry takes the newer half of the busiest lane's cells, those of them
-    that have not started. A lane whose worker dies fails only the cell it
-    was running and restarts with the rest, so every death costs at least
-    one cell and no lane is lost.
+    runs dry takes the newer half of the busiest lane's cells, as far as
+    they are still queued in the parent. A lane whose worker dies fails only
+    the cell it was running and restarts with the rest, so every death costs
+    at least one cell and no lane is lost.
     """
     grouped = groupby(pending, key=lambda cell: environment_key(cell.run_config))
     groups = deque(list(group) for _, group in grouped)
@@ -241,18 +240,19 @@ def _run_lanes(pending: list[Cell], lanes: int, record, fail):
     try:
         while True:
             for lane in running:
-                if groups and len(lane.held) <= 1:
-                    lane.submit(groups.popleft())
-                elif not groups and not lane.held:
-                    busiest = max(running, key=lambda other: len(other.held))
-                    lane.submit(busiest.release(len(busiest.held) // 2))
-            oldest = [lane.held[0][0] for lane in running if lane.held]
+                if groups and lane.load <= 1:
+                    lane.queued.extend(groups.popleft())
+                elif not groups and not lane.load:
+                    busiest = max(running, key=lambda other: other.load)
+                    lane.queued.extend(busiest.release(busiest.load // 2))
+                lane.top_up()
+            oldest = [lane.submitted[0][0] for lane in running if lane.submitted]
             if not oldest:
                 return
             wait(oldest, return_when=FIRST_COMPLETED)
             for lane in running:
-                while lane.held and lane.held[0][0].done():
-                    future, cell = lane.held.pop(0)
+                while lane.submitted and lane.submitted[0][0].done():
+                    future, cell = lane.submitted.pop(0)
                     try:
                         outcome = future.result()
                     except Exception as exc:  # noqa: BLE001 - a lost cell must not kill the sweep

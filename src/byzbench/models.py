@@ -20,16 +20,26 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     """Mean cross-entropy over the batch and the logit gradient (probs - onehot) / batch.
 
     logits is (H, B, C) and y is (H, B): softmax runs over the last axis, the
-    mean over the batch axis, and the loss comes back with shape (H,).
+    mean over the batch axis, and the loss comes back with shape (H,). The
+    label logits are read, and the one-hot subtracted, through one flat
+    index; the loss is np.mean's own sum and division.
     """
-    top = logits.max(axis=-1, keepdims=True)
+    batch, n_classes = y.shape[-1], logits.shape[-1]
+    label = np.arange(0, y.size * n_classes, n_classes) + y.ravel()
+    # numpy reduces a short last axis one row at a time; a class-major copy
+    # gives the row maxima in a third of the time. A maximum is exact in any
+    # order (but for the sign of a zero maximum, which changes neither
+    # exp(logits - top) nor log(total) + top), so the bits are the same.
+    top = np.ascontiguousarray(logits.reshape(-1, n_classes).T).max(axis=0)
+    top = top.reshape(*y.shape, 1)
     exp = np.exp(logits - top)
     total = exp.sum(axis=-1, keepdims=True)
     lse = (np.log(total) + top)[..., 0]
-    loss = np.mean(lse - np.take_along_axis(logits, y[..., None], axis=-1)[..., 0], axis=-1)
+    loss = np.add.reduce(lse - logits.ravel()[label].reshape(y.shape), axis=-1) / batch
     probs = exp / total
-    probs -= y[..., None] == np.arange(logits.shape[-1])
-    return loss, probs / y.shape[-1]
+    probs.ravel()[label] -= 1.0
+    probs /= batch
+    return loss, probs
 
 
 class _DenseNet:
@@ -130,7 +140,7 @@ class _DenseNet:
         hit = out == top
         # A NaN column holds no hit, so a tie elsewhere could make up its count.
         if np.count_nonzero(hit) == n and not np.isnan(top).any():
-            correct = np.count_nonzero(hit[y, np.arange(n)])
+            correct = np.count_nonzero(hit.ravel()[y * n + np.arange(n)])
         else:
             correct = np.count_nonzero(np.argmax(out, axis=0) == y)
         return float(correct / n)

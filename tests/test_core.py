@@ -26,12 +26,34 @@ def test_substream_is_reproducible():
     assert np.array_equal(a, b)
 
 
+def _purpose_words(purpose: str) -> list[int]:
+    digest = hashlib.sha256(purpose.encode()).digest()
+    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+
+
 def test_substream_matches_hand_built_seed_sequence():
-    digest = hashlib.sha256(b"batch").digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    words = _purpose_words("batch")
     for _ in range(2):  # the second call reads the memoized purpose words
         want = np.random.default_rng(np.random.SeedSequence([7, *words, 3, 5]))
         assert np.array_equal(substream(7, "batch", 3, 5).random(8), want.random(8))
+
+
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -(2**40), 2**70 + 3)
+_EDGE_INDICES = (0, 1, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 1)
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+def test_substream_keys_seed_sequence_as_the_int_list_does(seed):
+    # The int list is split into 32-bit words by SeedSequence itself; the
+    # seed is taken mod 2**64, and a round or client of 2**32 or more spans
+    # several words.
+    words = list(_purpose_words("attack"))
+    for round_index in _EDGE_INDICES:
+        for client in _EDGE_INDICES:
+            entropy = [seed & (2**64 - 1), *words, round_index, client]
+            want = np.random.default_rng(np.random.SeedSequence(entropy)).integers(0, 2**63, 4)
+            got = substream(seed, "attack", round_index, client).integers(0, 2**63, 4)
+            assert np.array_equal(got, want), (seed, round_index, client)
 
 
 def test_substream_streams_are_independent_of_draw_order():

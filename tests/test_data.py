@@ -207,6 +207,14 @@ def test_partition_infeasible_min_size():
         dirichlet_partition(ds.labels, ds.n_classes, 10, 0.6, 20, np.random.default_rng(0))
 
 
+def test_partition_that_gives_up_names_its_knobs():
+    # 4 x 25 of 100 samples fits only an exactly even split, which no draw gives.
+    ds = _dataset(n=100)
+    with pytest.raises(InfeasiblePartition) as info:
+        dirichlet_partition(ds.labels, ds.n_classes, 4, 0.6, 25, np.random.default_rng(0))
+    assert all(knob in str(info.value) for knob in ("min_client_size", "beta", "clients"))
+
+
 def test_partition_requires_every_class_present():
     labels = np.zeros(10, dtype=np.int64)
     with pytest.raises(InfeasiblePartition):

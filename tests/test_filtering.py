@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from byzbench import filtering
 from byzbench.aggregators import AggregatorSpec, aggregate_mean
 from byzbench.errors import (
     DimensionMismatch,
@@ -197,6 +198,33 @@ def test_window_scores_match_the_per_window_formula_bitwise(case):
     got = window_scores(reference, uploads, starts, width, rho, tau)
     want = _per_window_scores(reference, uploads, starts, width, rho, tau)
     assert got.shape == (uploads.shape[0], len(starts))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "clients, dim, width, passes",
+    [
+        (1, 1, 1, 1),
+        (7, 210, 50, 3),
+        (20, 7818, 50, 3),
+        (13, 300, 300, 5),
+        (40, 10_000, 2000, 4),  # 320K slab elements: clients in blocks of 16
+        (3, 100_000, 70_000, 2),  # one window row per block
+    ],
+)
+def test_window_scores_match_the_per_window_loop_in_every_block(clients, dim, width, passes):
+    assert filtering._SLAB_ELEMENTS == 1 << 17  # the sizes above are chosen against it
+    rng = np.random.default_rng(clients * dim + width)
+    reference = rng.normal(size=dim)
+    reference[rng.random(dim) < 0.2] = 0.0
+    uploads = rng.normal(size=(clients, dim)) * 10.0 ** rng.integers(-3, 4, size=(clients, 1))
+    uploads[:, rng.random(dim) < 0.1] = 0.0
+    uploads[clients // 2] = reference
+    starts, width = sample_windows(dim, width, passes, rng)
+    uploads[-1, starts[0] : starts[0] + width] = 0.0  # an all-zero window scores -inf
+    got = window_scores(reference, uploads, starts, width, 10.0, 0.1)
+    want = _per_window_scores(reference, uploads, starts, width, 10.0, 0.1)
+    assert got[-1, 0] == -np.inf
     assert got.tobytes() == want.tobytes()
 
 

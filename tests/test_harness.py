@@ -521,20 +521,22 @@ Max accuracy is the best evaluated round of a cell, so it selects on the test se
 final accuracy is the last evaluated round. Means and range are over seeds, failed
 cells excluded. H+X - X is the mean paired difference in max accuracy over the
 seeds that both methods have, and wins counts the seeds where H+X is higher.
+Precision is an H+ method's mean filter precision, with in brackets the honest
+base rate 1 - B/M that keeping clients at random would reach.
 
 ## None, ratio 0.2, beta 0.6: byzantine [0, 0], realized ratio [0.000, 0.000]
 
-| method | cells | max acc | range | final acc | H+X - X | wins | flags |
-|---|---:|---:|---:|---:|---:|---:|---|
-| Mean | 1 | 0.910 | [0.910, 0.910] | 0.900 |  |  |  |
+| method | cells | max acc | range | final acc | H+X - X | wins | precision | flags |
+|---|---:|---:|---:|---:|---:|---:|---:|---|
+| Mean | 1 | 0.910 | [0.910, 0.910] | 0.900 |  |  |  |  |
 
 ## SignFlip, ratio 0.2, beta 0.6: byzantine [2, 3], realized ratio [0.200, 0.300]
 
-| method | cells | max acc | range | final acc | H+X - X | wins | flags |
-|---|---:|---:|---:|---:|---:|---:|---|
-| GM | 3 | 0.650 | [0.600, 0.700] | 0.525 |  |  | 1 failed |
-| H+Clean data | 1 | 0.880 | [0.880, 0.880] | n/a |  |  |  |
-| H+GM | 3 | 0.767 | [0.550, 0.900] | 0.640 | +0.075 | 1/2 | 1 diverged, 1 keep>honest |
+| method | cells | max acc | range | final acc | H+X - X | wins | precision | flags |
+|---|---:|---:|---:|---:|---:|---:|---:|---|
+| GM | 3 | 0.650 | [0.600, 0.700] | 0.525 |  |  |  | 1 failed |
+| H+Clean data | 1 | 0.880 | [0.880, 0.880] | n/a |  |  |  |  |
+| H+GM | 3 | 0.767 | [0.550, 0.900] | 0.640 | +0.075 | 1/2 |  | 1 diverged, 1 keep>honest |
 """
 
 
@@ -547,6 +549,26 @@ def test_report_text_is_pinned():
     shuffled = list(_REPORT_ROWS)
     np.random.default_rng(5).shuffle(shuffled)
     assert render_report(shuffled) == _REPORT_TEXT
+
+
+def test_report_puts_precision_beside_its_base_rate():
+    # B = 3 of M = 20 clients: keeping clients at random is right 17/20 of the time.
+    lie = [
+        _report_row("H+GM", seed, 0.9, 0.9, attack="LIE", byzantine_count=3, clients=20,
+                    mean_precision=precision)
+        for seed, precision in ((0, 0.86), (1, 0.88))
+    ]
+    bare = _report_row("GM", 0, 0.9, 0.9, attack="LIE", byzantine_count=3, clients=20)
+    report = render_report([*lie, bare])
+    assert "| H+GM | 2 | 0.900 | [0.900, 0.900] | 0.900 | +0.000 | 0/1 | 0.87 (0.85) |  |" in report
+    assert "| GM | 1 | 0.900 | [0.900, 0.900] | 0.900 |  |  |  |  |" in report
+
+
+def test_summary_rows_record_the_client_count(tmp_path):
+    cfg = parse_config_dict(_sweep_dict(attacks=["signflip"], methods=["h+gm"], ratios=[0.25]))
+    [row] = run_sweep(cfg, str(tmp_path / "out"))
+    assert row.clients == 4
+    assert read_summary_rows(str(tmp_path / "out" / "summary.json")) == [row]
 
 
 # --------------------------------------------------------------------- sweep
@@ -662,12 +684,12 @@ def test_run_sweep_fltrust_reference_cell_finishes(tmp_path):
 
 
 def test_run_sweep_captures_cell_failures(tmp_path):
-    # 4 clients of at least 100 samples cannot come out of 320 training
-    # samples, which only the partition draw finds out: the cell must fail,
-    # not the sweep
+    # 4 clients of at least 80 samples fit the 320 training samples only if
+    # the Dirichlet draw splits them exactly evenly, which only the partition
+    # draw finds out: the cell must fail, not the sweep
     cfg = parse_config_dict(
         _sweep_dict(
-            attacks=["signflip"], methods=["krum"], ratios=[0.25], seeds=[0], min_client_size=100
+            attacks=["signflip"], methods=["krum"], ratios=[0.25], seeds=[0], min_client_size=80
         )
     )
     rows = run_sweep(cfg, str(tmp_path / "out"))
@@ -838,14 +860,9 @@ def _die_on_median(cell):
     return run_cell(cell)
 
 
-# CPython 3.11.7's pool manager thread raises InvalidStateError when its worker
-# dies while the pool still lists futures that were cancelled (here, the
-# cells the other worker took); every other future is failed first, so the
-# sweep is unaffected and only the thread's traceback is noise.
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_a_dead_worker_fails_only_its_running_cell(tmp_path, monkeypatch):
     # Median is the second cell of the only group, so the worker that dies
-    # on it still holds the third one.
+    # on it has been handed the third one too.
     cfg = parse_config_dict(
         _sweep_dict(attacks=["signflip"], methods=_SIX_METHODS, ratios=[0.25], seeds=[0])
     )
@@ -895,7 +912,7 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 def test_cli_run_reports_failures(tmp_path):
     path = _write_cfg(
-        tmp_path, attacks=["signflip"], methods=["krum"], ratios=[0.25], min_client_size=100
+        tmp_path, attacks=["signflip"], methods=["krum"], ratios=[0.25], min_client_size=80
     )
     assert main(["run", "--config", path, "--out", str(tmp_path / "results")]) == 2
 
@@ -905,6 +922,24 @@ def test_cli_validate_rejects_cells_that_could_never_run(tmp_path, capsys):
     path.write_text(json.dumps(_NEVER_RUNS), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error: methods[0]: ")
+
+
+def test_validate_rejects_more_client_samples_than_the_partition_has(tmp_path, capsys):
+    # 400 samples of 2 classes: the 20% test split leaves 160 of each, and a
+    # 5% server shard takes 8 of those, so 304 remain for the 4 clients.
+    shard = {"clean": {"kind": "server", "fraction": 0.05}}
+    assert parse_config_dict(_sweep_dict(min_client_size=76, **shard))
+    assert parse_config_dict(_sweep_dict(min_client_size=80))
+    with pytest.raises(ConfigError, match=r"^min_client_size: clients \(4\) x min_client_size "
+                       r"\(77\) exceeds the 304 samples left to partition"):
+        parse_config_dict(_sweep_dict(min_client_size=77, **shard))
+    # The default, 2 * batch_size = 64, for 100 clients wants 6,400 of 5,600.
+    path = tmp_path / "many.json"
+    many = dict(_sweep_dict(clients=100, batch_size=32), min_client_size=None)
+    many["dataset"] = dict(many["dataset"], n=7000)
+    path.write_text(json.dumps(many), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: min_client_size: ")
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
