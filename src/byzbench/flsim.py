@@ -102,7 +102,7 @@ class DatasetSpec:
                 raise InvalidField("separation", "separation must be positive")
             if not 0.0 < self.test_fraction < 1.0:
                 raise InvalidField("test_fraction", "test_fraction must lie in (0, 1)")
-            largest = -(-self.n // self.classes)  # class counts are balanced
+            largest = int(datamod.class_counts(self.n, self.classes)[0])
             if datamod.class_share(self.test_fraction, largest) == 0:
                 raise InvalidField(
                     "test_fraction",
@@ -216,17 +216,10 @@ class TrainingProtocol:
     @property
     def partition_rows(self) -> int:
         """The samples a synthetic dataset's partition draws from: n minus the
-        test split minus the server shard, counted per class as the build
-        counts them."""
+        test split minus the server shard."""
         ds = self.dataset
         shard = self.clean.fraction if self.clean is not None and self.clean.kind == "server" else 0.0
-
-        def rows(count: int) -> int:  # of one class of `count` samples
-            train = count - datamod.class_share(ds.test_fraction, count)
-            return train - datamod.class_share(shard, train)
-
-        per_class, extra = divmod(ds.n, ds.classes)  # class counts are balanced
-        return extra * rows(per_class + 1) + (ds.classes - extra) * rows(per_class)
+        return datamod.partition_pool_size(ds.n, ds.classes, ds.test_fraction, shard)
 
 
 @dataclass(frozen=True)
@@ -563,11 +556,7 @@ class Simulation:
 
         t_mark = time.perf_counter()
         results = [self.model.loss_and_gradient(self.params, x, y) for x, y in inputs]
-        if len(results) == 1:
-            losses, honest_stack = results[0]
-        else:
-            losses = np.concatenate([loss for loss, _ in results])
-            honest_stack = np.concatenate([grad for _, grad in results])
+        losses, honest_stack = (np.concatenate(parts) for parts in zip(*results))
         uploads = np.empty((cfg.clients, self.model.n_params))
         uploads[self.honest_rows] = honest_stack
         train_loss = float(self.honest_weights @ losses)
@@ -582,10 +571,7 @@ class Simulation:
                 cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
-            ids, rows = list(payloads), list(payloads.values())
-            # The colluding attacks hand every compromised client one payload.
-            shared = all(row is rows[0] for row in rows)
-            uploads[ids] = rows[0] if shared else rows
+            uploads[list(payloads)] = list(payloads.values())
         if not np.isfinite(uploads).all():
             raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark

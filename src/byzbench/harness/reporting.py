@@ -149,9 +149,10 @@ def render_report(rows: list[SummaryRow]) -> str:
     bare X is in the section, the mean of H+X - X in max accuracy over the
     seeds both have and the number of those seeds where H+X is higher; for a
     filtered label, the mean filter precision beside the mean honest base
-    rate 1 - B/M, the precision that keeping clients at random would get;
-    and its failed, diverged and keep > honest cell counts. The text depends
-    on the rows, not on their order.
+    rate 1 - B/M, the precision that keeping clients at random would get
+    (left out when one of the rows does not record `clients`); and its
+    failed, diverged and keep > honest cell counts. The text depends on the
+    rows, not on their order.
     """
     sections: dict[tuple, dict[str, list[SummaryRow]]] = {}
     for row in sorted(
@@ -206,8 +207,10 @@ def render_report(rows: list[SummaryRow]) -> str:
                 if pairs:
                     diff = f"{sum(pairs) / len(pairs):+.3f}"
             precision = ""
-            scored = [r for r in group if r.mean_precision is not None and r.clients]
-            if label.startswith("H+") and scored:
+            scored = [r for r in group if r.mean_precision is not None]
+            # Rows written before summary rows carried `clients` have no base
+            # rate; the column stays empty rather than average fewer cells.
+            if label.startswith("H+") and scored and all(r.clients for r in scored):
                 kept = sum(r.mean_precision for r in scored) / len(scored)
                 base = sum(1.0 - r.byzantine_count / r.clients for r in scored) / len(scored)
                 precision = f"{kept:.2f} ({base:.2f})"

@@ -156,7 +156,8 @@ def _rounds_path(out_dir: str, fingerprint: str) -> str:
 
 def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
     """Rows of cells that finished (ok or diverged) in an earlier run, keyed by
-    fingerprint; a failed cell's files are on disk too, but it runs again."""
+    fingerprint; a failed cell's files are on disk too, but it runs again.
+    A row written before rows carried `clients` gets it from its cell."""
     finished: dict[str, SummaryRow] = {}
     for cell in cells:
         row_path = _row_path(out_dir, cell.fingerprint)
@@ -171,7 +172,7 @@ def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
             and rows[0].fingerprint == cell.fingerprint
             and rows[0].status in ("ok", "diverged")
         ):
-            finished[cell.fingerprint] = rows[0]
+            finished[cell.fingerprint] = replace(rows[0], clients=cell.run_config.clients)
     return finished
 
 

@@ -415,6 +415,23 @@ def test_environment_is_keyed_on_everything_but_the_method(monkeypatch):
     assert len(builds) == 4
 
 
+@pytest.mark.parametrize(
+    "n, classes, test_fraction, clean",
+    [
+        (600, 3, 0.2, None),
+        (601, 3, 0.2, None),
+        (1003, 7, 0.15, CleanSpec("server", fraction=0.1)),
+        (997, 10, 0.33, CleanSpec("server", fraction=0.02)),
+        (50, 4, 0.5, CleanSpec("server", fraction=0.3)),
+    ],
+)
+def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fraction, clean):
+    dataset = DatasetSpec(n=n, dim=4, classes=classes, separation=4.0, test_fraction=test_fraction)
+    cfg = _cfg(dataset=dataset, clean=clean, min_client_size=1)
+    env = flsim.build_environment(cfg)
+    assert sum(part.size for part in env.partitions) == cfg.partition_rows
+
+
 def test_environment_arrays_reject_writes(monkeypatch):
     monkeypatch.setattr(flsim, "_cached", None)
     for cfg in (_cfg(clean=CleanSpec("server", fraction=0.1)), _RAGGED):

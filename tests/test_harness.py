@@ -564,6 +564,14 @@ def test_report_puts_precision_beside_its_base_rate():
     assert "| GM | 1 | 0.900 | [0.900, 0.900] | 0.900 |  |  |  |  |" in report
 
 
+def test_report_leaves_precision_out_when_a_row_lacks_the_client_count():
+    rows = [
+        _report_row("H+GM", 0, 0.9, 0.9, byzantine_count=3, clients=20, mean_precision=0.86),
+        _report_row("H+GM", 1, 0.9, 0.9, byzantine_count=3, mean_precision=0.88),
+    ]
+    assert "| H+GM | 2 | 0.900 | [0.900, 0.900] | 0.900 |  |  |  |  |" in render_report(rows)
+
+
 def test_summary_rows_record_the_client_count(tmp_path):
     cfg = parse_config_dict(_sweep_dict(attacks=["signflip"], methods=["h+gm"], ratios=[0.25]))
     [row] = run_sweep(cfg, str(tmp_path / "out"))
@@ -608,6 +616,28 @@ def test_run_sweep_resume_recomputes_only_missing(tmp_path):
     second = run_sweep(cfg, out, resume=True, progress=lambda row: recomputed.append(row))
     assert [row.fingerprint for row in recomputed] == [victim]
     assert _strip_wall(second) == _strip_wall(first)
+
+
+def test_run_sweep_resume_fills_the_client_count_of_older_rows(tmp_path):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["h+gm"], ratios=[0.25], seeds=[0])
+    )
+    out = str(tmp_path / "out")
+    first = run_sweep(cfg, out)
+    for row in first:  # cell files as written before rows carried `clients`
+        path = os.path.join(out, "cells", f"{row.fingerprint}.json")
+        with open(path, encoding="utf-8") as handle:
+            [item] = json.load(handle)
+        del item["clients"]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump([item], handle)
+
+    recomputed = []
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert recomputed == []
+    assert all(row.clients == 4 for row in resumed)
+    assert _strip_wall(resumed) == _strip_wall(first)
+    assert read_summary_rows(os.path.join(out, "summary.json")) == resumed
 
 
 def test_run_sweep_resume_retries_failed_cells(tmp_path, monkeypatch):
