@@ -7,8 +7,6 @@ per-client weight vector alpha (non-negative, normally summing to one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import as_matrix, normalized_weights, weighted_average
@@ -18,17 +16,7 @@ from .errors import (
     InvalidReference,
     MissingReference,
 )
-
-_LABELS = {
-    "mean": "Mean",
-    "median": "Median",
-    "krum": "Krum",
-    "gm": "GM",
-    "mca": "MCA",
-    "cclip": "CClip",
-    "fltrust": "FLTrust",
-}
-AGGREGATOR_KINDS = tuple(_LABELS)
+from .specs import AGGREGATOR_KINDS, AggregatorSpec  # the spec lives in `specs`, numpy-free
 
 
 def aggregate_mean(weights, vectors) -> np.ndarray:
@@ -268,40 +256,6 @@ def aggregate_fltrust(reference, vectors) -> np.ndarray:
     if total == 0.0:
         return ref.copy()
     return (trust @ rescaled) / total
-
-
-@dataclass(frozen=True)
-class AggregatorSpec:
-    """Which baseline rule to run, plus the knobs of the kinds that have them.
-
-    assumed_byzantine is Krum's f; when None, RunConfig.resolved_method fills
-    in ceil(requested_ratio * M).
-    """
-
-    kind: str
-    assumed_byzantine: int | None = field(default=None, metadata={"kinds": ("krum",)})
-    tolerance: float = field(default=1e-5, metadata={"kinds": ("gm", "mca")})
-    max_iter: int = field(default=1000, metadata={"kinds": ("gm", "mca")})
-    clip_radius: float = field(default=10.0, metadata={"kinds": ("cclip",)})
-    clip_iters: int = field(default=3, metadata={"kinds": ("cclip",)})
-
-    def __post_init__(self):
-        if self.kind not in AGGREGATOR_KINDS:
-            raise InvalidField("kind", f"unknown aggregator kind {self.kind!r}")
-        if self.tolerance <= 0.0:
-            raise InvalidField("tolerance", "tolerance must be positive")
-        if self.max_iter < 1:
-            raise InvalidField("max_iter", "max_iter must be at least 1")
-        if self.clip_radius <= 0.0:
-            raise InvalidField("clip_radius", "clip_radius must be positive")
-        if self.clip_iters < 1:
-            raise InvalidField("clip_iters", "clip_iters must be at least 1")
-        if self.assumed_byzantine is not None and self.assumed_byzantine < 0:
-            raise InvalidField("assumed_byzantine", "assumed_byzantine must be non-negative")
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self.kind]
 
 
 def aggregate(spec: AggregatorSpec, weights, vectors, *, center=None, reference=None) -> np.ndarray:

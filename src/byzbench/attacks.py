@@ -8,22 +8,13 @@ independent noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .core import as_matrix
-from .errors import InsufficientClients, InvalidField, InvalidRatio
-
-_LABELS = {
-    "gaussian": "Gaussian",
-    "signflip": "SignFlip",
-    "lie": "LIE",
-    "foe": "FoE",
-    "negated_mean": "NegatedMean",
-}
-ATTACK_KINDS = tuple(_LABELS)
+from .errors import InsufficientClients, InvalidRatio
+from .specs import ATTACK_KINDS, AttackSpec  # the spec lives in `specs`, numpy-free
 
 
 def attack_gaussian(dim: int, variance: float, rng: np.random.Generator) -> np.ndarray:
@@ -69,31 +60,6 @@ def attack_negated_mean(honest, n_clients: int, n_byzantine: int) -> np.ndarray:
         raise InvalidRatio(f"need M > B, got M={n_clients} B={n_byzantine}")
     mat = as_matrix(honest)
     return -(np.sum(mat, axis=0) / (n_clients - n_byzantine))
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Which attack to run, plus the knobs of the kinds that have them.
-
-    foe_scale None is resolved per run, once the method and the compromised
-    count B the run drew are known: -3 * (M - B) against a correntropy-style
-    (MCA) victim, -0.1 otherwise (see flsim.Simulation).
-    """
-
-    kind: str
-    variance: float = field(default=90.0, metadata={"kinds": ("gaussian",)})
-    lie_offset: float = field(default=0.7, metadata={"key": "offset", "kinds": ("lie",)})
-    foe_scale: float | None = field(default=None, metadata={"key": "scale", "kinds": ("foe",)})
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise InvalidField("kind", f"unknown attack kind {self.kind!r}")
-        if self.variance <= 0.0:
-            raise InvalidField("variance", "variance must be positive")
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self.kind]
 
 
 def byzantine_payloads(

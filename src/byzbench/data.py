@@ -10,6 +10,9 @@ import numpy as np
 
 from .errors import EmptySelection, FormatError, InfeasiblePartition
 
+# The integer rules a config is validated by live in `specs`, numpy-free.
+from .specs import class_counts, class_share, partition_pool_size
+
 _MAX_PARTITION_ATTEMPTS = 10000
 _TAKE_BLOCK = 256
 
@@ -98,33 +101,6 @@ def synth_classification(
         features[lo:hi] += centers[c]
     order = rng.permutation(n)
     return LabeledDataset(features, labels.astype(np.int64), n_classes), order
-
-
-def class_counts(n: int, n_classes: int) -> np.ndarray:
-    """Per-class sample counts of a synthetic data set: balanced within one
-    sample, the first n % n_classes classes one larger."""
-    counts = np.full(n_classes, n // n_classes)
-    counts[: n % n_classes] += 1
-    return counts
-
-
-def class_share(fraction: float, count: int) -> int:
-    """How many of a class's `count` samples a holdout or shard `fraction` takes."""
-    return int(fraction * count + 0.5)
-
-
-def partition_pool_size(
-    n: int, n_classes: int, test_fraction: float, shard_fraction: float = 0.0
-) -> int:
-    """How many samples `dirichlet_partition` draws from in a synthetic data
-    set of n: per class, the count less its `stratified_holdout` test share,
-    less the `carve_clean_shard` share of what stays (shard_fraction 0 when
-    there is no server shard)."""
-    pool = 0
-    for count in class_counts(n, n_classes).tolist():
-        train = count - class_share(test_fraction, count)
-        pool += train - class_share(shard_fraction, train)
-    return pool
 
 
 def stratified_holdout(

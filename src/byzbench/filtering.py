@@ -22,7 +22,7 @@ it took 1.7-1.9 ms (2-vCPU Xeon, numpy 2.4, bitwise equal scores).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,11 @@ from .aggregators import AggregatorSpec, aggregate
 from .core import as_matrix, weighted_average
 from .errors import (
     DimensionMismatch,
-    InvalidField,
     InvalidReference,
     InvalidSelectionSize,
     MissingReference,
 )
+from .specs import FilterParams  # the spec lives in `specs`, numpy-free
 
 
 def similarity_check(x, y) -> float:
@@ -156,34 +156,6 @@ def build_reference(
         ids = list(trusted)
         return weighted_average(w[ids], mat[ids])
     return aggregate(base, w, mat, center=center, reference=clean_gradient)
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Filter hyperparameters.
-
-    passes: number of windows (K). segment_len: window width (r). keep: clients
-    kept per window (N); None lets RunConfig.keep default it to M - ceil(C * M).
-    penalty_weight and norm_pivot shape the norm penalty (rho, tau).
-    """
-
-    passes: int = field(default=3, metadata={"key": "K"})
-    segment_len: int = field(default=50, metadata={"key": "r"})
-    keep: int | None = field(default=None, metadata={"key": "N"})
-    penalty_weight: float = field(default=10.0, metadata={"key": "rho"})
-    norm_pivot: float = field(default=0.1, metadata={"key": "tau"})
-
-    def __post_init__(self):
-        if self.passes < 1:
-            raise InvalidField("passes", "passes must be >= 1")
-        if self.segment_len < 1:
-            raise InvalidField("segment_len", "segment_len must be >= 1")
-        if self.keep is not None and self.keep < 1:
-            raise InvalidField("keep", f"keep={self.keep} must be >= 1")
-        if self.penalty_weight < 0.0:
-            raise InvalidField("penalty_weight", "penalty_weight must be >= 0")
-        if self.norm_pivot <= 0.0:
-            raise InvalidField("norm_pivot", "norm_pivot must be > 0")
 
 
 def select_clients(

@@ -1,7 +1,9 @@
 """`byzbench` command line: run sweeps, validate configs, report results.
 
 Exit codes for `run`: 0 when every cell finished (ok or diverged), 2 when any
-cell failed, 1 on config errors. `validate` and `report` use 0/1.
+cell failed, 1 on config errors or a `--resume` refused. `validate` and
+`report` use 0/1. Only `run` loads numpy and the engine; `validate`, `report`
+and `--version` do not.
 """
 
 from __future__ import annotations
@@ -11,17 +13,32 @@ import os
 import sys
 
 from ..errors import ByzBenchError, ConfigError
-from .config import parse_config
-from .reporting import read_summary_rows, render_report
-from .sweep import expand_cells, run_sweep
+from .config import expand_cells, parse_config
+from .reporting import provenance, read_summary_rows, render_report
 
 ENV_OUT = "BYZ_BENCH_OUT"
+
+
+class _Version(argparse.Action):
+    """--version: the versions and source hash that a run's manifest.json
+    records, computed only when asked."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print("\n".join(f"{key} {value}" for key, value in provenance().items()))
+        parser.exit()
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="byzbench",
         description="Deterministic federated-learning robustness sweeps.",
+    )
+    parser.add_argument(
+        "--version", action=_Version,
+        help="print the byzbench, Python and numpy versions and the source hash",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -51,6 +68,8 @@ def _resolve_out_dir(cli_out: str | None, config_out: str | None) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .sweep import run_sweep  # loads numpy and the engine, which only `run` needs
+
     config = parse_config(args.config)
     out_dir = _resolve_out_dir(args.out, config.out_dir)
 

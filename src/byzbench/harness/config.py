@@ -16,27 +16,47 @@ walks these tables:
 
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
-object that carries its base aggregator's knobs) and the sweep's Cartesian
-product of RunConfigs, which check the rules that relate a run's fields.
+object that carries its base aggregator's knobs), the check that an IDX
+dataset's files exist, and the sweep's Cartesian product of RunConfigs, which
+check the rules that relate a run's fields, expanded into fingerprinted cells.
+
+Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
+the sha256 of its RunConfig's canonical `to_json` form, with the master seed
+as `seed`. The fingerprint names the cell's output files and keys resume, so
+key order / whitespace in the source config cannot matter. The run's seed
+hashes the same description minus the method: cells that differ only in
+method are paired, with the same data, partition, compromised set, batches
+and attack noise, so their rows compare methods and nothing else.
+
+This module loads no numpy and no engine module (the specs come from
+`byzbench.specs`), so `byzbench validate` loads neither.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import os
 import types
 import typing
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..aggregators import AggregatorSpec
-from ..attacks import AttackSpec
 from ..errors import ConfigError, InvalidField, IoError
-from ..filtering import FilterParams
-from ..flsim import MethodSpec, RunConfig, TrainingProtocol
+from ..specs import (
+    AggregatorSpec,
+    AttackSpec,
+    DatasetSpec,
+    FilterParams,
+    MethodSpec,
+    RunConfig,
+    TrainingProtocol,
+)
+
+_SEED_SPACE = 2**31 - 1
 
 _KIND_ALIASES = {"mlp": "mlp1", "negated-mean": "negated_mean"}
 
@@ -254,7 +274,58 @@ def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[tuple[RunConfig, lis
         ]
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One resolved point of the sweep's Cartesian product.
+
+    `seed` is the sweep's master seed; run_config.seed is the cell's own.
+    """
+
+    fingerprint: str
+    seed: int
+    run_config: RunConfig
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def cell_fingerprint(description: dict) -> str:
+    return hashlib.sha256(_canonical(description).encode()).hexdigest()
+
+
+def _cell_seed(master_seed: int, fingerprint: str) -> int:
+    digest = hashlib.sha256(f"{master_seed}:{fingerprint}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") % _SEED_SPACE
+
+
+def expand_cells(config: ExperimentConfig) -> list[Cell]:
+    """The sweep's cells (`sweep_runs`), deduplicated by fingerprint.
+
+    Controls collapse to one cell per (method, beta, seed) no matter how many
+    ratios are swept. Method is the innermost axis, so the cells that share an
+    environment (all but the method equal) come out next to each other.
+    """
+    cells: dict[str, Cell] = {}
+    for environment, runs in sweep_runs(config, config.seeds):
+        cell_seed = _cell_seed(environment.seed, cell_fingerprint(to_json(environment)))
+        for run in runs:
+            fingerprint = cell_fingerprint(to_json(run))
+            if fingerprint not in cells:
+                cells[fingerprint] = Cell(fingerprint, run.seed, replace(run, seed=cell_seed))
+    return list(cells.values())
+
+
 # ---------------------------------------------------------------- entry points
+
+
+def _check_idx_files(dataset: DatasetSpec):
+    """Each file of an IDX dataset exists, its path taken as `run` opens it:
+    relative to the working directory."""
+    for f, key, _ in _table(DatasetSpec):
+        path = getattr(dataset, f.name)
+        if "kinds" in f.metadata and _belongs(f, dataset) and not os.path.isfile(path):
+            raise ConfigError(f"dataset.{key}", f"no such file {path!r}")
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:
@@ -272,6 +343,8 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
                 f"methods[{j}]", f"label {method.label!r} already used by methods[{i}]"
             )
     list(sweep_runs(config, config.seeds[:1]))  # builds, and so checks, each run
+    if config.dataset.kind == "idx":
+        _check_idx_files(config.dataset)
     return config
 
 

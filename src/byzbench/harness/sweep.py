@@ -1,80 +1,39 @@
-"""Sweep orchestration: expand a config into cells, run them, persist rows.
+"""Sweep orchestration: run a config's cells, persist rows.
 
-Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
-the sha256 of its RunConfig's canonical `to_json` form, with the master seed
-as `seed`. The fingerprint names the cell's output files and keys resume, so
-key order / whitespace in the source config cannot matter. The run's seed
-hashes the same description minus the method: cells that differ only in
-method are paired, with the same data, partition, compromised set, batches
-and attack noise, so their rows compare methods and nothing else.
+`harness.config` expands a sweep into fingerprinted cells (`expand_cells`);
+this module runs them, in this process or in worker processes, and writes
+every output file.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import json
 import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import groupby
 
-from ..flsim import RoundRecord, RunConfig, environment_key, run_to_result
-from .config import ExperimentConfig, sweep_runs, to_json
-from .reporting import SummaryRow, read_summary_rows, write_round_csv, write_summary_json
-
-_SEED_SPACE = 2**31 - 1
+from ..flsim import RoundRecord, environment_key, run_to_result
+# cell_fingerprint is looked up here too.
+from .config import Cell, ExperimentConfig, cell_fingerprint, expand_cells  # noqa: F401
+from .reporting import (
+    SummaryRow,
+    check_manifest,
+    provenance,
+    read_summary_rows,
+    write_manifest,
+    write_round_csv,
+    write_summary_json,
+)
 
 # glibc mallopt parameters, and the size from which an allocation always gets
 # its own mapping.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _OWN_MAPPING_BYTES = 4 << 20
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One resolved point of the sweep's Cartesian product.
-
-    `seed` is the sweep's master seed; run_config.seed is the cell's own.
-    """
-
-    fingerprint: str
-    seed: int
-    run_config: RunConfig
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def cell_fingerprint(description: dict) -> str:
-    return hashlib.sha256(_canonical(description).encode()).hexdigest()
-
-
-def _cell_seed(master_seed: int, fingerprint: str) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{fingerprint}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % _SEED_SPACE
-
-
-def expand_cells(config: ExperimentConfig) -> list[Cell]:
-    """The sweep's cells (`sweep_runs`), deduplicated by fingerprint.
-
-    Controls collapse to one cell per (method, beta, seed) no matter how many
-    ratios are swept. Method is the innermost axis, so the cells that share an
-    environment (all but the method equal) come out next to each other.
-    """
-    cells: dict[str, Cell] = {}
-    for environment, runs in sweep_runs(config, config.seeds):
-        cell_seed = _cell_seed(environment.seed, cell_fingerprint(to_json(environment)))
-        for run in runs:
-            fingerprint = cell_fingerprint(to_json(run))
-            if fingerprint not in cells:
-                cells[fingerprint] = Cell(fingerprint, run.seed, replace(run, seed=cell_seed))
-    return list(cells.values())
 
 
 # ------------------------------------------------------------------ execution
@@ -287,11 +246,19 @@ def run_sweep(
     running gets a failed row but no cell file, so `--resume` runs it again;
     a fresh worker takes the cells it held, and summary.json is written all
     the same.
+
+    manifest.json, written before any cell runs, names the code and the numpy
+    that fill the directory. `resume` refuses a directory whose manifest names
+    other sources or another numpy, before it runs a cell; a directory without
+    one (written before manifests were) resumes and gets one.
     """
     cells = expand_cells(config)
+    manifest = provenance()
     rows: dict[str, SummaryRow] = {}
     if resume:
+        check_manifest(out_dir, manifest)
         rows.update(_load_finished(out_dir, cells))
+    write_manifest(out_dir, manifest)
     pending = [cell for cell in cells if cell.fingerprint not in rows]
 
     def collect(row: SummaryRow):

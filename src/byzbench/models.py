@@ -8,12 +8,12 @@ keeps simulated training deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySelection, InvalidField
+from .errors import DimensionMismatch, EmptySelection
+from .specs import ModelSpec  # the spec lives in `specs`, numpy-free
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,18 +180,6 @@ class OneHiddenMLP(_DenseNet):
     # benchmarks/tracing.py wraps these two in each model class's own __dict__.
     loss_and_gradient = _DenseNet.loss_and_gradient
     accuracy = _DenseNet.accuracy
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str = "softmax"
-    hidden: int = field(default=32, metadata={"kinds": ("mlp1",)})
-
-    def __post_init__(self):
-        if self.kind not in ("softmax", "mlp1"):
-            raise InvalidField("kind", f"unknown model kind {self.kind!r}")
-        if self.hidden < 1:
-            raise InvalidField("hidden", "hidden width must be >= 1")
 
 
 def build_model(spec: ModelSpec, dim: int, n_classes: int):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from byzbench import flsim
-from byzbench.errors import ConfigError, FormatError, IoError
+from byzbench.errors import ConfigError, FormatError, IoError, StaleOutputs
 from byzbench.flsim import RoundRecord, ceil_ratio, run_to_result
 from byzbench.harness import sweep
 from byzbench.harness.cli import main
@@ -24,6 +24,7 @@ from byzbench.harness.config import (
 )
 from byzbench.harness.reporting import (
     ROUND_COLUMNS,
+    provenance,
     read_summary_rows,
     render_report,
     write_round_csv,
@@ -225,6 +226,22 @@ def test_config_rejects_an_empty_test_split():
     tiny = dict(_SMALL, dataset={"kind": "synthetic", "n": 20, "dim": 3, "classes": 10})
     with pytest.raises(ConfigError, match=r"^dataset\.test_fraction: .* empty test split"):
         parse_config_dict(tiny)
+
+
+def test_config_rejects_a_missing_idx_file(tmp_path, monkeypatch):
+    # `run` opens the files relative to the working directory, and so does the check.
+    monkeypatch.chdir(tmp_path)
+    for name in ("train-images", "train-labels", "test-images"):
+        (tmp_path / name).write_bytes(b"")
+    dataset = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
+               "test_images": "test-images", "test_labels": "test-labels"}
+    with pytest.raises(ConfigError, match=r"^dataset\.test_labels: no such file 'test-labels'"):
+        parse_config_dict(_sweep_dict(dataset=dataset))
+    (tmp_path / "test-labels").write_bytes(b"")
+    assert parse_config_dict(_sweep_dict(dataset=dataset)).dataset.kind == "idx"
+    dataset["train_images"] = "nope/train-images"
+    with pytest.raises(ConfigError, match=r"^dataset\.train_images: no such file"):
+        parse_config_dict(_sweep_dict(dataset=dataset))
 
 
 def test_config_rejects_methods_that_share_a_label():
@@ -662,6 +679,62 @@ def test_run_sweep_resume_retries_failed_cells(tmp_path, monkeypatch):
     resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
     assert [row.fingerprint for row in recomputed] == [failed.fingerprint]
     assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
+
+
+def _manifest(out: str) -> dict:
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_run_sweep_writes_a_manifest_of_the_code_and_numpy(tmp_path):
+    cfg = parse_config_dict(_sweep_dict(methods=["mean"], rounds=1))
+    out = str(tmp_path / "out")
+    run_sweep(cfg, out)
+    manifest = _manifest(out)
+    assert manifest == provenance()
+    assert set(manifest) == {"byzbench", "python", "numpy", "sources"}
+    assert manifest["numpy"] == np.__version__
+    assert re.fullmatch(r"[0-9a-f]{64}", manifest["sources"])
+
+
+@pytest.mark.parametrize("key", ["sources", "numpy"])
+def test_resume_refuses_outputs_of_other_code(tmp_path, monkeypatch, capsys, key):
+    path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25], methods=["mean"])
+    out = str(tmp_path / "out")
+    first = run_sweep(parse_config(path), out)
+    stale = dict(_manifest(out), **{key: "0123abcd"})
+    Path(out, "manifest.json").write_text(json.dumps(stale), encoding="utf-8")
+    os.remove(os.path.join(out, "cells", f"{first[0].fingerprint}.json"))
+
+    def never(cell):
+        raise AssertionError("a refused resume ran a cell")
+
+    monkeypatch.setattr(sweep, "run_cell", never)
+    with pytest.raises(StaleOutputs, match=f"{key} 0123abcd.*{key} {provenance()[key]}"):
+        run_sweep(parse_config(path), out, resume=True)
+    assert main(["run", "--config", path, "--out", out, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0123abcd" in err and provenance()[key] in err
+    assert _manifest(out) == stale  # the directory is left as it was
+
+
+def test_resume_of_a_directory_without_a_manifest_adds_one(tmp_path):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25])
+    )
+    out = str(tmp_path / "out")
+    first = run_sweep(cfg, out)
+    os.remove(os.path.join(out, "manifest.json"))  # as written before manifests were
+    victim = first[0].fingerprint
+    os.remove(os.path.join(out, "cells", f"{victim}.json"))
+
+    recomputed = []
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [victim]
+    assert _strip_wall(resumed) == _strip_wall(first)
+    assert _manifest(out) == provenance()
+    # and a resume by the same code is accepted
+    assert _strip_wall(run_sweep(cfg, out, resume=True)) == _strip_wall(first)
 
 
 class _Mallinfo2(ctypes.Structure):
