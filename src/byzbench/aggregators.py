@@ -16,7 +16,8 @@ from .errors import (
     InvalidReference,
     MissingReference,
 )
-from .specs import AGGREGATOR_KINDS, AggregatorSpec  # the spec lives in `specs`, numpy-free
+# AGGREGATOR_KINDS is unused here; benchmarks/micro.py reads it from this module.
+from .specs import AGGREGATOR_KINDS, AggregatorSpec
 
 
 def aggregate_mean(weights, vectors) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import as_matrix
 from .errors import InsufficientClients, InvalidRatio
-from .specs import ATTACK_KINDS, AttackSpec  # the spec lives in `specs`, numpy-free
+from .specs import AttackSpec
 
 
 def attack_gaussian(dim: int, variance: float, rng: np.random.Generator) -> np.ndarray:

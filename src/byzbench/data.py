@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,8 +9,8 @@ import numpy as np
 
 from .errors import EmptySelection, FormatError, InfeasiblePartition
 
-# The integer rules a config is validated by live in `specs`, numpy-free.
-from .specs import class_counts, class_share, partition_pool_size
+# Shared with config validation, which loads no numpy.
+from .specs import class_counts, class_share, idx_counts
 
 _MAX_PARTITION_ATTEMPTS = 10000
 _TAKE_BLOCK = 256
@@ -194,39 +193,20 @@ def dirichlet_partition(
     )
 
 
-_IMAGES_MAGIC = 0x00000803
-_LABELS_MAGIC = 0x00000801
-
-
-def _read_exact(buf: bytes, offset: int, count: int, path: Path) -> bytes:
-    if offset + count > len(buf):
-        raise FormatError(f"{path}: truncated, wanted {offset + count} bytes, have {len(buf)}")
-    return buf[offset : offset + count]
-
-
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an IDX image/label file pair (big-endian, MNIST-style layout).
 
     Pixels are scaled to [0, 1] floats and flattened row-major; labels stay
     integers. Bad magic numbers, mismatched counts, or truncated payloads
-    raise FormatError.
+    raise FormatError (`idx_counts`, which `validate` runs too).
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    img_buf = images_path.read_bytes()
-    magic, n_images, rows, cols = struct.unpack(">IIII", _read_exact(img_buf, 0, 16, images_path))
-    if magic != _IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}")
+    n_images, rows, cols = idx_counts(images_path, "image")
+    idx_counts(labels_path, "label", n_images)
     pixels = np.frombuffer(
-        _read_exact(img_buf, 16, n_images * rows * cols, images_path), dtype=np.uint8
+        images_path.read_bytes(), dtype=np.uint8, count=n_images * rows * cols, offset=16
     )
-
-    lbl_buf = labels_path.read_bytes()
-    magic, n_labels = struct.unpack(">II", _read_exact(lbl_buf, 0, 8, labels_path))
-    if magic != _LABELS_MAGIC:
-        raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
-    if n_labels != n_images:
-        raise FormatError(f"{labels_path}: {n_labels} labels for {n_images} images")
-    labels = np.frombuffer(_read_exact(lbl_buf, 8, n_labels, labels_path), dtype=np.uint8)
+    labels = np.frombuffer(labels_path.read_bytes(), dtype=np.uint8, count=n_images, offset=8)
 
     features = pixels.astype(np.float64).reshape(n_images, rows * cols)
     features /= 255.0  # in place: the same quotients without a second float copy

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate
+from .aggregators import aggregate
 from .core import as_matrix, weighted_average
 from .errors import (
     DimensionMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     InvalidSelectionSize,
     MissingReference,
 )
-from .specs import FilterParams  # the spec lives in `specs`, numpy-free
+from .specs import AggregatorSpec, FilterParams
 
 
 def similarity_check(x, y) -> float:

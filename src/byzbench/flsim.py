@@ -30,7 +30,7 @@ the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,25 +38,13 @@ import numpy as np
 from . import data as datamod
 from .aggregators import aggregate
 from .attacks import byzantine_payloads
-from .core import ByzantineMask, select_byzantine_set, substream, weighted_average
+from .core import ByzantineMask, select_byzantine_set, substream
 from .errors import ConfigError, DivergenceDetected, InsufficientClients
 from .filtering import build_reference, filter_and_aggregate
 from .models import build_model
 
-# The specs live in `specs`, which loads no numpy; they are exposed here too.
-from .specs import (
-    AggregatorSpec,
-    AttackSpec,
-    CleanSpec,
-    DatasetSpec,
-    FilterParams,
-    LRSchedule,
-    MethodSpec,
-    ModelSpec,
-    RunConfig,
-    TrainingProtocol,
-    ceil_ratio,
-)
+# CleanSpec and MethodSpec are unused here: tests/test_acceptance.py reads them.
+from .specs import CleanSpec, MethodSpec, RunConfig
 
 
 @dataclass
@@ -246,26 +234,19 @@ def build_environment(config: RunConfig) -> Environment:
     )
 
 
-def environment_key(config: RunConfig) -> RunConfig:
-    """What `config`'s environment depends on: the whole config with `method`
-    blanked, so runs that differ only in method share one environment, and
-    every other field, one added later included, keys it."""
-    return replace(config, method=None)
-
-
 # The one environment this process holds: (its key, the environment).
 _cached: tuple[RunConfig, Environment] | None = None
 
 
 def environment(config: RunConfig) -> Environment:
     """`config`'s environment, from a one-entry cache per process, keyed by
-    `environment_key`.
+    `RunConfig.environment_key`.
 
     The old entry is dropped before the new one is built, so a process never
     holds two datasets. IDX files are read once per key.
     """
     global _cached
-    key = environment_key(config)
+    key = config.environment_key
     if _cached is None or _cached[0] != key:
         _cached = None
         _cached = (key, build_environment(key))
@@ -283,9 +264,8 @@ class Simulation:
         self.prev_aggregate = np.zeros(self.model.n_params)
 
         self.method = config.resolved_method
-        self.attack = self._resolve_attack(config.attack)
-        filtered = self.method.filtered
-        self.filter_params = replace(config.filter_params, keep=config.keep) if filtered else None
+        self.attack = config.resolved_attack(env.mask.count)
+        self.filter_params = config.resolved_filter_params
         # Where the honest gradients go in the upload matrix, and the weights
         # of their losses in the round's train loss.
         self.honest_rows = np.array(env.honest, dtype=np.intp)
@@ -296,15 +276,6 @@ class Simulation:
     def mask(self) -> ByzantineMask:
         """The environment's compromised set, as `tests/test_acceptance.py` reads it."""
         return self.env.mask
-
-    def _resolve_attack(self, attack: AttackSpec | None) -> AttackSpec | None:
-        if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
-            return attack
-        base = self.method.base
-        victim_is_correntropy = base is not None and base.kind == "mca"
-        honest = self.config.clients - self.env.mask.count
-        scale = -3.0 * honest if victim_is_correntropy else -0.1
-        return replace(attack, foe_scale=scale)
 
     # ------------------------------------------------------------------ round
 

@@ -17,8 +17,9 @@ walks these tables:
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
 object that carries its base aggregator's knobs), the check that an IDX
-dataset's files exist, and the sweep's Cartesian product of RunConfigs, which
-check the rules that relate a run's fields, expanded into fingerprinted cells.
+dataset's files exist and hold what their headers promise, and the sweep's
+Cartesian product of RunConfigs, which check the rules that relate a run's
+fields, expanded into fingerprinted cells.
 
 Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
 the sha256 of its RunConfig's canonical `to_json` form, with the master seed
@@ -45,7 +46,7 @@ import typing
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
-from ..errors import ConfigError, InvalidField, IoError
+from ..errors import ConfigError, FormatError, InvalidField, IoError
 from ..specs import (
     AggregatorSpec,
     AttackSpec,
@@ -54,6 +55,7 @@ from ..specs import (
     MethodSpec,
     RunConfig,
     TrainingProtocol,
+    idx_counts,
 )
 
 _SEED_SPACE = 2**31 - 1
@@ -256,19 +258,19 @@ def _run_config(fields: dict, paths: dict) -> RunConfig:
         raise ConfigError(paths.get(exc.field, exc.field), str(exc)) from exc
 
 
-def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[tuple[RunConfig, list[RunConfig]]]:
-    """The sweep's Cartesian product at `seeds`: each environment's RunConfig
-    (method None) and the RunConfigs of its methods, in config order. A "none"
-    attack is a control, whose requested ratio is forced to 0. An error of a
-    field that no axis or section renames ("clean.clients[1]") keeps its path."""
+def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[list[RunConfig]]:
+    """The sweep's Cartesian product at `seeds`: per environment, the RunConfigs
+    of its methods, in config order. A "none" attack is a control, whose
+    requested ratio is forced to 0. An error of a field that no axis or section
+    renames ("clean.clients[1]") keeps its path."""
     shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
-    shared.update(method=None, filter_params=config.hplus)
+    shared.update(filter_params=config.hplus)
     axes = (config.attacks, enumerate(config.ratios), enumerate(config.betas), seeds)
     for attack, (j, ratio), (k, beta), seed in itertools.product(*axes):
         ratio = ratio if attack is not None else 0.0
         fields = dict(shared, beta=beta, requested_ratio=ratio, attack=attack, seed=seed)
         paths = dict(requested_ratio=f"ratios[{j}]", beta=f"beta[{k}]", filter_params="hplus.N")
-        yield _run_config(fields, paths), [
+        yield [
             _run_config(dict(fields, method=method), dict(paths, method=f"methods[{i}]"))
             for i, method in enumerate(config.methods)
         ]
@@ -307,7 +309,8 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
     environment (all but the method equal) come out next to each other.
     """
     cells: dict[str, Cell] = {}
-    for environment, runs in sweep_runs(config, config.seeds):
+    for runs in sweep_runs(config, config.seeds):
+        environment = runs[0].environment_key
         cell_seed = _cell_seed(environment.seed, cell_fingerprint(to_json(environment)))
         for run in runs:
             fingerprint = cell_fingerprint(to_json(run))
@@ -320,12 +323,21 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 
 
 def _check_idx_files(dataset: DatasetSpec):
-    """Each file of an IDX dataset exists, its path taken as `run` opens it:
-    relative to the working directory."""
+    """Each file of an IDX dataset exists, its path taken as `run` opens it
+    (relative to the working directory), and holds what its header promises,
+    a split's labels one per image. Only the headers are read (`idx_counts`)."""
     for f, key, _ in _table(DatasetSpec):
         path = getattr(dataset, f.name)
         if "kinds" in f.metadata and _belongs(f, dataset) and not os.path.isfile(path):
             raise ConfigError(f"dataset.{key}", f"no such file {path!r}")
+    for split in ("train", "test"):
+        n_images = None
+        for kind in ("image", "label"):
+            name = f"{split}_{kind}s"  # an IDX field's JSON key is its name
+            try:
+                n_images = idx_counts(getattr(dataset, name), kind, n_images)[0]
+            except (OSError, FormatError) as exc:
+                raise ConfigError(f"dataset.{name}", str(exc)) from exc
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:

@@ -119,14 +119,18 @@ def write_summary_json(rows: list[SummaryRow], path: str):
     _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
-def read_summary_rows(path: str) -> list[SummaryRow]:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise IoError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_summary_rows(path: str) -> list[SummaryRow]:
+    payload = _read_json(path)
     if not isinstance(payload, list):
         raise FormatError(f"{path}: expected a top-level array")
     try:
@@ -184,17 +188,19 @@ def write_manifest(out_dir: str, manifest: dict[str, str]):
 
 def check_manifest(out_dir: str, manifest: dict[str, str]):
     """Raise StaleOutputs if `out_dir`'s manifest names other sources or another
-    numpy than `manifest`. A directory without a manifest passes."""
+    numpy than `manifest`, or if `out_dir` holds cell files (`cells/`) but no
+    manifest, as code older than manifests left it. A missing or empty
+    directory passes."""
     path = _manifest_path(out_dir)
     if not os.path.exists(path):
+        cells = os.path.join(out_dir, "cells")
+        if os.path.isdir(cells) and os.listdir(cells):
+            raise StaleOutputs(
+                f"{out_dir} holds cell files but no manifest.json, so code older than "
+                "manifests wrote it. Run without --resume or into another --out"
+            )
         return
-    try:
-        with open(path, encoding="utf-8") as handle:
-            found = json.load(handle)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    found = _read_json(path)
     if not isinstance(found, dict):
         raise FormatError(f"{path}: expected an object")
     differ = [key for key in ("sources", "numpy") if found.get(key) != manifest[key]]

@@ -13,12 +13,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from itertools import groupby
 
-from ..flsim import RoundRecord, environment_key, run_to_result
-# cell_fingerprint is looked up here too.
-from .config import Cell, ExperimentConfig, cell_fingerprint, expand_cells  # noqa: F401
+from ..flsim import RoundRecord, run_to_result
+from .config import Cell, ExperimentConfig, expand_cells
 from .reporting import (
     SummaryRow,
     check_manifest,
@@ -75,15 +73,19 @@ def _labels(cell: Cell) -> dict:
     )
 
 
+def _failed_row(cell: Cell, exc: Exception, wall_ms: float | None = None) -> SummaryRow:
+    """The row of a cell that raised `exc`, or that a dead worker took with it."""
+    error = f"{type(exc).__name__}: {exc}"
+    return SummaryRow(**_labels(cell), wall_ms=wall_ms, status="failed", error=error)
+
+
 def run_cell(cell: Cell) -> tuple[SummaryRow, list[RoundRecord]]:
     """Execute one cell; never raises, failures land in the row's status."""
     start = time.perf_counter()
     try:
         result = run_to_result(cell.run_config)
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        wall_ms = 1000.0 * (time.perf_counter() - start)
-        error = f"{type(exc).__name__}: {exc}"
-        return SummaryRow(**_labels(cell), wall_ms=wall_ms, status="failed", error=error), []
+        return _failed_row(cell, exc, 1000.0 * (time.perf_counter() - start)), []
     wall_ms = 1000.0 * (time.perf_counter() - start)
     config, records = cell.run_config, result.records
     honest = config.clients - result.byzantine.count
@@ -115,8 +117,8 @@ def _rounds_path(out_dir: str, fingerprint: str) -> str:
 
 def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
     """Rows of cells that finished (ok or diverged) in an earlier run, keyed by
-    fingerprint; a failed cell's files are on disk too, but it runs again.
-    A row written before rows carried `clients` gets it from its cell."""
+    fingerprint; a failed cell's files are on disk too, but it runs again, and
+    so does a cell whose row does not carry its cell's `clients`."""
     finished: dict[str, SummaryRow] = {}
     for cell in cells:
         row_path = _row_path(out_dir, cell.fingerprint)
@@ -130,8 +132,9 @@ def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
             len(rows) == 1
             and rows[0].fingerprint == cell.fingerprint
             and rows[0].status in ("ok", "diverged")
+            and rows[0].clients == cell.run_config.clients
         ):
-            finished[cell.fingerprint] = replace(rows[0], clients=cell.run_config.clients)
+            finished[cell.fingerprint] = rows[0]
     return finished
 
 
@@ -194,7 +197,7 @@ def _run_lanes(pending: list[Cell], lanes: int, record, fail):
     the cell it was running and restarts with the rest, so every death costs
     at least one cell and no lane is lost.
     """
-    grouped = groupby(pending, key=lambda cell: environment_key(cell.run_config))
+    grouped = groupby(pending, key=lambda cell: cell.run_config.environment_key)
     groups = deque(list(group) for _, group in grouped)
     running = [_Lane() for _ in range(lanes)]
     try:
@@ -248,9 +251,10 @@ def run_sweep(
     the same.
 
     manifest.json, written before any cell runs, names the code and the numpy
-    that fill the directory. `resume` refuses a directory whose manifest names
-    other sources or another numpy, before it runs a cell; a directory without
-    one (written before manifests were) resumes and gets one.
+    that fill the directory. `resume` refuses, before it runs a cell, a
+    directory whose manifest names other sources or another numpy, and one
+    that holds cell files but no manifest (written before manifests were, so
+    by other code); a missing or empty directory resumes and gets one.
     """
     cells = expand_cells(config)
     manifest = provenance()
@@ -272,8 +276,7 @@ def run_sweep(
         collect(row)
 
     def fail(cell: Cell, exc: Exception):
-        error = f"{type(exc).__name__}: {exc}"
-        collect(SummaryRow(**_labels(cell), status="failed", error=error))
+        collect(_failed_row(cell, exc))
 
     if parallelism <= 1 or len(pending) <= 1:
         pin_heap_thresholds()

@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
-from .specs import ModelSpec  # the spec lives in `specs`, numpy-free
+from .specs import ModelSpec
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,18 +7,22 @@ puts them together and checks every rule that relates its fields. Each
 field's metadata gives its JSON key when that differs from its name, and the
 kinds it belongs to (see `harness.config`).
 
+The per-run rules live here too: the defaults a run fills in (N, Krum's f,
+FoE's scale) and what its environment depends on (`environment_key`).
+
 This module imports nothing but the standard library and `errors`, so that
-parsing and validating a config loads no numpy and no engine module. The
-engine modules import their specs from here and expose them under the same
-names.
+parsing and validating a config, IDX headers included, loads no numpy and no
+engine module. Import specs from here; the engine modules keep only the
+aliases that `tests/test_acceptance.py` and `benchmarks/micro.py` read.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidField
+from .errors import FormatError, InvalidField
 
 
 def ceil_ratio(ratio: float, count: int) -> int:
@@ -119,7 +123,7 @@ class AttackSpec:
 
     foe_scale None is resolved per run, once the method and the compromised
     count B the run drew are known: -3 * (M - B) against a correntropy-style
-    (MCA) victim, -0.1 otherwise (see flsim.Simulation).
+    (MCA) victim, -0.1 otherwise (see RunConfig.resolved_attack).
     """
 
     kind: str
@@ -196,6 +200,35 @@ class LRSchedule:
 
     def rate(self, round_index: int) -> float:
         return self.eta0 / (self.decay * round_index + 1.0)
+
+
+# Per IDX file kind: its magic number and its header's length in bytes.
+_IDX_HEADERS = {"image": (0x00000803, 16), "label": (0x00000801, 8)}
+
+
+def idx_counts(path, kind: str, n_images: int | None = None) -> tuple[int, ...]:
+    """The counts in the header of IDX file `path` (big-endian, MNIST-style):
+    (n, rows, cols) for kind "image", (n,) for kind "label".
+
+    Reads the header alone. Raises FormatError unless the magic number is
+    `kind`'s, a label file holds `n_images` labels (when given), and the file
+    is as long as its header and the uint8 payload the header promises.
+    """
+    expected_magic, head = _IDX_HEADERS[kind]
+    with open(path, "rb") as handle:
+        buf = handle.read(head)
+        size = os.fstat(handle.fileno()).st_size
+    if len(buf) < head:
+        raise FormatError(f"{path}: truncated, wanted {head} bytes, have {size}")
+    magic, *counts = (int.from_bytes(buf[i : i + 4], "big") for i in range(0, head, 4))
+    if magic != expected_magic:
+        raise FormatError(f"{path}: bad {kind} magic 0x{magic:08x}")
+    if n_images is not None and counts[0] != n_images:
+        raise FormatError(f"{path}: {counts[0]} labels for {n_images} images")
+    wanted = head + math.prod(counts)
+    if size < wanted:
+        raise FormatError(f"{path}: truncated, wanted {wanted} bytes, have {size}")
+    return tuple(counts)
 
 
 _SYNTHETIC = {"kinds": ("synthetic",)}
@@ -353,9 +386,11 @@ class RunConfig(TrainingProtocol):
     """Full declarative description of one training run.
 
     With `method` None it describes no run but the environment that the runs
-    differing from it only in method share (see `flsim.environment`). It
+    differing from it only in method share (see `environment_key`). It
     checks every rule that relates its fields, so a run fails only on what its
-    drawn environment alone shows (an infeasible partition, say).
+    drawn environment alone shows (an infeasible partition, say), and fills
+    in the defaults: N (`keep`), Krum's f (`resolved_method`) and FoE's scale
+    (`resolved_attack`).
     """
 
     beta: float = 0.6
@@ -411,3 +446,26 @@ class RunConfig(TrainingProtocol):
         if base is None or base.kind != "krum" or base.assumed_byzantine is not None:
             return self.method
         return replace(self.method, base=replace(base, assumed_byzantine=self.default_byzantine))
+
+    @property
+    def resolved_filter_params(self) -> FilterParams | None:
+        """`filter_params` with N set (`keep`) for a filtered method, else None."""
+        return replace(self.filter_params, keep=self.keep) if self.method.filtered else None
+
+    def resolved_attack(self, byzantine: int) -> AttackSpec | None:
+        """`attack` with FoE's scale set: as given, else -3 * (M - B) against an
+        MCA victim and -0.1 otherwise, B the `byzantine` count the run drew."""
+        attack = self.attack
+        if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
+            return attack
+        base = self.method.base
+        victim_is_correntropy = base is not None and base.kind == "mca"
+        scale = -3.0 * (self.clients - byzantine) if victim_is_correntropy else -0.1
+        return replace(attack, foe_scale=scale)
+
+    @property
+    def environment_key(self) -> RunConfig:
+        """What this run's environment depends on: the whole config with `method`
+        blanked, so runs that differ only in method share one environment, and
+        every other field, one added later included, keys it."""
+        return replace(self, method=None)

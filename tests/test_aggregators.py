@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzbench.aggregators import (
-    AggregatorSpec,
     aggregate,
     aggregate_cclip,
     aggregate_fltrust,
@@ -26,6 +25,7 @@ from byzbench.errors import (
     InvalidReference,
     MissingReference,
 )
+from byzbench.specs import AggregatorSpec
 
 
 def _unit_weights(m: int) -> np.ndarray:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from byzbench.attacks import (
-    AttackSpec,
     attack_foe,
     attack_gaussian,
     attack_lie,
@@ -13,6 +12,7 @@ from byzbench.attacks import (
     byzantine_payloads,
 )
 from byzbench.errors import EmptySelection, InsufficientClients, InvalidRatio
+from byzbench.specs import AttackSpec
 
 
 # ------------------------------------------------------------------- gaussian

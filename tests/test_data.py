@@ -330,3 +330,24 @@ def test_idx_truncated_pixels(tmp_path):
     images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(3))
     with pytest.raises(FormatError):
         load_idx(images, labels)
+
+
+def test_idx_errors_name_the_file_and_the_fault(tmp_path):
+    def error(image_bytes: bytes, label_bytes: bytes) -> str:
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(image_bytes)
+        labels.write_bytes(label_bytes)
+        with pytest.raises(FormatError) as info:
+            load_idx(str(images), str(labels))
+        return str(info.value).replace(f"{tmp_path}/", "")
+
+    image_head, label_head = struct.pack(">IIII", 0x803, 2, 2, 2), struct.pack(">II", 0x801, 2)
+    assert error(b"", label_head) == "images.idx: truncated, wanted 16 bytes, have 0"
+    bad_magic = struct.pack(">IIII", 0xDEAD, 2, 2, 2)
+    assert error(bad_magic, b"") == "images.idx: bad image magic 0x0000dead"
+    assert error(image_head + bytes(7), b"") == "images.idx: truncated, wanted 24 bytes, have 23"
+    image = image_head + bytes(8)
+    assert error(image, label_head[:7]) == "labels.idx: truncated, wanted 8 bytes, have 7"
+    assert error(image, image) == "labels.idx: bad label magic 0x00000803"
+    assert error(image, struct.pack(">II", 0x801, 3)) == "labels.idx: 3 labels for 2 images"
+    assert error(image, label_head + bytes(1)) == "labels.idx: truncated, wanted 10 bytes, have 9"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from byzbench import filtering
-from byzbench.aggregators import AggregatorSpec, aggregate_mean
+from byzbench.aggregators import aggregate_mean
 from byzbench.errors import (
     DimensionMismatch,
     InvalidField,
@@ -19,7 +19,6 @@ from byzbench.errors import (
     MissingReference,
 )
 from byzbench.filtering import (
-    FilterParams,
     build_reference,
     filter_and_aggregate,
     sample_windows,
@@ -27,6 +26,7 @@ from byzbench.filtering import (
     similarity_check,
     window_scores,
 )
+from byzbench.specs import AggregatorSpec, FilterParams
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vectors = hnp.arrays(np.float64, st.integers(1, 12), elements=finite)

@@ -12,22 +12,21 @@ import pytest
 
 from byzbench import data as datamod
 from byzbench import filtering, flsim
-from byzbench.aggregators import AggregatorSpec
-from byzbench.attacks import AttackSpec
+from byzbench.core import substream
 from byzbench.errors import InvalidField
-from byzbench.filtering import FilterParams
-from byzbench.models import ModelSpec
-from byzbench.flsim import (
+from byzbench.flsim import Simulation, run_to_result
+from byzbench.specs import (
+    AggregatorSpec,
+    AttackSpec,
     CleanSpec,
     DatasetSpec,
+    FilterParams,
     LRSchedule,
     MethodSpec,
+    ModelSpec,
     RunConfig,
-    Simulation,
     ceil_ratio,
-    run_to_result,
 )
-from byzbench.core import substream
 
 
 def _cfg(**overrides) -> RunConfig:

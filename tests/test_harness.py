@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,20 @@ import pytest
 
 from byzbench import flsim
 from byzbench.errors import ConfigError, FormatError, IoError, StaleOutputs
-from byzbench.flsim import RoundRecord, ceil_ratio, run_to_result
+from byzbench.flsim import RoundRecord, run_to_result
 from byzbench.harness import sweep
 from byzbench.harness.cli import main
 from byzbench.harness.config import (
     ExperimentConfig,
+    cell_fingerprint,
+    expand_cells,
     parse_config,
     parse_config_dict,
     to_json,
 )
 from byzbench.harness.reporting import (
     ROUND_COLUMNS,
+    SummaryRow,
     provenance,
     read_summary_rows,
     render_report,
@@ -31,14 +35,12 @@ from byzbench.harness.reporting import (
     write_summary_json,
 )
 from byzbench.harness.sweep import (
-    SummaryRow,
-    cell_fingerprint,
-    expand_cells,
     pin_heap_thresholds,
     row_sort_key,
     run_cell,
     run_sweep,
 )
+from byzbench.specs import ceil_ratio
 
 _SMALL = {
     "dataset": {"kind": "synthetic", "n": 400, "dim": 6, "classes": 2, "separation": 4.0},
@@ -237,11 +239,71 @@ def test_config_rejects_a_missing_idx_file(tmp_path, monkeypatch):
                "test_images": "test-images", "test_labels": "test-labels"}
     with pytest.raises(ConfigError, match=r"^dataset\.test_labels: no such file 'test-labels'"):
         parse_config_dict(_sweep_dict(dataset=dataset))
-    (tmp_path / "test-labels").write_bytes(b"")
+    for split in ("train", "test"):
+        _write_idx_split(tmp_path, split)
     assert parse_config_dict(_sweep_dict(dataset=dataset)).dataset.kind == "idx"
     dataset["train_images"] = "nope/train-images"
     with pytest.raises(ConfigError, match=r"^dataset\.train_images: no such file"):
         parse_config_dict(_sweep_dict(dataset=dataset))
+
+
+_IDX_DATASET = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
+                "test_images": "test-images", "test_labels": "test-labels"}
+
+
+def _write_idx_split(directory: Path, split: str, images: int = 3, labels: int | None = None):
+    """An IDX pair of `images` 2x2 images and `labels` labels (as many by default)."""
+    labels = images if labels is None else labels
+    (directory / f"{split}-images").write_bytes(
+        struct.pack(">IIII", 0x803, images, 2, 2) + bytes(4 * images)
+    )
+    (directory / f"{split}-labels").write_bytes(
+        struct.pack(">II", 0x801, labels) + bytes(i % 2 for i in range(labels))
+    )
+
+
+def _truncate(path: Path, by: int = 1):
+    path.write_bytes(path.read_bytes()[:-by])
+
+
+def test_validate_reads_the_idx_headers(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the dataset paths are relative, as `run` takes them
+    path = _write_cfg(tmp_path, dataset=_IDX_DATASET)
+
+    def refused() -> str:
+        assert main(["validate", "--config", path]) == 1
+        return capsys.readouterr().err
+
+    for name in _IDX_DATASET.values():
+        if name != "idx":
+            (tmp_path / name).write_bytes(b"")
+    assert refused() == (
+        "config error: dataset.train_images: train-images: truncated, wanted 16 bytes, have 0\n"
+    )
+    _write_idx_split(tmp_path, "train")
+    assert refused() == (
+        "config error: dataset.test_images: test-images: truncated, wanted 16 bytes, have 0\n"
+    )
+    _write_idx_split(tmp_path, "test")
+    assert main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().out == f"{path}: ok (1 cells)\n"
+
+    _truncate(tmp_path / "test-images")  # a pixel short
+    assert refused() == (
+        "config error: dataset.test_images: test-images: truncated, wanted 28 bytes, have 27\n"
+    )
+    _write_idx_split(tmp_path, "test")
+    _truncate(tmp_path / "test-labels")  # a label short
+    assert refused() == (
+        "config error: dataset.test_labels: test-labels: truncated, wanted 11 bytes, have 10\n"
+    )
+    _write_idx_split(tmp_path, "train", labels=2)
+    assert refused() == "config error: dataset.train_labels: train-labels: 2 labels for 3 images\n"
+    _write_idx_split(tmp_path, "train")
+    (tmp_path / "train-labels").write_bytes((tmp_path / "train-images").read_bytes())
+    assert refused() == (
+        "config error: dataset.train_labels: train-labels: bad label magic 0x00000803\n"
+    )
 
 
 def test_config_rejects_methods_that_share_a_label():
@@ -635,23 +697,24 @@ def test_run_sweep_resume_recomputes_only_missing(tmp_path):
     assert _strip_wall(second) == _strip_wall(first)
 
 
-def test_run_sweep_resume_fills_the_client_count_of_older_rows(tmp_path):
+def test_run_sweep_resume_reruns_a_row_without_its_cell_client_count(tmp_path):
     cfg = parse_config_dict(
         _sweep_dict(attacks=["none", "signflip"], methods=["h+gm"], ratios=[0.25], seeds=[0])
     )
     out = str(tmp_path / "out")
     first = run_sweep(cfg, out)
-    for row in first:  # cell files as written before rows carried `clients`
+    # one row as written before rows carried `clients`, one with another count
+    for row, clients in zip(first, (None, 5)):
         path = os.path.join(out, "cells", f"{row.fingerprint}.json")
         with open(path, encoding="utf-8") as handle:
             [item] = json.load(handle)
-        del item["clients"]
+        item["clients"] = clients
         with open(path, "w", encoding="utf-8") as handle:
             json.dump([item], handle)
 
     recomputed = []
     resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
-    assert recomputed == []
+    assert [row.fingerprint for row in recomputed] == [row.fingerprint for row in first]
     assert all(row.clients == 4 for row in resumed)
     assert _strip_wall(resumed) == _strip_wall(first)
     assert read_summary_rows(os.path.join(out, "summary.json")) == resumed
@@ -718,23 +781,31 @@ def test_resume_refuses_outputs_of_other_code(tmp_path, monkeypatch, capsys, key
     assert _manifest(out) == stale  # the directory is left as it was
 
 
-def test_resume_of_a_directory_without_a_manifest_adds_one(tmp_path):
-    cfg = parse_config_dict(
-        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25])
-    )
+def test_resume_of_a_directory_without_a_manifest_adds_one(tmp_path, monkeypatch, capsys):
+    path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25], methods=["mean"])
+    cfg = parse_config(path)
+    # A missing and an empty directory resume into a whole sweep and get a manifest.
     out = str(tmp_path / "out")
-    first = run_sweep(cfg, out)
-    os.remove(os.path.join(out, "manifest.json"))  # as written before manifests were
-    victim = first[0].fingerprint
-    os.remove(os.path.join(out, "cells", f"{victim}.json"))
-
-    recomputed = []
-    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
-    assert [row.fingerprint for row in recomputed] == [victim]
-    assert _strip_wall(resumed) == _strip_wall(first)
-    assert _manifest(out) == provenance()
+    first = run_sweep(cfg, out, resume=True)
+    os.makedirs(tmp_path / "empty")
+    assert _strip_wall(run_sweep(cfg, str(tmp_path / "empty"), resume=True)) == _strip_wall(first)
+    assert _manifest(out) == _manifest(str(tmp_path / "empty")) == provenance()
     # and a resume by the same code is accepted
     assert _strip_wall(run_sweep(cfg, out, resume=True)) == _strip_wall(first)
+
+    # Cell files without a manifest were written before manifests were, so by other code.
+    os.remove(os.path.join(out, "manifest.json"))
+    os.remove(os.path.join(out, "cells", f"{first[0].fingerprint}.json"))
+
+    def never(cell):
+        raise AssertionError("a refused resume ran a cell")
+
+    monkeypatch.setattr(sweep, "run_cell", never)
+    with pytest.raises(StaleOutputs, match="holds cell files but no manifest.json"):
+        run_sweep(cfg, out, resume=True)
+    assert main(["run", "--config", path, "--out", out, "--resume"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out} holds cell files but no manifest")
+    assert not os.path.exists(os.path.join(out, "manifest.json"))  # left as it was
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -932,7 +1003,7 @@ def test_parallel_sweep_builds_each_environment_in_one_worker(tmp_path, monkeypa
             seeds=[0, 1, 2],
         )
     )
-    groups = len({flsim.environment_key(cell.run_config) for cell in expand_cells(cfg)})
+    groups = len({cell.run_config.environment_key for cell in expand_cells(cfg)})
     par = run_sweep(cfg, str(tmp_path / "par"), parallelism=2)
     assert (groups, len(par)) == (6, 18)
     # workers sharing one queue would each build nearly every environment

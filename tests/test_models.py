@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from byzbench.errors import DimensionMismatch, EmptySelection
-from byzbench.models import ModelSpec, OneHiddenMLP, SoftmaxRegression, build_model
+from byzbench.models import OneHiddenMLP, SoftmaxRegression, build_model
+from byzbench.specs import ModelSpec
 
 
 def _batch(rng, n, d, classes):
