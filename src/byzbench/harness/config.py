@@ -10,14 +10,16 @@ walks these tables:
 - parsing checks each value's type (a bool is not an integer), rejects unknown
   keys and keys that do not belong to the spec's kind with their dotted path
   ("hplus.Q", "attacks[1].scale"), builds the dataclass, and reports what its
-  `__post_init__` rejects as a ConfigError at that field's path;
+  `__post_init__` rejects (a value outside its field's declared range, say)
+  as a ConfigError at that field's path, or that item's ("beta[1]");
 - `to_json` writes a spec back: the set fields that belong to its kind, which
   parse back equal. Cell fingerprints hash this form too.
 
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
 object that carries its base aggregator's knobs), the check that an IDX
-dataset's files exist and hold what their headers promise, and the sweep's
+dataset's files exist, hold what their headers promise and label enough
+samples to partition, and the sweep's
 Cartesian product of RunConfigs, which check the rules that relate a run's
 fields, expanded into fingerprinted cells.
 
@@ -72,8 +74,9 @@ _METHOD_ALIASES = {
 class ExperimentConfig(TrainingProtocol):
     """A parsed sweep: the shared training protocol plus the Cartesian axes."""
 
-    betas: tuple[float, ...] = field(default=(0.6,), metadata={"key": "beta"})
-    ratios: tuple[float, ...] = (0.0,)
+    betas: tuple[float, ...] = field(default=(0.6,), metadata={"key": "beta", "gt": 0.0})
+    # A control forces its ratio to 0, so no RunConfig would check this one.
+    ratios: tuple[float, ...] = field(default=(0.0,), metadata={"ge": 0.0, "lt": 1.0})
     attacks: tuple[AttackSpec | None, ...] = (None,)
     methods: tuple[MethodSpec, ...] = (MethodSpec(base=AggregatorSpec("mean")),)
     hplus: FilterParams = FilterParams()
@@ -157,8 +160,10 @@ def _decode(cls, obj, path: str, **given):
     try:
         spec = cls(**values)
     except InvalidField as exc:
-        key = next(key for key, (f, _) in table.items() if f.name == exc.field)
-        raise ConfigError(_join(path, key), str(exc)) from exc
+        # A tuple item's error names the field and the index: "clients[1]".
+        name, bracket, index = exc.field.partition("[")
+        key = next(key for key, (f, _) in table.items() if f.name == name)
+        raise ConfigError(_join(path, key) + bracket + index, str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(path or "config", str(exc)) from exc
     for key in obj:
@@ -265,11 +270,11 @@ def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[list[RunConfig]]:
     renames ("clean.clients[1]") keeps its path."""
     shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
     shared.update(filter_params=config.hplus)
-    axes = (config.attacks, enumerate(config.ratios), enumerate(config.betas), seeds)
-    for attack, (j, ratio), (k, beta), seed in itertools.product(*axes):
+    axes = (config.attacks, enumerate(config.ratios), config.betas, seeds)
+    for attack, (j, ratio), beta, seed in itertools.product(*axes):
         ratio = ratio if attack is not None else 0.0
         fields = dict(shared, beta=beta, requested_ratio=ratio, attack=attack, seed=seed)
-        paths = dict(requested_ratio=f"ratios[{j}]", beta=f"beta[{k}]", filter_params="hplus.N")
+        paths = dict(requested_ratio=f"ratios[{j}]", filter_params="hplus.N")
         yield [
             _run_config(dict(fields, method=method), dict(paths, method=f"methods[{i}]"))
             for i, method in enumerate(config.methods)
@@ -322,10 +327,14 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 # ---------------------------------------------------------------- entry points
 
 
-def _check_idx_files(dataset: DatasetSpec):
+def _check_idx_files(config: ExperimentConfig):
     """Each file of an IDX dataset exists, its path taken as `run` opens it
     (relative to the working directory), and holds what its header promises,
-    a split's labels one per image. Only the headers are read (`idx_counts`)."""
+    a split's labels one per image (`idx_counts` reads the headers). Then the
+    train labels, counted per class, must leave a server shard a sample,
+    clients x min_size samples to partition, and every label from 0 to the
+    highest one of them (`TrainingProtocol.partition_pools`)."""
+    dataset = config.dataset
     for f, key, _ in _table(DatasetSpec):
         path = getattr(dataset, f.name)
         if "kinds" in f.metadata and _belongs(f, dataset) and not os.path.isfile(path):
@@ -338,15 +347,20 @@ def _check_idx_files(dataset: DatasetSpec):
                 n_images = idx_counts(getattr(dataset, name), kind, n_images)[0]
             except (OSError, FormatError) as exc:
                 raise ConfigError(f"dataset.{name}", str(exc)) from exc
+        if split == "train":
+            with open(dataset.train_labels, "rb") as handle:
+                labels = handle.read(8 + n_images)[8:]  # a byte per label after the header
+    train_counts = [labels.count(label) for label in range(max(labels, default=-1) + 1)]
+    try:
+        config.partition_pools(train_counts)
+    except InvalidField as exc:
+        path = "dataset.train_labels" if exc.field == "dataset" else exc.field
+        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:
     """Parse a sweep and check one seed's runs: the rules never read the seed."""
     config = _decode(ExperimentConfig, obj, "")
-    # A control forces its ratio to 0, so no RunConfig would see this one.
-    for i, ratio in enumerate(config.ratios):
-        if not 0.0 <= ratio < 1.0:
-            raise ConfigError(f"ratios[{i}]", "must lie in [0, 1)")
     # Rows, the report and the H+X - X pairing key on the label.
     for j, method in enumerate(config.methods):
         i = next(i for i, other in enumerate(config.methods) if other.label == method.label)
@@ -356,7 +370,7 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
             )
     list(sweep_runs(config, config.seeds[:1]))  # builds, and so checks, each run
     if config.dataset.kind == "idx":
-        _check_idx_files(config.dataset)
+        _check_idx_files(config)
     return config
 
 

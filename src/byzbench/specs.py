@@ -4,8 +4,12 @@ A spec is a frozen dataclass that describes one part of a run: the dataset,
 the model, the attack, the aggregator, the method, the filter's knobs (K, r,
 N, rho, tau), the clean data and the learning-rate schedule. `RunConfig`
 puts them together and checks every rule that relates its fields. Each
-field's metadata gives its JSON key when that differs from its name, and the
-kinds it belongs to (see `harness.config`).
+field's metadata gives its JSON key when that differs from its name, the
+kinds it belongs to (see `harness.config`), and its range: the `choices` of a
+string, the limits `gt`, `ge` and `lt` of a number or of each item of a
+tuple. Every spec checks each of its fields against its range on
+construction (`_Spec`), whatever the spec's kind; a float must also be
+finite unless its metadata allows `infinite`, so NaN fails every field.
 
 The per-run rules live here too: the defaults a run fills in (N, Krum's f,
 FoE's scale) and what its environment depends on (`environment_key`).
@@ -18,9 +22,11 @@ aliases that `tests/test_acceptance.py` and `benchmarks/micro.py` read.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import FormatError, InvalidField
 
@@ -44,18 +50,53 @@ def class_share(fraction: float, count: int) -> int:
     return int(fraction * count + 0.5)
 
 
-def partition_pool_size(
-    n: int, n_classes: int, test_fraction: float, shard_fraction: float = 0.0
-) -> int:
-    """How many samples `dirichlet_partition` draws from in a synthetic data
-    set of n: per class, the count less its `stratified_holdout` test share,
-    less the `carve_clean_shard` share of what stays (shard_fraction 0 when
-    there is no server shard)."""
-    pool = 0
-    for count in class_counts(n, n_classes):
-        train = count - class_share(test_fraction, count)
-        pool += train - class_share(shard_fraction, train)
-    return pool
+# ------------------------------------------------------------ field ranges
+
+
+_LIMITS = (("gt", operator.gt, ">"), ("ge", operator.ge, ">="), ("lt", operator.lt, "<"))
+
+
+@functools.cache
+def _field_ranges(cls) -> tuple:
+    """(name, (choices, limits as (test, bound) pairs, whether it may be
+    infinite, the limits as text)) for each field of spec class `cls` that
+    declares a range or may hold a float. Cached, since `validate` builds
+    every RunConfig of a sweep."""
+    ranges = []
+    for f in fields(cls):
+        meta = f.metadata
+        limits = tuple((test, meta[key]) for key, test, _ in _LIMITS if key in meta)
+        # f.type is the annotation, a string such as "float | None" here.
+        if limits or "choices" in meta or "float" in str(f.type):
+            text = " and ".join(f"{sign} {meta[key]:g}" for key, _, sign in _LIMITS if key in meta)
+            ranges.append((f.name, (meta.get("choices"), limits, meta.get("infinite", False), text)))
+    return tuple(ranges)
+
+
+def _check_field(name: str, value, choices, limits, infinite: bool, text: str):
+    if value is None:  # a default filled in per run: N, Krum's f, FoE's scale
+        return
+    if choices is not None and value not in choices:
+        raise InvalidField(name, f"unknown {name} {value!r}: expected one of {', '.join(choices)}")
+    if isinstance(value, float) and not (infinite or math.isfinite(value)):
+        raise InvalidField(name, f"{name} must be finite")
+    for test, bound in limits:
+        if not test(value, bound):  # NaN fails every limit
+            raise InvalidField(name, f"{name} must be {text}")
+
+
+class _Spec:
+    """Base of every spec: construction checks each field against its range,
+    each item of a tuple field at "name[i]"."""
+
+    def __post_init__(self):
+        for name, rule in _field_ranges(type(self)):
+            value = getattr(self, name)
+            if type(value) is tuple:
+                for i, item in enumerate(value):
+                    _check_field(f"{name}[{i}]", item, *rule)
+            else:
+                _check_field(name, value, *rule)
 
 
 # -------------------------------------------------------- rules and attacks
@@ -74,33 +115,22 @@ AGGREGATOR_KINDS = tuple(_AGGREGATOR_LABELS)
 
 
 @dataclass(frozen=True)
-class AggregatorSpec:
+class AggregatorSpec(_Spec):
     """Which baseline rule to run, plus the knobs of the kinds that have them.
 
     assumed_byzantine is Krum's f; when None, RunConfig.resolved_method fills
     in ceil(requested_ratio * M).
     """
 
-    kind: str
-    assumed_byzantine: int | None = field(default=None, metadata={"kinds": ("krum",)})
-    tolerance: float = field(default=1e-5, metadata={"kinds": ("gm", "mca")})
-    max_iter: int = field(default=1000, metadata={"kinds": ("gm", "mca")})
-    clip_radius: float = field(default=10.0, metadata={"kinds": ("cclip",)})
-    clip_iters: int = field(default=3, metadata={"kinds": ("cclip",)})
-
-    def __post_init__(self):
-        if self.kind not in AGGREGATOR_KINDS:
-            raise InvalidField("kind", f"unknown aggregator kind {self.kind!r}")
-        if self.tolerance <= 0.0:
-            raise InvalidField("tolerance", "tolerance must be positive")
-        if self.max_iter < 1:
-            raise InvalidField("max_iter", "max_iter must be at least 1")
-        if self.clip_radius <= 0.0:
-            raise InvalidField("clip_radius", "clip_radius must be positive")
-        if self.clip_iters < 1:
-            raise InvalidField("clip_iters", "clip_iters must be at least 1")
-        if self.assumed_byzantine is not None and self.assumed_byzantine < 0:
-            raise InvalidField("assumed_byzantine", "assumed_byzantine must be non-negative")
+    kind: str = field(metadata={"choices": AGGREGATOR_KINDS})
+    assumed_byzantine: int | None = field(default=None, metadata={"kinds": ("krum",), "ge": 0})
+    tolerance: float = field(default=1e-5, metadata={"kinds": ("gm", "mca"), "gt": 0.0})
+    max_iter: int = field(default=1000, metadata={"kinds": ("gm", "mca"), "ge": 1})
+    # An infinite radius clips nothing (`aggregate_cclip`).
+    clip_radius: float = field(
+        default=10.0, metadata={"kinds": ("cclip",), "gt": 0.0, "infinite": True}
+    )
+    clip_iters: int = field(default=3, metadata={"kinds": ("cclip",), "ge": 1})
 
     @property
     def label(self) -> str:
@@ -118,7 +148,7 @@ ATTACK_KINDS = tuple(_ATTACK_LABELS)
 
 
 @dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(_Spec):
     """Which attack to run, plus the knobs of the kinds that have them.
 
     foe_scale None is resolved per run, once the method and the compromised
@@ -126,16 +156,10 @@ class AttackSpec:
     (MCA) victim, -0.1 otherwise (see RunConfig.resolved_attack).
     """
 
-    kind: str
-    variance: float = field(default=90.0, metadata={"kinds": ("gaussian",)})
+    kind: str = field(metadata={"choices": ATTACK_KINDS})
+    variance: float = field(default=90.0, metadata={"kinds": ("gaussian",), "gt": 0.0})
     lie_offset: float = field(default=0.7, metadata={"key": "offset", "kinds": ("lie",)})
     foe_scale: float | None = field(default=None, metadata={"key": "scale", "kinds": ("foe",)})
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise InvalidField("kind", f"unknown attack kind {self.kind!r}")
-        if self.variance <= 0.0:
-            raise InvalidField("variance", "variance must be positive")
 
     @property
     def label(self) -> str:
@@ -143,7 +167,7 @@ class AttackSpec:
 
 
 @dataclass(frozen=True)
-class FilterParams:
+class FilterParams(_Spec):
     """Filter hyperparameters.
 
     passes: number of windows (K). segment_len: window width (r). keep: clients
@@ -151,52 +175,28 @@ class FilterParams:
     penalty_weight and norm_pivot shape the norm penalty (rho, tau).
     """
 
-    passes: int = field(default=3, metadata={"key": "K"})
-    segment_len: int = field(default=50, metadata={"key": "r"})
-    keep: int | None = field(default=None, metadata={"key": "N"})
-    penalty_weight: float = field(default=10.0, metadata={"key": "rho"})
-    norm_pivot: float = field(default=0.1, metadata={"key": "tau"})
-
-    def __post_init__(self):
-        if self.passes < 1:
-            raise InvalidField("passes", "passes must be >= 1")
-        if self.segment_len < 1:
-            raise InvalidField("segment_len", "segment_len must be >= 1")
-        if self.keep is not None and self.keep < 1:
-            raise InvalidField("keep", f"keep={self.keep} must be >= 1")
-        if self.penalty_weight < 0.0:
-            raise InvalidField("penalty_weight", "penalty_weight must be >= 0")
-        if self.norm_pivot <= 0.0:
-            raise InvalidField("norm_pivot", "norm_pivot must be > 0")
+    passes: int = field(default=3, metadata={"key": "K", "ge": 1})
+    segment_len: int = field(default=50, metadata={"key": "r", "ge": 1})
+    keep: int | None = field(default=None, metadata={"key": "N", "ge": 1})
+    penalty_weight: float = field(default=10.0, metadata={"key": "rho", "ge": 0.0})
+    norm_pivot: float = field(default=0.1, metadata={"key": "tau", "gt": 0.0})
 
 
 # ------------------------------------------------------------- the training
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    kind: str = "softmax"
-    hidden: int = field(default=32, metadata={"kinds": ("mlp1",)})
-
-    def __post_init__(self):
-        if self.kind not in ("softmax", "mlp1"):
-            raise InvalidField("kind", f"unknown model kind {self.kind!r}")
-        if self.hidden < 1:
-            raise InvalidField("hidden", "hidden width must be >= 1")
+class ModelSpec(_Spec):
+    kind: str = field(default="softmax", metadata={"choices": ("softmax", "mlp1")})
+    hidden: int = field(default=32, metadata={"kinds": ("mlp1",), "ge": 1})
 
 
 @dataclass(frozen=True)
-class LRSchedule:
+class LRSchedule(_Spec):
     """Decaying step size eta_t = eta0 / (decay * t + 1)."""
 
-    eta0: float = 0.2
-    decay: float = 0.006
-
-    def __post_init__(self):
-        if self.eta0 <= 0.0:
-            raise InvalidField("eta0", "eta0 must be positive")
-        if self.decay < 0.0:
-            raise InvalidField("decay", "decay must be >= 0")
+    eta0: float = field(default=0.2, metadata={"gt": 0.0})
+    decay: float = field(default=0.006, metadata={"ge": 0.0})
 
     def rate(self, round_index: int) -> float:
         return self.eta0 / (self.decay * round_index + 1.0)
@@ -236,31 +236,25 @@ _IDX = {"kinds": ("idx",)}
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(_Spec):
     """Synthetic Gaussian clusters or an IDX file pair per split."""
 
-    kind: str = "synthetic"
-    n: int = field(default=5000, metadata=_SYNTHETIC)
-    dim: int = field(default=20, metadata=_SYNTHETIC)
-    classes: int = field(default=10, metadata=_SYNTHETIC)
-    separation: float = field(default=4.0, metadata=_SYNTHETIC)
-    test_fraction: float = field(default=0.2, metadata=_SYNTHETIC)
+    kind: str = field(default="synthetic", metadata={"choices": ("synthetic", "idx")})
+    n: int = field(default=5000, metadata={**_SYNTHETIC, "ge": 1})
+    dim: int = field(default=20, metadata={**_SYNTHETIC, "ge": 1})
+    classes: int = field(default=10, metadata={**_SYNTHETIC, "ge": 2})
+    separation: float = field(default=4.0, metadata={**_SYNTHETIC, "gt": 0.0})
+    test_fraction: float = field(default=0.2, metadata={**_SYNTHETIC, "gt": 0.0, "lt": 1.0})
     train_images: str | None = field(default=None, metadata=_IDX)
     train_labels: str | None = field(default=None, metadata=_IDX)
     test_images: str | None = field(default=None, metadata=_IDX)
     test_labels: str | None = field(default=None, metadata=_IDX)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind == "synthetic":
-            for name, low in (("n", 1), ("dim", 1), ("classes", 2)):
-                if getattr(self, name) < low:
-                    raise InvalidField(name, f"synthetic dataset needs {name} >= {low}")
             if self.n < self.classes:
                 raise InvalidField("n", f"synthetic dataset needs n >= classes ({self.classes})")
-            if self.separation <= 0.0:
-                raise InvalidField("separation", "separation must be positive")
-            if not 0.0 < self.test_fraction < 1.0:
-                raise InvalidField("test_fraction", "test_fraction must lie in (0, 1)")
             largest = class_counts(self.n, self.classes)[0]
             if class_share(self.test_fraction, largest) == 0:
                 raise InvalidField(
@@ -268,33 +262,37 @@ class DatasetSpec:
                     f"test_fraction {self.test_fraction} of {largest} samples per class "
                     "rounds to an empty test split",
                 )
-        elif self.kind == "idx":
+        else:
             for name in ("train_images", "train_labels", "test_images", "test_labels"):
                 if getattr(self, name) is None:
                     raise InvalidField(name, f"idx dataset needs {name}")
-        else:
-            raise InvalidField("kind", f"unknown dataset kind {self.kind!r}")
+
+    @property
+    def train_counts(self) -> list[int]:
+        """Per class, the samples of a synthetic train split: the class's count
+        less its `stratified_holdout` test share."""
+        return [
+            count - class_share(self.test_fraction, count)
+            for count in class_counts(self.n, self.classes)
+        ]
 
 
 @dataclass(frozen=True)
-class CleanSpec:
+class CleanSpec(_Spec):
     """Clean-data regime: a server-held shard or a trusted client set."""
 
-    kind: str
-    fraction: float = field(default=0.02, metadata={"kinds": ("server",)})
-    clients: tuple[int, ...] = field(default=(), metadata={"kinds": ("trusted",)})
+    kind: str = field(metadata={"choices": ("server", "trusted")})
+    fraction: float = field(default=0.02, metadata={"kinds": ("server",), "gt": 0.0, "lt": 1.0})
+    clients: tuple[int, ...] = field(default=(), metadata={"kinds": ("trusted",), "ge": 0})
 
     def __post_init__(self):
-        if self.kind not in ("server", "trusted"):
-            raise InvalidField("kind", f"unknown clean kind {self.kind!r}")
-        if self.kind == "server" and not 0.0 < self.fraction < 1.0:
-            raise InvalidField("fraction", "server shard fraction must lie in (0, 1)")
+        super().__post_init__()
         if self.kind == "trusted" and not self.clients:
             raise InvalidField("clients", "trusted clean spec needs at least one client id")
 
 
 @dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(_Spec):
     """An aggregation method: a bare baseline or the filter over a reference.
 
     filtered=False runs `base` directly. filtered=True scores uploads against
@@ -305,11 +303,12 @@ class MethodSpec:
 
     filtered: bool = False
     base: AggregatorSpec | None = None
-    reference: str = "aggregator"
+    reference: str = field(
+        default="aggregator", metadata={"choices": ("aggregator", "server_clean", "trusted")}
+    )
 
     def __post_init__(self):
-        if self.reference not in ("aggregator", "server_clean", "trusted"):
-            raise InvalidField("reference", f"unknown reference {self.reference!r}")
+        super().__post_init__()
         if not self.filtered and self.base is None:
             raise InvalidField("base", "bare method needs a base aggregator")
         if not self.filtered and self.reference != "aggregator":
@@ -341,44 +340,61 @@ class MethodSpec:
 
 
 @dataclass(frozen=True)
-class TrainingProtocol:
+class TrainingProtocol(_Spec):
     """What a sweep and every one of its cells share."""
 
     dataset: DatasetSpec = DatasetSpec()
     model: ModelSpec = ModelSpec()
-    clients: int = 20
-    batch_size: int = 32
-    rounds: int = 100
+    clients: int = field(default=20, metadata={"ge": 1})
+    batch_size: int = field(default=32, metadata={"ge": 1})
+    rounds: int = field(default=100, metadata={"ge": 0})
     lr: LRSchedule = LRSchedule()
     clean: CleanSpec | None = None
-    eval_interval: int = 1
-    min_client_size: int | None = None
+    eval_interval: int = field(default=1, metadata={"ge": 1})
+    min_client_size: int | None = field(default=None, metadata={"ge": 1})
 
     def __post_init__(self):
-        for name, low in (("clients", 1), ("batch_size", 1), ("rounds", 0), ("eval_interval", 1)):
-            if getattr(self, name) < low:
-                raise InvalidField(name, f"{name} must be >= {low}")
-        if self.min_client_size is not None and self.min_client_size < 1:
-            raise InvalidField("min_client_size", "min_client_size must be >= 1")
-        if self.dataset.kind == "synthetic" and self.clients * self.min_size > self.partition_rows:
-            raise InvalidField(
-                "min_client_size",
-                f"clients ({self.clients}) x min_client_size ({self.min_size}) exceeds the "
-                f"{self.partition_rows} samples left to partition",
-            )
+        super().__post_init__()
+        if self.dataset.kind == "synthetic":
+            self.partition_pools(self.dataset.train_counts)
 
     @property
     def min_size(self) -> int:
         """The fewest samples a client's partition holds: min_client_size, else 2 * batch_size."""
         return 2 * self.batch_size if self.min_client_size is None else self.min_client_size
 
-    @property
-    def partition_rows(self) -> int:
-        """The samples a synthetic dataset's partition draws from: n minus the
-        test split minus the server shard."""
-        ds = self.dataset
-        shard = self.clean.fraction if self.clean is not None and self.clean.kind == "server" else 0.0
-        return partition_pool_size(ds.n, ds.classes, ds.test_fraction, shard)
+    def partition_pools(self, train_counts: list[int]) -> list[int]:
+        """Per class, the samples `dirichlet_partition` draws from, given the
+        train split's per-class counts: each less the `carve_clean_shard`
+        share of a server shard, if there is one.
+
+        Raises InvalidField at `clean` for a server shard that rounds to
+        empty, at `min_client_size` when clients x min_size exceeds the
+        samples left to partition, and at `dataset` when a class keeps none.
+        """
+        server = self.clean is not None and self.clean.kind == "server"
+        fraction = self.clean.fraction if server else 0.0
+        shares = [class_share(fraction, count) for count in train_counts]
+        if server and not any(shares):
+            raise InvalidField(
+                "clean",
+                f"server shard fraction {fraction} of at most {max(train_counts, default=0)} "
+                "samples per class rounds to an empty shard",
+            )
+        pools = [count - share for count, share in zip(train_counts, shares)]
+        if self.clients * self.min_size > sum(pools):
+            raise InvalidField(
+                "min_client_size",
+                f"clients ({self.clients}) x min_client_size ({self.min_size}) exceeds the "
+                f"{sum(pools)} samples left to partition",
+            )
+        if 0 in pools:
+            raise InvalidField(
+                "dataset",
+                f"class {pools.index(0)} of classes 0 to {len(pools) - 1} has no sample left "
+                "to partition",
+            )
+        return pools
 
 
 @dataclass(frozen=True)
@@ -393,8 +409,8 @@ class RunConfig(TrainingProtocol):
     (`resolved_attack`).
     """
 
-    beta: float = 0.6
-    requested_ratio: float = field(default=0.0, metadata={"key": "ratio"})
+    beta: float = field(default=0.6, metadata={"gt": 0.0})
+    requested_ratio: float = field(default=0.0, metadata={"key": "ratio", "ge": 0.0, "lt": 1.0})
     attack: AttackSpec | None = None
     method: MethodSpec = MethodSpec(base=AggregatorSpec("mean"))
     filter_params: FilterParams = field(default=FilterParams(), metadata={"key": "hplus"})
@@ -402,17 +418,13 @@ class RunConfig(TrainingProtocol):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.beta > 0.0:
-            raise InvalidField("beta", "beta must be positive")
-        if not 0.0 <= self.requested_ratio < 1.0:
-            raise InvalidField("requested_ratio", "requested_ratio must lie in [0, 1)")
         if self.requested_ratio > 0.0 and self.attack is None:
             raise InvalidField("attack", "requested_ratio > 0 needs an attack")
         if self.keep > self.clients:
             raise InvalidField("filter_params", f"N must be <= clients ({self.clients})")
         clean_kind = None if self.clean is None else self.clean.kind
         for i, client in enumerate(self.clean.clients if clean_kind == "trusted" else ()):
-            if not 0 <= client < self.clients:
+            if client >= self.clients:
                 raise InvalidField(f"clean.clients[{i}]", f"must lie in [0, {self.clients})")
         method = self.resolved_method
         if method is None:

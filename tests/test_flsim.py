@@ -428,7 +428,10 @@ def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fr
     dataset = DatasetSpec(n=n, dim=4, classes=classes, separation=4.0, test_fraction=test_fraction)
     cfg = _cfg(dataset=dataset, clean=clean, min_client_size=1)
     env = flsim.build_environment(cfg)
-    assert sum(part.size for part in env.partitions) == cfg.partition_rows
+    # per class: the partitions hold exactly the pools that `validate` counts
+    partitioned = env.labels[np.concatenate(env.partitions)]
+    pools = cfg.partition_pools(cfg.dataset.train_counts)
+    assert np.bincount(partitioned, minlength=classes).tolist() == pools
 
 
 def test_environment_arrays_reject_writes(monkeypatch):

@@ -4,6 +4,7 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -224,10 +225,24 @@ def test_config_rejects_cells_that_could_never_run():
     assert parse_config_dict(dict(h_mean, attacks=["none"]))
 
 
+def test_config_rejects_a_class_whose_test_share_takes_every_sample():
+    # 21 samples of 10 classes: the 75% test share takes both samples of
+    # classes 1-9, which leaves class 1 nothing to partition.
+    tiny = dict(_SMALL, dataset={"n": 21, "dim": 3, "classes": 10, "test_fraction": 0.75},
+                clients=1, min_client_size=1)
+    with pytest.raises(ConfigError, match=r"^dataset: class 1 of classes 0 to 9 has no sample"):
+        parse_config_dict(tiny)
+    assert parse_config_dict(dict(tiny, dataset=dict(tiny["dataset"], test_fraction=0.5)))
+
+
 def test_config_rejects_an_empty_test_split():
     tiny = dict(_SMALL, dataset={"kind": "synthetic", "n": 20, "dim": 3, "classes": 10})
     with pytest.raises(ConfigError, match=r"^dataset\.test_fraction: .* empty test split"):
         parse_config_dict(tiny)
+
+
+# The IDX splits written below hold 3 images: room for 3 clients of 1 sample.
+_FITS_3 = {"clients": 3, "min_client_size": 1}
 
 
 def test_config_rejects_a_missing_idx_file(tmp_path, monkeypatch):
@@ -238,13 +253,13 @@ def test_config_rejects_a_missing_idx_file(tmp_path, monkeypatch):
     dataset = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
                "test_images": "test-images", "test_labels": "test-labels"}
     with pytest.raises(ConfigError, match=r"^dataset\.test_labels: no such file 'test-labels'"):
-        parse_config_dict(_sweep_dict(dataset=dataset))
+        parse_config_dict(_sweep_dict(dataset=dataset, **_FITS_3))
     for split in ("train", "test"):
         _write_idx_split(tmp_path, split)
-    assert parse_config_dict(_sweep_dict(dataset=dataset)).dataset.kind == "idx"
+    assert parse_config_dict(_sweep_dict(dataset=dataset, **_FITS_3)).dataset.kind == "idx"
     dataset["train_images"] = "nope/train-images"
     with pytest.raises(ConfigError, match=r"^dataset\.train_images: no such file"):
-        parse_config_dict(_sweep_dict(dataset=dataset))
+        parse_config_dict(_sweep_dict(dataset=dataset, **_FITS_3))
 
 
 _IDX_DATASET = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
@@ -268,7 +283,7 @@ def _truncate(path: Path, by: int = 1):
 
 def test_validate_reads_the_idx_headers(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the dataset paths are relative, as `run` takes them
-    path = _write_cfg(tmp_path, dataset=_IDX_DATASET)
+    path = _write_cfg(tmp_path, dataset=_IDX_DATASET, **_FITS_3)
 
     def refused() -> str:
         assert main(["validate", "--config", path]) == 1
@@ -303,6 +318,47 @@ def test_validate_reads_the_idx_headers(tmp_path, monkeypatch, capsys):
     (tmp_path / "train-labels").write_bytes((tmp_path / "train-images").read_bytes())
     assert refused() == (
         "config error: dataset.train_labels: train-labels: bad label magic 0x00000803\n"
+    )
+
+
+def test_validate_checks_that_the_idx_train_split_can_be_partitioned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_idx_split(tmp_path, "test")
+
+    def validate(labels: bytes, **extra) -> tuple[int, str]:
+        """`validate` over a train split of 2x2 images with these labels."""
+        (tmp_path / "train-images").write_bytes(
+            struct.pack(">IIII", 0x803, len(labels), 2, 2) + bytes(4 * len(labels))
+        )
+        (tmp_path / "train-labels").write_bytes(struct.pack(">II", 0x801, len(labels)) + labels)
+        code = main(["validate", "--config", _write_cfg(tmp_path, dataset=_IDX_DATASET, **extra)])
+        return code, capsys.readouterr().err
+
+    assert validate(bytes([0, 1, 0])) == (1, (
+        "config error: min_client_size: clients (4) x min_client_size (8) exceeds the 3 samples "
+        "left to partition\n"
+    ))
+    # run refuses it too, before it writes anything
+    out = tmp_path / "out"
+    assert main(["run", "--config", "cfg.json", "--out", str(out)]) == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("config error: min_client_size: ")
+    assert validate(bytes(i % 2 for i in range(40))) == (0, "")
+    assert validate(bytes([0, 2, 2, 0]), **_FITS_3) == (1, (
+        "config error: dataset.train_labels: class 1 of classes 0 to 2 has no sample left to "
+        "partition\n"
+    ))
+    # the server shard takes the one sample of label 1: int(0.5 * 1 + 0.5)
+    half = {"kind": "server", "fraction": 0.5}
+    code, err = validate(bytes([0, 0, 0, 1]), clean=half, clients=1, min_client_size=1)
+    assert code == 1 and err.startswith("config error: dataset.train_labels: ")
+    code, err = validate(bytes([0, 0, 1]), clean=dict(half, fraction=0.1), **_FITS_3)
+    assert code == 1 and err.endswith("rounds to an empty shard\n")
+    assert err.startswith("config error: clean: ")
+    shard = {"kind": "server", "fraction": 0.05}  # one sample of each label
+    assert validate(bytes(i % 2 for i in range(40)), clean=shard, min_client_size=9) == (0, "")
+    assert validate(bytes(i % 2 for i in range(40)), clean=shard, min_client_size=10)[1] == (
+        "config error: min_client_size: clients (4) x min_client_size (10) exceeds the 38 "
+        "samples left to partition\n"
     )
 
 
@@ -341,6 +397,34 @@ def test_config_range_errors_carry_section_paths(section, config):
     with pytest.raises(ConfigError) as info:
         parse_config_dict(config)
     assert info.value.path.startswith(section)
+
+
+@pytest.mark.parametrize(
+    "path, config",
+    [
+        ("dataset.separation", {"dataset": dict(_SMALL["dataset"], separation=math.nan)}),
+        ("hplus.rho", {"hplus": {"rho": math.nan}}),
+        ("methods[1].tolerance", {"methods": ["mean", {"base": "gm", "tolerance": math.nan}]}),
+        ("lr.eta0", {"lr": {"eta0": math.inf}}),
+        ("attacks[1].scale", {"attacks": ["none", {"kind": "foe", "scale": math.nan}]}),
+        # 160 train samples per class: int(0.001 * 160 + 0.5) = 0
+        ("clean", {"clean": {"kind": "server", "fraction": 0.001}}),
+    ],
+)
+def test_validate_and_run_refuse_what_no_cell_could_use(tmp_path, capsys, path, config):
+    config_path = _write_cfg(tmp_path, **config)
+    assert main(["validate", "--config", config_path]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_config_accepts_a_server_shard_that_takes_a_sample():
+    # int(0.004 * 160 + 0.5) = 1 sample of each class
+    assert parse_config_dict(_sweep_dict(clean={"kind": "server", "fraction": 0.004}))
+    with pytest.raises(ConfigError, match=r"^clean: server shard fraction 0.003 of at most 160 "):
+        parse_config_dict(_sweep_dict(clean={"kind": "server", "fraction": 0.003}))
 
 
 def test_config_file_errors(tmp_path):
@@ -760,6 +844,23 @@ def test_run_sweep_writes_a_manifest_of_the_code_and_numpy(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{64}", manifest["sources"])
 
 
+def test_run_sweep_resume_reruns_a_truncated_cell_file(tmp_path):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25], seeds=[0])
+    )
+    out = tmp_path / "out"
+    first = run_sweep(cfg, str(out))
+    victim = first[1].fingerprint
+    _truncate(out / "cells" / f"{victim}.json", by=10)  # a write cut short
+
+    recomputed = []
+    resumed = run_sweep(cfg, str(out), resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [victim]
+    fresh = _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
+    assert _strip_wall(resumed) == fresh
+    assert _strip_wall(read_summary_rows(str(out / "summary.json"))) == fresh
+
+
 @pytest.mark.parametrize("key", ["sources", "numpy"])
 def test_resume_refuses_outputs_of_other_code(tmp_path, monkeypatch, capsys, key):
     path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25], methods=["mean"])
@@ -1134,14 +1235,22 @@ def test_cli_report_errors(tmp_path, capsys):
 
 
 def test_cli_out_dir_precedence(tmp_path, monkeypatch, capsys):
-    path = _write_cfg(tmp_path, methods=["mean"], rounds=1)
-    env_dir = str(tmp_path / "from-env")
-    monkeypatch.setenv("BYZ_BENCH_OUT", env_dir)
-    assert main(["run", "--config", path]) == 0
-    assert os.path.exists(os.path.join(env_dir, "summary.json"))
-    cli_dir = str(tmp_path / "from-cli")
-    assert main(["run", "--config", path, "--out", cli_dir]) == 0
-    assert os.path.exists(os.path.join(cli_dir, "summary.json"))
+    # --out, then $BYZ_BENCH_OUT, then the config's out_dir, then ./byzbench-out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BYZ_BENCH_OUT", raising=False)
+
+    def run(*args) -> set[str]:
+        """The directories under tmp_path that hold a summary after one run."""
+        assert main(["run", "--config", "cfg.json", *args]) == 0
+        return {path.parent.name for path in tmp_path.glob("*/summary.json")}
+
+    _write_cfg(tmp_path, methods=["mean"], rounds=1)
+    assert run() == {"byzbench-out"}
+    _write_cfg(tmp_path, methods=["mean"], rounds=1, out_dir="from-config")
+    assert run() == {"byzbench-out", "from-config"}
+    monkeypatch.setenv("BYZ_BENCH_OUT", "from-env")
+    assert run() == {"byzbench-out", "from-config", "from-env"}
+    assert run("--out", "from-cli") == {"byzbench-out", "from-config", "from-env", "from-cli"}
 
 
 def test_experiment_config_is_frozen():

@@ -79,7 +79,7 @@ def test_validate_reads_idx_headers_without_numpy(tmp_path):
         labels.write_bytes(struct.pack(">II", 0x801, 3) + bytes(3))
         dataset.update({f"{split}_images": str(images), f"{split}_labels": str(labels)})
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"dataset": dataset, "clients": 2}), encoding="utf-8")
+    path.write_text(json.dumps({"dataset": dataset, "clients": 2, "min_client_size": 1}), encoding="utf-8")
     out, modules = _cli_without_numpy("validate", "--config", str(path))
     assert out == f"{path}: ok (1 cells)\n"
     _no_engine(modules)
