@@ -85,9 +85,8 @@ def byzantine_payloads(
     elif spec.kind == "lie":
         payload = attack_lie(mat, spec.lie_offset)
     elif spec.kind == "foe":
-        if spec.foe_scale is None:
-            raise ValueError("foe spec was not resolved: foe_scale is None")
-        payload = attack_foe(mat, spec.foe_scale, n_clients, n_byz)
+        scale = -0.1 if spec.foe_scale is None else spec.foe_scale
+        payload = attack_foe(mat, scale, n_clients, n_byz)
     else:
         payload = attack_negated_mean(mat, n_clients, n_byz)
     return {m: payload for m in ids}

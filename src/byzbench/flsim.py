@@ -264,7 +264,6 @@ class Simulation:
         self.prev_aggregate = np.zeros(self.model.n_params)
 
         self.method = config.resolved_method
-        self.attack = config.resolved_attack(env.mask.count)
         self.filter_params = config.resolved_filter_params
         # Where the honest gradients go in the upload matrix, and the weights
         # of their losses in the round's train loss.
@@ -306,9 +305,9 @@ class Simulation:
         wall["gradients"] = time.perf_counter() - t_mark
 
         t_mark = time.perf_counter()
-        if self.attack is not None and env.mask.count:
+        if cfg.attack is not None and env.mask.count:
             payloads = byzantine_payloads(
-                self.attack,
+                cfg.attack,
                 honest_stack,
                 env.mask.members,
                 cfg.clients,

@@ -17,9 +17,10 @@ walks these tables:
 
 What is left here is what no single spec knows: the input shorthands ("h+gm",
 "h+clean", "h+trusted", "negated-mean", "none", "mlp", and the flat method
-object that carries its base aggregator's knobs), the check that an IDX
-dataset's files exist, hold what their headers promise and label enough
-samples to partition, and the sweep's
+object that carries its base aggregator's knobs), the check that one label
+names one attack and one method, the check that an IDX dataset's files
+exist, hold what their headers promise and label enough samples to
+partition, and the sweep's
 Cartesian product of RunConfigs, which check the rules that relate a run's
 fields, expanded into fingerprinted cells.
 
@@ -43,6 +44,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import types
 import typing
 from collections.abc import Iterator
@@ -137,6 +139,10 @@ def _decode_value(hint, value, path: str):
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(path, f"expected {_TYPE_NAMES[hint]}, got {type(value).__name__}")
+    # JSON integers are unbounded; the rules compare ints with floats, and
+    # float() of one beyond float range overflows.
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(path, "number beyond the range of a float")
     return float(value) if hint is float else value
 
 
@@ -333,12 +339,14 @@ def _check_idx_files(config: ExperimentConfig):
     a split's labels one per image (`idx_counts` reads the headers). Then the
     train labels, counted per class, must leave a server shard a sample,
     clients x min_size samples to partition, and every label from 0 to the
-    highest one of them (`TrainingProtocol.partition_pools`)."""
+    highest one of them (`TrainingProtocol.partition_pools`), and no test
+    label may exceed that highest train label."""
     dataset = config.dataset
     for f, key, _ in _table(DatasetSpec):
         path = getattr(dataset, f.name)
         if "kinds" in f.metadata and _belongs(f, dataset) and not os.path.isfile(path):
             raise ConfigError(f"dataset.{key}", f"no such file {path!r}")
+    labels = {}
     for split in ("train", "test"):
         n_images = None
         for kind in ("image", "label"):
@@ -347,27 +355,35 @@ def _check_idx_files(config: ExperimentConfig):
                 n_images = idx_counts(getattr(dataset, name), kind, n_images)[0]
             except (OSError, FormatError) as exc:
                 raise ConfigError(f"dataset.{name}", str(exc)) from exc
-        if split == "train":
-            with open(dataset.train_labels, "rb") as handle:
-                labels = handle.read(8 + n_images)[8:]  # a byte per label after the header
-    train_counts = [labels.count(label) for label in range(max(labels, default=-1) + 1)]
+        with open(getattr(dataset, name), "rb") as handle:
+            labels[split] = handle.read(8 + n_images)[8:]  # a byte per label after the header
+    train = labels["train"]
+    train_counts = [train.count(label) for label in range(max(train, default=-1) + 1)]
     try:
         config.partition_pools(train_counts)
     except InvalidField as exc:
         path = "dataset.train_labels" if exc.field == "dataset" else exc.field
         raise ConfigError(path, str(exc)) from exc
+    highest = max(labels["test"], default=-1)
+    if highest >= len(train_counts):
+        raise ConfigError(
+            "dataset.test_labels",
+            f"test label {highest} exceeds the highest train label {len(train_counts) - 1}",
+        )
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:
     """Parse a sweep and check one seed's runs: the rules never read the seed."""
     config = _decode(ExperimentConfig, obj, "")
-    # Rows, the report and the H+X - X pairing key on the label.
-    for j, method in enumerate(config.methods):
-        i = next(i for i, other in enumerate(config.methods) if other.label == method.label)
-        if config.methods[i] != method:
-            raise ConfigError(
-                f"methods[{j}]", f"label {method.label!r} already used by methods[{i}]"
-            )
+    # Rows, the report and the H+X - X pairing key on the labels, so one label
+    # names one method and one attack ("none" included).
+    for axis in ("attacks", "methods"):
+        entries = getattr(config, axis)
+        labels = [getattr(entry, "label", "None") for entry in entries]
+        for j, label in enumerate(labels):
+            i = labels.index(label)
+            if entries[i] != entries[j]:
+                raise ConfigError(f"{axis}[{j}]", f"label {label!r} already used by {axis}[{i}]")
     list(sweep_runs(config, config.seeds[:1]))  # builds, and so checks, each run
     if config.dataset.kind == "idx":
         _check_idx_files(config)

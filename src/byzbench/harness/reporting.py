@@ -238,15 +238,24 @@ def render_report(rows: list[SummaryRow]) -> str:
     rate 1 - B/M, the precision that keeping clients at random would get
     (left out when one of the rows does not record `clients`); and its
     failed, diverged and keep > honest cell counts. The text depends on the
-    rows, not on their order.
+    rows, not on their order. Raises FormatError for two rows of one
+    (attack, method, ratio, beta, seed), which it cannot tell apart.
     """
     sections: dict[tuple, dict[str, list[SummaryRow]]] = {}
     for row in sorted(
         rows, key=lambda r: (r.attack, r.requested_ratio, r.beta, r.method, r.seed, r.fingerprint)
     ):
-        sections.setdefault((row.attack, row.requested_ratio, row.beta), {}).setdefault(
+        group = sections.setdefault((row.attack, row.requested_ratio, row.beta), {}).setdefault(
             row.method, []
-        ).append(row)
+        )
+        # Max accuracy and the H+X - X pairing key a row by its seed.
+        if group and group[-1].seed == row.seed:
+            raise FormatError(
+                f"two rows for attack {row.attack}, method {row.method}, ratio "
+                f"{row.requested_ratio:g}, beta {row.beta:g}, seed {row.seed}: "
+                "the report cannot tell them apart"
+            )
+        group.append(row)
 
     lines = [
         "# byzbench report",

@@ -11,8 +11,8 @@ tuple. Every spec checks each of its fields against its range on
 construction (`_Spec`), whatever the spec's kind; a float must also be
 finite unless its metadata allows `infinite`, so NaN fails every field.
 
-The per-run rules live here too: the defaults a run fills in (N, Krum's f,
-FoE's scale) and what its environment depends on (`environment_key`).
+The per-run rules live here too: the defaults a run fills in (N, Krum's f)
+and what its environment depends on (`environment_key`).
 
 This module imports nothing but the standard library and `errors`, so that
 parsing and validating a config, IDX headers included, loads no numpy and no
@@ -74,7 +74,7 @@ def _field_ranges(cls) -> tuple:
 
 
 def _check_field(name: str, value, choices, limits, infinite: bool, text: str):
-    if value is None:  # a default filled in per run: N, Krum's f, FoE's scale
+    if value is None:  # a default: N and Krum's f filled in per run, FoE's scale -0.1
         return
     if choices is not None and value not in choices:
         raise InvalidField(name, f"unknown {name} {value!r}: expected one of {', '.join(choices)}")
@@ -151,14 +151,14 @@ ATTACK_KINDS = tuple(_ATTACK_LABELS)
 class AttackSpec(_Spec):
     """Which attack to run, plus the knobs of the kinds that have them.
 
-    foe_scale None is resolved per run, once the method and the compromised
-    count B the run drew are known: -3 * (M - B) against a correntropy-style
-    (MCA) victim, -0.1 otherwise (see RunConfig.resolved_attack).
+    foe_scale None means -0.1 against every method (`byzantine_payloads`).
     """
 
     kind: str = field(metadata={"choices": ATTACK_KINDS})
     variance: float = field(default=90.0, metadata={"kinds": ("gaussian",), "gt": 0.0})
     lie_offset: float = field(default=0.7, metadata={"key": "offset", "kinds": ("lie",)})
+    # None, not -0.1: `to_json` writes every set field, so a default of -0.1
+    # would move every FoE cell's fingerprint and seed.
     foe_scale: float | None = field(default=None, metadata={"key": "scale", "kinds": ("foe",)})
 
     @property
@@ -405,8 +405,7 @@ class RunConfig(TrainingProtocol):
     differing from it only in method share (see `environment_key`). It
     checks every rule that relates its fields, so a run fails only on what its
     drawn environment alone shows (an infeasible partition, say), and fills
-    in the defaults: N (`keep`), Krum's f (`resolved_method`) and FoE's scale
-    (`resolved_attack`).
+    in the defaults: N (`keep`) and Krum's f (`resolved_method`).
     """
 
     beta: float = field(default=0.6, metadata={"gt": 0.0})
@@ -463,17 +462,6 @@ class RunConfig(TrainingProtocol):
     def resolved_filter_params(self) -> FilterParams | None:
         """`filter_params` with N set (`keep`) for a filtered method, else None."""
         return replace(self.filter_params, keep=self.keep) if self.method.filtered else None
-
-    def resolved_attack(self, byzantine: int) -> AttackSpec | None:
-        """`attack` with FoE's scale set: as given, else -3 * (M - B) against an
-        MCA victim and -0.1 otherwise, B the `byzantine` count the run drew."""
-        attack = self.attack
-        if attack is None or attack.kind != "foe" or attack.foe_scale is not None:
-            return attack
-        base = self.method.base
-        victim_is_correntropy = base is not None and base.kind == "mca"
-        scale = -3.0 * (self.clients - byzantine) if victim_is_correntropy else -0.1
-        return replace(attack, foe_scale=scale)
 
     @property
     def environment_key(self) -> RunConfig:

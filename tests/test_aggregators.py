@@ -341,7 +341,10 @@ def test_gram_forms_match_loop_oracles(
     if mean_row:
         mat[block] = mat.mean(axis=0)
     assert _rel_err(aggregate_gm(weights, mat), _gm_oracle(weights, mat)) <= 1e-9
-    assert _rel_err(aggregate_mca(weights, mat), _mca_oracle(weights, mat)) <= 1e-9
+    # 1 and 2 iterations end the loop before it converges.
+    max_iter = data.draw(st.sampled_from([1, 2, 1000]), label="max_iter")
+    mca = aggregate_mca(weights, mat, max_iter=max_iter)
+    assert _rel_err(mca, _mca_oracle(weights, mat, max_iter=max_iter)) <= 1e-9
     f = data.draw(st.integers(0, m - 3), label="f")
     assert np.array_equal(aggregate_krum(mat, f), mat[_krum_oracle(mat, f)])
 

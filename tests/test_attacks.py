@@ -190,10 +190,12 @@ def test_gaussian_attackers_draw_independently():
     assert np.array_equal(payloads[3], again[3])
 
 
-def test_unresolved_foe_scale_is_an_error():
-    honest = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        byzantine_payloads(AttackSpec("foe"), honest, [3], 4, _client_rng(0))
+def test_an_unset_foe_scale_is_minus_a_tenth():
+    honest = np.random.default_rng(3).normal(size=(3, 5))
+    unset = byzantine_payloads(AttackSpec("foe"), honest, [3], 4, _client_rng(0))
+    tenth = byzantine_payloads(AttackSpec("foe", foe_scale=-0.1), honest, [3], 4, _client_rng(0))
+    assert np.array_equal(unset[3], tenth[3])
+    assert np.array_equal(unset[3], attack_foe(honest, -0.1, 4, 1))
 
 
 def test_attack_spec_validation():

@@ -12,6 +12,7 @@ import pytest
 
 from byzbench import data as datamod
 from byzbench import filtering, flsim
+from byzbench.aggregators import aggregate
 from byzbench.core import substream
 from byzbench.errors import InvalidField
 from byzbench.flsim import Simulation, run_to_result
@@ -271,12 +272,27 @@ def test_filter_keep_out_of_range_rejected():
     assert info.value.field == "filter_params"
 
 
-def test_foe_scale_resolution_depends_on_victim():
-    kwargs = dict(requested_ratio=0.4, attack=AttackSpec("foe"))
+def test_foe_payload_does_not_depend_on_the_victim(monkeypatch):
+    # Given the same parameters each round, MCA and GM runs of one
+    # environment must aggregate the same uploads, payloads included.
+    uploads = {"mca": [], "gm": []}
+
+    def recording(spec, weights, vectors, **kwargs):
+        uploads[spec.kind].append(vectors.copy())
+        return aggregate(spec, weights, vectors, **kwargs)
+
+    monkeypatch.setattr(flsim, "aggregate", recording)
+    kwargs = dict(requested_ratio=0.4, attack=AttackSpec("foe"), rounds=4)
     vs_mca = Simulation(_cfg(method=MethodSpec(base=AggregatorSpec("mca")), **kwargs))
-    assert vs_mca.attack.foe_scale == -3.0 * (5 - vs_mca.mask.count)
     vs_gm = Simulation(_cfg(method=MethodSpec(base=AggregatorSpec("gm")), **kwargs))
-    assert vs_gm.attack.foe_scale == -0.1
+    assert vs_mca.mask.count > 0
+    for t in range(4):
+        vs_gm.params = vs_mca.params.copy()
+        vs_mca.run_round(t)
+        vs_gm.run_round(t)
+    assert len(uploads["mca"]) == len(uploads["gm"]) == 4
+    for mca, gm in zip(uploads["mca"], uploads["gm"]):
+        assert np.array_equal(mca, gm)
 
 
 def test_clean_gradient_requirements():

@@ -360,11 +360,21 @@ def test_validate_checks_that_the_idx_train_split_can_be_partitioned(tmp_path, m
         "config error: min_client_size: clients (4) x min_client_size (10) exceeds the 38 "
         "samples left to partition\n"
     )
+    # a test label that no train label reaches: `run` would fail the cell
+    (tmp_path / "test-labels").write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 1, 2]))
+    assert validate(bytes(i % 2 for i in range(40))) == (1, (
+        "config error: dataset.test_labels: test label 2 exceeds the highest train label 1\n"
+    ))
 
 
-def test_config_rejects_methods_that_share_a_label():
+def test_config_rejects_attacks_and_methods_that_share_a_label():
     with pytest.raises(ConfigError, match=r"^methods\[1\]: label 'GM' already used by methods\[0\]"):
         parse_config_dict({"methods": ["gm", {"base": "gm", "tolerance": 1e-3}]})
+    two_foes = ["none", {"kind": "foe", "scale": -0.1}, {"kind": "foe", "scale": -50}]
+    with pytest.raises(ConfigError, match=r"^attacks\[2\]: label 'FoE' already used by attacks\[1\]"):
+        parse_config_dict({"attacks": two_foes, "ratios": 0.2})
+    cfg = parse_config_dict({"attacks": ["none", "foe", "NONE", {"kind": "foe"}], "ratios": 0.2})
+    assert len(expand_cells(cfg)) == 2
     # a second server_clean method could only differ by a base it never runs
     clean_gm = {"filtered": True, "reference": "server_clean", "base": "gm"}
     with pytest.raises(ConfigError, match=r"^methods\[1\]\.base: a server_clean reference runs no"):
@@ -391,6 +401,15 @@ def test_config_rejects_methods_that_share_a_label():
         pytest.param("hplus", {"hplus": {"tau": 0}}, id="hplus.tau"),
         pytest.param("lr", {"lr": {"eta0": 0}}, id="lr.eta0"),
         pytest.param("clean", {"clean": {"kind": "server", "fraction": 1.5}}, id="clean.fraction"),
+        pytest.param("beta", {"beta": []}, id="beta.empty"),
+        pytest.param("dataset", {"dataset": 5}, id="dataset.not-an-object"),
+        pytest.param("attacks[0].kind", {"attacks": [{"variance": 1.0}]}, id="attack.kind"),
+        pytest.param("methods[0]", {"methods": [5]}, id="method.not-an-entry"),
+        pytest.param(
+            "methods[0].tolerance",
+            {"methods": [{"filtered": True, "tolerance": 1e-3}]},
+            id="method.knob-without-base",
+        ),
     ],
 )
 def test_config_range_errors_carry_section_paths(section, config):
@@ -712,6 +731,24 @@ def test_report_text_is_pinned():
     shuffled = list(_REPORT_ROWS)
     np.random.default_rng(5).shuffle(shuffled)
     assert render_report(shuffled) == _REPORT_TEXT
+
+
+def test_report_refuses_rows_it_cannot_tell_apart(tmp_path, capsys):
+    # Two FoE attacks at different scales once ran under one label: their Mean
+    # rows share attack, method, ratio, beta and seed.
+    rows = [
+        _report_row("Mean", 0, accuracy, accuracy, attack="FoE", fingerprint=fingerprint)
+        for fingerprint, accuracy in (("a" * 64, 0.962), ("b" * 64, 0.138))
+    ]
+    with pytest.raises(FormatError, match=r"^two rows for attack FoE, method Mean, ratio 0\.2, "):
+        render_report(rows)
+    summary = tmp_path / "summary.json"
+    write_summary_json(rows, str(summary))
+    assert main(["report", "--summary", str(summary)]) == 1
+    assert capsys.readouterr().err == (
+        "error: two rows for attack FoE, method Mean, ratio 0.2, beta 0.6, seed 0: "
+        "the report cannot tell them apart\n"
+    )
 
 
 def test_report_puts_precision_beside_its_base_rate():

@@ -4,7 +4,8 @@ an infinity in any float field fails at that field's path.
 `byzbench.specs` checks each field against the range its metadata declares
 (`gt`, `ge`, `lt`, `choices`), and a float must be finite unless the field
 allows `infinite`. A number field that declares no range gets no check but
-finiteness, so the schema test below keeps every new one honest.
+finiteness, so the schema test below keeps every new one honest. Whatever
+value sits at whatever path, parsing returns or raises ConfigError.
 """
 
 from __future__ import annotations
@@ -85,23 +86,33 @@ _EVERY_FLOAT = {
 }
 
 
-def _float_leaves(obj, keys=()):
-    """The key sequence of every float in a JSON document."""
-    if isinstance(obj, float):
-        yield keys
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _float_leaves(value, keys + (key,))
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _float_leaves(value, keys + (i,))
+def _nodes(obj, keys=()):
+    """(key sequence, value) of every value below the top of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield keys + (key,), value
+        yield from _nodes(value, keys + (key,))
 
 
 def _path(keys) -> str:
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
 
 
-_LEAVES = list(_float_leaves(_EVERY_FLOAT))
+_PATHS = [keys for keys, _ in _nodes(_EVERY_FLOAT)]
+_LEAVES = [keys for keys, value in _nodes(_EVERY_FLOAT) if isinstance(value, float)]
+
+# A JSON integer that no float can hold.
+_HUGE = 10**400
+
+
+def _with(keys, value) -> dict:
+    """A copy of _EVERY_FLOAT with `value` at key sequence `keys`."""
+    config = json.loads(json.dumps(_EVERY_FLOAT))
+    parent = config
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return config
 
 
 def test_the_sweep_sets_every_float_field():
@@ -115,16 +126,24 @@ def test_the_sweep_sets_every_float_field():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(_LEAVES), st.sampled_from([math.nan, math.inf, -math.inf]))
+@given(st.sampled_from(_LEAVES), st.sampled_from([math.nan, math.inf, -math.inf, _HUGE, -_HUGE]))
 def test_a_non_finite_float_fails_at_its_path(keys, value):
-    config = json.loads(json.dumps(_EVERY_FLOAT))
-    parent = config
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
+    config = _with(keys, value)
     if keys[-1] == "clip_radius" and value == math.inf:  # a radius that clips nothing
         assert parse_config_dict(config).methods[2].base.clip_radius == math.inf
         return
     with pytest.raises(ConfigError) as info:
         parse_config_dict(config)
     assert info.value.path == _path(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_PATHS),
+    st.sampled_from([None, True, "x", [], {}, [1], _HUGE, -_HUGE, -1, 0, 0.5]),
+)
+def test_any_value_at_any_path_parses_or_fails_as_a_config_error(keys, value):
+    try:
+        parse_config_dict(_with(keys, value))
+    except ConfigError:
+        pass
