@@ -65,9 +65,5 @@ class IoError(ByzBenchError):
         super().__init__(f"{path}: {message}")
 
 
-class StaleOutputs(ByzBenchError):
-    """An output directory holds results of other code or another numpy."""
-
-
 class DivergenceDetected(ByzBenchError):
     """A client upload or the model parameters became non-finite."""

@@ -1,9 +1,8 @@
 """`byzbench` command line: run sweeps, validate configs, report results.
 
 Exit codes for `run`: 0 when every cell finished (ok or diverged), 2 when any
-cell failed, 1 on config errors or a `--resume` refused. `validate` and
-`report` use 0/1. Only `run` loads numpy and the engine; `validate`, `report`
-and `--version` do not.
+cell failed, 1 on config or I/O errors. `validate` and `report` use 0/1. Only
+`run` loads numpy and the engine; `validate`, `report` and `--version` do not.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ ENV_OUT = "BYZ_BENCH_OUT"
 
 
 class _Version(argparse.Action):
-    """--version: the versions and source hash that a run's manifest.json
-    records, computed only when asked."""
+    """--version: the versions and source hash, computed only when asked; a
+    run names the source hash and numpy version in every summary row."""
 
     def __init__(self, option_strings, dest, **kwargs):
         super().__init__(option_strings, dest, nargs=0, **kwargs)

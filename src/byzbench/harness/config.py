@@ -170,8 +170,6 @@ def _decode(cls, obj, path: str, **given):
         name, bracket, index = exc.field.partition("[")
         key = next(key for key, (f, _) in table.items() if f.name == name)
         raise ConfigError(_join(path, key) + bracket + index, str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(path or "config", str(exc)) from exc
     for key in obj:
         if not _belongs(table[key][0], spec):
             raise ConfigError(_join(path, key), f"does not apply to kind {spec.kind!r}")

@@ -1,12 +1,12 @@
-"""Metrics persistence (round CSV, summary JSON, manifest) and the Markdown report.
+"""Metrics persistence (round CSV, summary JSON) and the Markdown report.
 
 File contracts:
   - round CSV: a header of `ROUND_COLUMNS`, then one row per round, UTF-8,
     LF. Floats are written with repr() so a rerun of the same experiment is
     bitwise identical (wall_ms excepted, by nature).
   - summary JSON: a top-level array of `SummaryRow` objects with snake_case
-    keys.
-  - manifest.json: the `provenance` of the code that wrote a sweep directory.
+    keys. A row written by `run` names the `sources` and `numpy` of the code
+    that computed it, as `provenance` gives them.
 
 Every file is written to a temporary file beside it and then renamed over
 the target, so a killed process leaves either the old file or the new one.
@@ -25,7 +25,7 @@ import sys
 import typing
 
 from .. import __version__
-from ..errors import FormatError, IoError, StaleOutputs
+from ..errors import FormatError, IoError
 
 if typing.TYPE_CHECKING:
     from ..flsim import RoundRecord
@@ -84,7 +84,8 @@ class SummaryRow:
     which can exceed the request; keep_exceeds_honest says, for a filtered
     method, whether the filter keeps more clients per window than there are
     honest ones, so that it must admit attackers. All outcome fields are None
-    for a failed cell.
+    for a failed cell. sources and numpy name the code that wrote the row
+    (`provenance`); rows written before rows carried them read as None.
     """
 
     fingerprint: str
@@ -105,6 +106,8 @@ class SummaryRow:
     wall_ms: float | None = None
     status: str = "ok"
     error: str | None = None
+    sources: str | None = None
+    numpy: str | None = None
 
     def __post_init__(self):
         if self.status not in ("ok", "diverged", "failed"):
@@ -139,7 +142,7 @@ def read_summary_rows(path: str) -> list[SummaryRow]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-# ------------------------------------------------------------------ manifest
+# ---------------------------------------------------------------- provenance
 
 
 def provenance() -> dict[str, str]:
@@ -176,41 +179,6 @@ def provenance() -> dict[str, str]:
         "numpy": numpy_version,
         "sources": digest.hexdigest(),
     }
-
-
-def _manifest_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "manifest.json")
-
-
-def write_manifest(out_dir: str, manifest: dict[str, str]):
-    _write_text(_manifest_path(out_dir), json.dumps(manifest, indent=2) + "\n")
-
-
-def check_manifest(out_dir: str, manifest: dict[str, str]):
-    """Raise StaleOutputs if `out_dir`'s manifest names other sources or another
-    numpy than `manifest`, or if `out_dir` holds cell files (`cells/`) but no
-    manifest, as code older than manifests left it. A missing or empty
-    directory passes."""
-    path = _manifest_path(out_dir)
-    if not os.path.exists(path):
-        cells = os.path.join(out_dir, "cells")
-        if os.path.isdir(cells) and os.listdir(cells):
-            raise StaleOutputs(
-                f"{out_dir} holds cell files but no manifest.json, so code older than "
-                "manifests wrote it. Run without --resume or into another --out"
-            )
-        return
-    found = _read_json(path)
-    if not isinstance(found, dict):
-        raise FormatError(f"{path}: expected an object")
-    differ = [key for key in ("sources", "numpy") if found.get(key) != manifest[key]]
-    if differ:
-        theirs = ", ".join(f"{key} {found.get(key)}" for key in differ)
-        ours = ", ".join(f"{key} {manifest[key]}" for key in differ)
-        raise StaleOutputs(
-            f"{out_dir} was written by {theirs}; this run has {ours}. "
-            "Resume it with that code, or run without --resume or into another --out"
-        )
 
 
 # ----------------------------------------------------------- Markdown report

@@ -8,6 +8,7 @@ every output file.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import os
 import time
 from collections import deque
@@ -19,10 +20,8 @@ from ..flsim import RoundRecord, run_to_result
 from .config import Cell, ExperimentConfig, expand_cells
 from .reporting import (
     SummaryRow,
-    check_manifest,
     provenance,
     read_summary_rows,
-    write_manifest,
     write_round_csv,
     write_summary_json,
 )
@@ -115,10 +114,13 @@ def _rounds_path(out_dir: str, fingerprint: str) -> str:
     return os.path.join(out_dir, "rounds", f"{fingerprint}.csv")
 
 
-def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
-    """Rows of cells that finished (ok or diverged) in an earlier run, keyed by
-    fingerprint; a failed cell's files are on disk too, but it runs again, and
-    so does a cell whose row does not carry its cell's `clients`."""
+def _load_finished(out_dir: str, cells: list[Cell], stamp: dict[str, str]) -> dict[str, SummaryRow]:
+    """Rows of cells that finished (ok or diverged) in an earlier run of this
+    code, keyed by fingerprint: a cell is reused when its cell file and round
+    CSV exist and its row parses and names the cell's fingerprint, a finished
+    status and `stamp`'s sources and numpy. Every other cell runs again: a
+    failed one (its files are on disk too), and one written by other code or
+    another numpy, or by code whose rows did not name them."""
     finished: dict[str, SummaryRow] = {}
     for cell in cells:
         row_path = _row_path(out_dir, cell.fingerprint)
@@ -132,7 +134,7 @@ def _load_finished(out_dir: str, cells: list[Cell]) -> dict[str, SummaryRow]:
             len(rows) == 1
             and rows[0].fingerprint == cell.fingerprint
             and rows[0].status in ("ok", "diverged")
-            and rows[0].clients == cell.run_config.clients
+            and (rows[0].sources, rows[0].numpy) == (stamp["sources"], stamp["numpy"])
         ):
             finished[cell.fingerprint] = rows[0]
     return finished
@@ -250,19 +252,16 @@ def run_sweep(
     a fresh worker takes the cells it held, and summary.json is written all
     the same.
 
-    manifest.json, written before any cell runs, names the code and the numpy
-    that fill the directory. `resume` refuses, before it runs a cell, a
-    directory whose manifest names other sources or another numpy, and one
-    that holds cell files but no manifest (written before manifests were, so
-    by other code); a missing or empty directory resumes and gets one.
+    Every row this run writes names the `sources` and `numpy` of this code
+    (`provenance`, computed here once; workers never hash the sources).
+    `resume` reuses exactly the cells whose row names this code, this numpy,
+    the cell's fingerprint and a finished status (`_load_finished`), and
+    runs every other cell, so summary.json holds only rows of this code.
     """
     cells = expand_cells(config)
-    manifest = provenance()
-    rows: dict[str, SummaryRow] = {}
-    if resume:
-        check_manifest(out_dir, manifest)
-        rows.update(_load_finished(out_dir, cells))
-    write_manifest(out_dir, manifest)
+    code = provenance()
+    stamp = {"sources": code["sources"], "numpy": code["numpy"]}
+    rows = _load_finished(out_dir, cells, stamp) if resume else {}
     pending = [cell for cell in cells if cell.fingerprint not in rows]
 
     def collect(row: SummaryRow):
@@ -271,12 +270,13 @@ def run_sweep(
             progress(row)
 
     def record(row: SummaryRow, records: list[RoundRecord]):
+        row = dataclasses.replace(row, **stamp)
         write_round_csv(records, _rounds_path(out_dir, row.fingerprint))
         write_summary_json([row], _row_path(out_dir, row.fingerprint))
         collect(row)
 
     def fail(cell: Cell, exc: Exception):
-        collect(_failed_row(cell, exc))
+        collect(dataclasses.replace(_failed_row(cell, exc), **stamp))
 
     if parallelism <= 1 or len(pending) <= 1:
         pin_heap_thresholds()

@@ -161,6 +161,13 @@ class AttackSpec(_Spec):
     # would move every FoE cell's fingerprint and seed.
     foe_scale: float | None = field(default=None, metadata={"key": "scale", "kinds": ("foe",)})
 
+    def __post_init__(self):
+        super().__post_init__()
+        # -0.1 sends the unset scale's payload: stored as None, both forms are
+        # one spec with one fingerprint.
+        if self.foe_scale == -0.1:
+            object.__setattr__(self, "foe_scale", None)
+
     @property
     def label(self) -> str:
         return _ATTACK_LABELS[self.kind]

@@ -14,7 +14,7 @@ from byzbench import data as datamod
 from byzbench import filtering, flsim
 from byzbench.aggregators import aggregate
 from byzbench.core import substream
-from byzbench.errors import InvalidField
+from byzbench.errors import DivergenceDetected, InvalidField
 from byzbench.flsim import Simulation, run_to_result
 from byzbench.specs import (
     AggregatorSpec,
@@ -683,6 +683,15 @@ def test_divergence_yields_partial_result():
         result = run_to_result(cfg)
         assert result.diverged
         assert len(result.records) < 40
+    # a step of 1e308 overflows the parameters themselves in round 0
+    cfg = RunConfig(
+        lr=LRSchedule(eta0=1e308), requested_ratio=0.2, attack=AttackSpec("signflip"), rounds=5, seed=1
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceDetected, match="^parameters diverged in round 0$"):
+            Simulation(cfg).run_round(0)
+        result = run_to_result(cfg)
+    assert result.diverged and result.records == [] and result.max_accuracy is None
 
 
 def test_filtered_mean_with_filter_disabled_matches_bare_mean():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from byzbench import flsim
-from byzbench.errors import ConfigError, FormatError, IoError, StaleOutputs
+from byzbench.errors import ConfigError, FormatError, IoError
 from byzbench.flsim import RoundRecord, run_to_result
 from byzbench.harness import sweep
 from byzbench.harness.cli import main
@@ -41,7 +42,7 @@ from byzbench.harness.sweep import (
     run_cell,
     run_sweep,
 )
-from byzbench.specs import ceil_ratio
+from byzbench.specs import LRSchedule, ceil_ratio
 
 _SMALL = {
     "dataset": {"kind": "synthetic", "n": 400, "dim": 6, "classes": 2, "separation": 4.0},
@@ -373,8 +374,16 @@ def test_config_rejects_attacks_and_methods_that_share_a_label():
     two_foes = ["none", {"kind": "foe", "scale": -0.1}, {"kind": "foe", "scale": -50}]
     with pytest.raises(ConfigError, match=r"^attacks\[2\]: label 'FoE' already used by attacks\[1\]"):
         parse_config_dict({"attacks": two_foes, "ratios": 0.2})
-    cfg = parse_config_dict({"attacks": ["none", "foe", "NONE", {"kind": "foe"}], "ratios": 0.2})
+    # the default FoE scale, written out or not, is one attack
+    default_foe = {"kind": "foe", "scale": -0.1}
+    cfg = parse_config_dict(
+        {"attacks": ["none", "foe", "NONE", {"kind": "foe"}, default_foe], "ratios": 0.2}
+    )
     assert len(expand_cells(cfg)) == 2
+    short, long = (
+        expand_cells(parse_config_dict({"attacks": [a], "ratios": 0.2})) for a in ("foe", default_foe)
+    )
+    assert short == long  # one fingerprint, one seed
     # a second server_clean method could only differ by a base it never runs
     clean_gm = {"filtered": True, "reference": "server_clean", "base": "gm"}
     with pytest.raises(ConfigError, match=r"^methods\[1\]\.base: a server_clean reference runs no"):
@@ -446,9 +455,13 @@ def test_config_accepts_a_server_shard_that_takes_a_sample():
         parse_config_dict(_sweep_dict(clean={"kind": "server", "fraction": 0.003}))
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     with pytest.raises(IoError):
         parse_config(str(tmp_path / "missing.json"))
+    with pytest.raises(IoError, match=f"^{re.escape(str(tmp_path))}: "):
+        parse_config(str(tmp_path))  # a directory, which exists but cannot be read
+    assert main(["validate", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
@@ -477,12 +490,15 @@ def test_config_serialization_round_trip(tmp_path):
 
 
 def test_readme_schema_and_round_columns_match_the_code():
-    # A changed default or round CSV column fails here until the README says so.
+    # A changed default, round CSV column or summary row key fails here until
+    # the README says so.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     [schema] = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
     assert parse_config_dict(json.loads(re.sub(r"//.*", "", schema))) == ExperimentConfig()
     [columns] = re.findall(r"columns\s+`([a-z_,]+)`", readme)
     assert tuple(columns.split(",")) == ROUND_COLUMNS
+    [keys] = re.findall(r"keys\s+`([a-z_,]+)`", readme)
+    assert keys.split(",") == [f.name for f in dataclasses.fields(SummaryRow)]
 
 
 # --------------------------------------------------------------------- cells
@@ -640,6 +656,14 @@ def test_summary_format_errors(tmp_path):
     path.write_text("[{\"status\": \"weird\"}]", encoding="utf-8")
     with pytest.raises(FormatError):
         read_summary_rows(str(path))
+    # a whole row whose value breaks a rule of SummaryRow
+    for key, value, message in [
+        ("status", "weird", "unknown status 'weird'"),
+        ("mean_precision", 1.5, r"precision, recall and realized ratio must lie in \[0, 1\]"),
+    ]:
+        path.write_text(json.dumps([dict(dataclasses.asdict(_row()), **{key: value})]), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_summary_rows(str(path))
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(FormatError, match="invalid JSON"):
         read_summary_rows(str(path))
@@ -818,24 +842,29 @@ def test_run_sweep_resume_recomputes_only_missing(tmp_path):
     assert _strip_wall(second) == _strip_wall(first)
 
 
+def _rewrite_cell_file(out: str, fingerprint: str, edit):
+    path = os.path.join(out, "cells", f"{fingerprint}.json")
+    with open(path, encoding="utf-8") as handle:
+        [item] = json.load(handle)
+    edit(item)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump([item], handle)
+
+
 def test_run_sweep_resume_reruns_a_row_without_its_cell_client_count(tmp_path):
     cfg = parse_config_dict(
         _sweep_dict(attacks=["none", "signflip"], methods=["h+gm"], ratios=[0.25], seeds=[0])
     )
     out = str(tmp_path / "out")
     first = run_sweep(cfg, out)
-    # one row as written before rows carried `clients`, one with another count
-    for row, clients in zip(first, (None, 5)):
-        path = os.path.join(out, "cells", f"{row.fingerprint}.json")
-        with open(path, encoding="utf-8") as handle:
-            [item] = json.load(handle)
-        item["clients"] = clients
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump([item], handle)
+    # one row as written before rows carried `clients`, or the code's provenance
+    _rewrite_cell_file(
+        out, first[0].fingerprint, lambda item: [item.pop(key) for key in ("clients", "sources", "numpy")]
+    )
 
     recomputed = []
     resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
-    assert [row.fingerprint for row in recomputed] == [row.fingerprint for row in first]
+    assert [row.fingerprint for row in recomputed] == [first[0].fingerprint]
     assert all(row.clients == 4 for row in resumed)
     assert _strip_wall(resumed) == _strip_wall(first)
     assert read_summary_rows(os.path.join(out, "summary.json")) == resumed
@@ -865,20 +894,40 @@ def test_run_sweep_resume_retries_failed_cells(tmp_path, monkeypatch):
     assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
 
 
-def _manifest(out: str) -> dict:
-    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
-        return json.load(handle)
+def _one_outcome_of_each_kind(cell):
+    """Mean without attack finishes, Median without attack diverges, Mean
+    under SignFlip fails and Median under SignFlip kills its worker."""
+    config = cell.run_config
+    if config.attack is not None and config.method.label == "Median":
+        os._exit(3)
+    if config.attack is not None:  # a ratio of 0.99 leaves the attack no honest client
+        config = dataclasses.replace(config, requested_ratio=0.99)
+    elif config.method.label == "Median":
+        config = dataclasses.replace(config, lr=LRSchedule(eta0=1e308))
+    return run_cell(dataclasses.replace(cell, run_config=config))
 
 
-def test_run_sweep_writes_a_manifest_of_the_code_and_numpy(tmp_path):
-    cfg = parse_config_dict(_sweep_dict(methods=["mean"], rounds=1))
-    out = str(tmp_path / "out")
-    run_sweep(cfg, out)
-    manifest = _manifest(out)
-    assert manifest == provenance()
-    assert set(manifest) == {"byzbench", "python", "numpy", "sources"}
-    assert manifest["numpy"] == np.__version__
-    assert re.fullmatch(r"[0-9a-f]{64}", manifest["sources"])
+def test_every_row_names_the_code_and_numpy_that_wrote_it(tmp_path, monkeypatch):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean", "median"], ratios=[0.25], seeds=[0])
+    )
+    out = tmp_path / "out"
+    monkeypatch.setattr(sweep, "run_cell", _one_outcome_of_each_kind)
+    rows = run_sweep(cfg, str(out), parallelism=2)
+    code = provenance()
+    assert code["numpy"] == np.__version__
+    assert re.fullmatch(r"[0-9a-f]{64}", code["sources"])
+    assert sorted(row.status for row in rows) == ["diverged", "failed", "failed", "ok"]
+    assert sum(row.error.startswith("BrokenProcessPool") for row in rows if row.error) == 1
+    assert read_summary_rows(str(out / "summary.json")) == rows
+    for row in rows:
+        assert (row.sources, row.numpy) == (code["sources"], code["numpy"])
+        cell_file = out / "cells" / f"{row.fingerprint}.json"
+        if row.error and row.error.startswith("BrokenProcessPool"):
+            assert not cell_file.exists()  # a dead worker's cell leaves no cell file
+        else:
+            assert read_summary_rows(str(cell_file)) == [row]
+    assert sorted(os.listdir(out)) == ["cells", "rounds", "summary.json"]  # no manifest.json
 
 
 def test_run_sweep_resume_reruns_a_truncated_cell_file(tmp_path):
@@ -899,51 +948,44 @@ def test_run_sweep_resume_reruns_a_truncated_cell_file(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["sources", "numpy"])
-def test_resume_refuses_outputs_of_other_code(tmp_path, monkeypatch, capsys, key):
-    path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25], methods=["mean"])
+def test_resume_reruns_the_cells_of_other_code(tmp_path, key):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25], seeds=[0])
+    )
     out = str(tmp_path / "out")
-    first = run_sweep(parse_config(path), out)
-    stale = dict(_manifest(out), **{key: "0123abcd"})
-    Path(out, "manifest.json").write_text(json.dumps(stale), encoding="utf-8")
-    os.remove(os.path.join(out, "cells", f"{first[0].fingerprint}.json"))
+    first = run_sweep(cfg, out)
+    stale = first[1].fingerprint
+    _rewrite_cell_file(out, stale, lambda item: item.update({key: "0123abcd"}))
 
-    def never(cell):
-        raise AssertionError("a refused resume ran a cell")
-
-    monkeypatch.setattr(sweep, "run_cell", never)
-    with pytest.raises(StaleOutputs, match=f"{key} 0123abcd.*{key} {provenance()[key]}"):
-        run_sweep(parse_config(path), out, resume=True)
-    assert main(["run", "--config", path, "--out", out, "--resume"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "0123abcd" in err and provenance()[key] in err
-    assert _manifest(out) == stale  # the directory is left as it was
+    recomputed = []
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [stale]
+    [row] = read_summary_rows(os.path.join(out, "cells", f"{stale}.json"))
+    assert getattr(row, key) == provenance()[key]
+    assert _strip_wall(read_summary_rows(os.path.join(out, "summary.json"))) == _strip_wall(first)
+    assert _strip_wall(resumed) == _strip_wall(first)
 
 
-def test_resume_of_a_directory_without_a_manifest_adds_one(tmp_path, monkeypatch, capsys):
-    path = _write_cfg(tmp_path, attacks=["none", "signflip"], ratios=[0.25], methods=["mean"])
-    cfg = parse_config(path)
-    # A missing and an empty directory resume into a whole sweep and get a manifest.
+def test_resume_reruns_cell_files_without_provenance(tmp_path):
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean"], ratios=[0.25], seeds=[0])
+    )
+    # A missing and an empty directory resume into a whole sweep.
     out = str(tmp_path / "out")
     first = run_sweep(cfg, out, resume=True)
     os.makedirs(tmp_path / "empty")
     assert _strip_wall(run_sweep(cfg, str(tmp_path / "empty"), resume=True)) == _strip_wall(first)
-    assert _manifest(out) == _manifest(str(tmp_path / "empty")) == provenance()
-    # and a resume by the same code is accepted
-    assert _strip_wall(run_sweep(cfg, out, resume=True)) == _strip_wall(first)
+    # and a resume by the same code runs no cell
+    recomputed = []
+    assert _strip_wall(run_sweep(cfg, out, resume=True, progress=recomputed.append)) == _strip_wall(first)
+    assert recomputed == []
 
-    # Cell files without a manifest were written before manifests were, so by other code.
-    os.remove(os.path.join(out, "manifest.json"))
-    os.remove(os.path.join(out, "cells", f"{first[0].fingerprint}.json"))
-
-    def never(cell):
-        raise AssertionError("a refused resume ran a cell")
-
-    monkeypatch.setattr(sweep, "run_cell", never)
-    with pytest.raises(StaleOutputs, match="holds cell files but no manifest.json"):
-        run_sweep(cfg, out, resume=True)
-    assert main(["run", "--config", path, "--out", out, "--resume"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {out} holds cell files but no manifest")
-    assert not os.path.exists(os.path.join(out, "manifest.json"))  # left as it was
+    # A cell file as code older than per-row provenance wrote it runs again.
+    old = first[0].fingerprint
+    _rewrite_cell_file(out, old, lambda item: [item.pop(key) for key in ("sources", "numpy")])
+    resumed = run_sweep(cfg, out, resume=True, progress=recomputed.append)
+    assert [row.fingerprint for row in recomputed] == [old]
+    assert _strip_wall(resumed) == _strip_wall(first)
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -1011,6 +1053,14 @@ def test_run_sweep_captures_cell_failures(tmp_path):
     row = rows[0]
     assert (row.attack, row.method, row.requested_ratio, row.beta, row.seed) == (
         "SignFlip", "Krum", 0.25, 0.6, 0
+    )
+    # a ratio of 0.99 draws every client, which leaves the attack no honest one
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["signflip"], methods=["mean"], ratios=[0.99], seeds=[0])
+    )
+    [row] = run_sweep(cfg, str(tmp_path / "all"))
+    assert (row.status, row.error) == (
+        "failed", "InsufficientClients: attack requires at least one honest client"
     )
 
 
