@@ -267,7 +267,7 @@ def aggregate(spec: AggregatorSpec, weights, vectors, *, center=None, reference=
         return aggregate_median(vectors)
     if spec.kind == "krum":
         if spec.assumed_byzantine is None:
-            raise ValueError("krum spec was not resolved: assumed_byzantine is None")
+            raise InvalidField("assumed_byzantine", "krum spec was not resolved: f is None")
         return aggregate_krum(vectors, spec.assumed_byzantine)
     if spec.kind == "gm":
         return aggregate_gm(weights, vectors, eps=spec.tolerance, max_iter=spec.max_iter)

@@ -7,7 +7,6 @@ every output file.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import os
 import time
@@ -25,37 +24,6 @@ from .reporting import (
     write_round_csv,
     write_summary_json,
 )
-
-# glibc mallopt parameters, and the size from which an allocation always gets
-# its own mapping.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_OWN_MAPPING_BYTES = 4 << 20
-
-
-# ------------------------------------------------------------------ execution
-
-
-def pin_heap_thresholds() -> None:
-    """Serve allocations below 4 MB from the heap, and give larger ones their
-    own mapping (glibc only).
-
-    glibc's mmap threshold starts at 128 KB and rises only when a mapped
-    block is freed, so unpinned, a round's arrays of about 1 MB (an mlp1
-    gradient stack, say) may be mapped, faulted in and unmapped on every
-    call. Pinned, they reuse heap pages: wide-model sweeps (mlp1, p = 7,818,
-    108 cells) took 3.86-4.79 s with the pin and 5.28-6.62 s without it, in 6
-    of 6 interleaved runs on 2 vCPUs, while setup-heavy's peak RSS was the
-    same either way (56.3-56.7 MB over 6 seeds). The trim threshold keeps
-    glibc's own ratio of twice the mmap threshold. Where the C library has
-    no mallopt this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _OWN_MAPPING_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _OWN_MAPPING_BYTES)
 
 
 def _labels(cell: Cell) -> dict:
@@ -145,16 +113,17 @@ def row_sort_key(row: SummaryRow):
 
 
 class _Lane:
-    """One worker process and the cells it holds, oldest first.
+    """One worker process and the cells it holds, oldest first. The worker
+    needs no set-up: each run pins its own heap (`flsim.Simulation`).
 
-    At most two held cells are `submitted`: the one the worker runs
-    and the next, waiting in the pool's call queue so the worker never waits
-    for the parent. The rest stay `queued` in the parent, where another lane
-    can take them without cancelling anything in the pool.
+    At most two held cells are `submitted`: the one the worker runs and the
+    next, waiting in the pool's call queue so the worker never waits for the
+    parent. The rest stay `queued` in the parent, where another lane can take
+    them without cancelling anything in the pool.
     """
 
     def __init__(self):
-        self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
+        self.pool = ProcessPoolExecutor(max_workers=1)
         self.submitted: list[tuple[Future, Cell]] = []
         self.queued: list[Cell] = []
 
@@ -183,7 +152,7 @@ class _Lane:
     def restart(self):
         """Replace a dead worker; the cells it had been handed queue again."""
         self.pool.shutdown()
-        self.pool = ProcessPoolExecutor(max_workers=1, initializer=pin_heap_thresholds)
+        self.pool = ProcessPoolExecutor(max_workers=1)
         self.queued[:0] = [cell for _, cell in self.submitted]
         self.submitted = []
 
@@ -240,10 +209,10 @@ def run_sweep(
 ) -> list[SummaryRow]:
     """Run every cell, persist per-cell outputs incrementally, return all rows.
 
-    All file writes happen here in the calling process; workers only compute.
-    Rows come back sorted on a canonical key, so sequential and parallel runs
-    of the same config produce identical summary files. Whichever process runs
-    the cells, the calling one included, gets pin_heap_thresholds first.
+    All file writes happen here in the calling process; workers only compute,
+    and every run pins its own process's heap (`flsim.Simulation`). Rows come
+    back sorted on a canonical key, so sequential and parallel runs of the
+    same config produce identical summary files.
 
     In parallel, each worker takes whole environment groups (`_run_lanes`),
     so one worker builds each environment, and only the sweep's tail is split
@@ -279,7 +248,6 @@ def run_sweep(
         collect(dataclasses.replace(_failed_row(cell, exc), **stamp))
 
     if parallelism <= 1 or len(pending) <= 1:
-        pin_heap_thresholds()
         for cell in pending:
             record(*run_cell(cell))
     else:

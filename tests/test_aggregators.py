@@ -22,6 +22,7 @@ from byzbench.core import weighted_average
 from byzbench.errors import (
     EmptySelection,
     InsufficientClients,
+    InvalidField,
     InvalidReference,
     MissingReference,
 )
@@ -146,6 +147,8 @@ def test_krum_output_is_an_input_bitwise():
 def test_krum_requires_f_plus_three():
     with pytest.raises(InsufficientClients):
         aggregate_krum(np.zeros((4, 2)), 2)
+    with pytest.raises(InsufficientClients):
+        aggregate_krum(np.ones((5, 2)), -1)
 
 
 def test_krum_memory_stays_linear_in_p():
@@ -488,6 +491,11 @@ def test_dispatcher_requires_center_and_reference():
         aggregate(AggregatorSpec("cclip"), weights, mat)
     with pytest.raises(MissingReference):
         aggregate(AggregatorSpec("fltrust"), weights, mat)
+    with pytest.raises(MissingReference):  # a center of the wrong shape
+        aggregate_cclip(weights, mat, np.zeros(3))
+    with pytest.raises(InvalidField) as info:  # Krum's f is set by RunConfig.resolved_method
+        aggregate(AggregatorSpec("krum"), weights, mat)
+    assert info.value.field == "assumed_byzantine"
 
 
 def test_spec_validation():

@@ -36,6 +36,10 @@ def test_substream_matches_hand_built_seed_sequence():
     for _ in range(2):  # the second call reads the memoized purpose words
         want = np.random.default_rng(np.random.SeedSequence([7, *words, 3, 5]))
         assert np.array_equal(substream(7, "batch", 3, 5).random(8), want.random(8))
+    # SeedSequence takes no negative word, and substream takes no negative index
+    for index in ((-1,), (0, -1)):
+        with pytest.raises(ValueError):
+            substream(0, "batch", *index)
 
 
 _EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -(2**40), 2**70 + 3)
@@ -138,6 +142,8 @@ def test_weighted_average_rejects_empty_and_zero_weight():
         weighted_average(np.array([]), np.empty((0, 3)))
     with pytest.raises(EmptySelection):
         weighted_average(np.zeros(2), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        weighted_average(np.ones(2), np.ones((3, 4)))
 
 
 # -------------------------------------------------------- byzantine selection
@@ -189,6 +195,8 @@ def test_selection_rejects_unreachable_and_out_of_range():
         _selection(weights, 1.0)
     with pytest.raises(InvalidRatio):
         _selection(weights, -0.1)
+    with pytest.raises(EmptySelection):
+        _selection(np.array([]), 0.2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ from byzbench import data as datamod
 from byzbench import filtering, flsim
 from byzbench.aggregators import aggregate
 from byzbench.core import substream
-from byzbench.errors import DivergenceDetected, InvalidField
+from byzbench.errors import ConfigError, DivergenceDetected, InvalidField
 from byzbench.flsim import Simulation, run_to_result
 from byzbench.specs import (
     AggregatorSpec,
@@ -430,6 +430,16 @@ def test_environment_is_keyed_on_everything_but_the_method(monkeypatch):
     assert len(builds) == 4
 
 
+def test_a_simulation_pins_the_heap_before_it_builds_anything(monkeypatch):
+    calls = []
+    build = flsim.build_environment
+    monkeypatch.setattr(flsim, "_cached", None)
+    monkeypatch.setattr(flsim, "pin_heap_thresholds", lambda: calls.append("pin"))
+    monkeypatch.setattr(flsim, "build_environment", lambda key: calls.append("build") or build(key))
+    Simulation(RunConfig(rounds=0))
+    assert calls == ["pin", "build"]
+
+
 @pytest.mark.parametrize(
     "n, classes, test_fraction, clean",
     [
@@ -512,9 +522,10 @@ def _write_idx_pair(directory, name, pixels, labels):
 def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
     rng = np.random.default_rng(4)
     paths = {}
-    for name, n in (("train", 300), ("test", 90)):
+    # "unseen" holds a class the train split never has
+    for name, n, classes in (("train", 300, 3), ("test", 90, 3), ("unseen", 90, 4)):
         pixels = rng.integers(0, 256, size=(n, 3, 4), dtype=np.uint8)
-        labels = (np.arange(n) % 3).astype(np.uint8)
+        labels = (np.arange(n) % classes).astype(np.uint8)
         paths[name] = _write_idx_pair(tmp_path, name, pixels, labels)
     spec = DatasetSpec(kind="idx", train_images=paths["train"][0], train_labels=paths["train"][1],
                        test_images=paths["test"][0], test_labels=paths["test"][1])
@@ -523,6 +534,11 @@ def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
     assert env.test.features.T.flags.c_contiguous
     assert np.array_equal(env.test.features, loaded.features)
     assert np.array_equal(env.test.labels, loaded.labels)
+    # a config built in code reads no files before the run, so the build checks the classes
+    unseen = replace(spec, test_images=paths["unseen"][0], test_labels=paths["unseen"][1])
+    with pytest.raises(ConfigError) as info:
+        flsim.build_environment(_cfg(dataset=unseen))
+    assert info.value.path == "dataset"
 
 
 def test_dataset_rejects_an_empty_test_split():

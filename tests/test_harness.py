@@ -16,7 +16,7 @@ import pytest
 
 from byzbench import flsim
 from byzbench.errors import ConfigError, FormatError, IoError
-from byzbench.flsim import RoundRecord, run_to_result
+from byzbench.flsim import RoundRecord, pin_heap_thresholds, run_to_result
 from byzbench.harness import sweep
 from byzbench.harness.cli import main
 from byzbench.harness.config import (
@@ -37,7 +37,6 @@ from byzbench.harness.reporting import (
     write_summary_json,
 )
 from byzbench.harness.sweep import (
-    pin_heap_thresholds,
     row_sort_key,
     run_cell,
     run_sweep,
@@ -1163,6 +1162,23 @@ def test_run_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
     assert all(row.status == "ok" for row in resumed)
     assert _strip_wall(resumed) == _strip_wall(run_sweep(cfg, str(tmp_path / "fresh")))
 
+
+
+def test_a_pool_that_cannot_take_cells_fails_every_cell(tmp_path, monkeypatch):
+    class Unstartable(sweep.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            raise OSError("cannot start")
+
+    cfg = parse_config_dict(
+        _sweep_dict(attacks=["none", "signflip"], methods=["mean", "median"], ratios=[0.25])
+    )
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Unstartable)
+    rows = run_sweep(cfg, out, parallelism=2)
+    assert sorted(row.fingerprint for row in rows) == sorted(c.fingerprint for c in expand_cells(cfg))
+    assert read_summary_rows(os.path.join(out, "summary.json")) == rows
+    for row in rows:
+        assert row.status == "failed" and row.error.startswith("OSError: cannot start")
 
 
 def _count_builds(monkeypatch, tmp_path) -> Path:
