@@ -130,7 +130,10 @@ def select_byzantine_set(
     Walks a seeded random permutation of the eligible clients, accumulating
     their weights until the cumulative weight first reaches requested_ratio.
     Guarantees realized >= requested (within RATIO_TOL) and that dropping the
-    last added client would fall below the request.
+    last added client would fall below the request. The walk does not depend
+    on the ratio, so with equal weights, exclusions and stream seeds, a lower
+    ratio's set is a prefix, and so a subset, of a higher ratio's: a sweep's
+    rows of one seed attack nested sets.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] == 0:

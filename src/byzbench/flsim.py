@@ -9,29 +9,36 @@ bitwise identical and independent of execution order.
 Ground truth about which clients are compromised lives only in this module
 and the records it emits; aggregation and filtering code never sees it.
 
-The setup draws that do not depend on the method (data, split, clean shard,
-partition, compromised set, and every round's client batch indices) form an
-`Environment`. Each process keeps the last one it built, so consecutive runs
-in one process that differ only in method build it, and draw their batches,
-once; a parallel sweep hands each environment's runs to one worker, apart
-from the sweep's tail (see `harness.sweep`). A run's result does not depend
-on which runs came before it.
+The setup draws come in two levels. The data level (`ClientData`: data,
+split, clean shard, partition, and each client's batch indices for every
+round) depends on neither the method, the attack nor the ratio
+(`RunConfig.data_key`). An `Environment` adds what the attack and ratio
+decide: the compromised set, and the honest clients' batches gathered from
+the data level. Each process keeps the last environment it built, and with
+it one data level, so consecutive runs in one process that differ only in
+method build the environment once, and runs on the same data (a sweep's
+control and attacked rows of one seed) build the data and draw each
+client's batches once; a parallel sweep hands each environment's runs to
+one worker, apart from the sweep's tail (see `harness.sweep`). A run's
+result does not depend on which runs came before it: every draw is keyed
+by (seed, purpose, round, client) and never by what was drawn before.
 
-An environment holds one feature matrix, generated once and never copied,
+A data level holds one feature matrix, generated once and never copied,
 and every index it holds (partitions, clean shard, batches) is a row of that
 matrix. The data shuffle is not applied to the features but composed into
 the indices, and only the test split is gathered into an array of its own,
 feature-major for evaluation (see `data.take`), so a build peaks at about
 1.5x the matrix's bytes, never at two copies of the data set. The batches
 cost rounds x H x batch_size x 8 bytes of indices (H honest clients), never
-the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32.
+the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32,
+once in the data level and once stacked in the environment.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -102,9 +109,10 @@ class ExperimentResult:
 
 
 @dataclass(frozen=True)
-class Environment:
-    """What a run draws before its method matters: data, split, clean shard,
-    partition, compromised set and client batches.
+class ClientData:
+    """What a run draws before its method, attack and ratio matter: data,
+    split, clean shard, partition and client batches. Every environment of
+    one `RunConfig.data_key` shares it (see `environment`).
 
     Every index is a row of `features` (and of `labels`): the partitions
     (`partitions[m]` holds client m's rows), the clean `shard` and the
@@ -115,15 +123,9 @@ class Environment:
     fastest. Gathering them per evaluation instead would cost more than the
     evaluation itself.
 
-    `batches[t]` holds round t's honest batch rows, in `honest` order, as
-    index stacks for one gradient call each: one (H, B) stack when every
-    honest client draws B = min(batch_size, partition size) rows of the
-    same size, else one (1, b_m) stack per client (a ragged environment;
-    partition sizes are fixed, so every round is ragged or none is). They
-    take rounds x H x B x 8 bytes.
-
-    Every array is read-only, because one environment serves every run that
-    differs from it only in method (see `environment`).
+    `draws[m]` holds client m's batch rows, one row per round, drawn the
+    first time an environment needs m as honest (`client_batches`). Every
+    array is read-only, because one data level serves many runs.
     """
 
     features: np.ndarray
@@ -134,6 +136,40 @@ class Environment:
     trusted: tuple[int, ...]
     partitions: tuple[np.ndarray, ...]
     alpha: np.ndarray
+    draws: dict[int, np.ndarray]
+
+    def client_batches(self, config: RunConfig, client: int) -> np.ndarray:
+        """Client `client`'s (rounds, min(batch_size, partition size)) batch
+        rows. `choice` picks positions from the length of the partition
+        alone, so drawing from its rows gives the rows of the positions a
+        train-local partition would give."""
+        if client not in self.draws:
+            part = self.partitions[client]
+            rows = np.empty((config.rounds, min(config.batch_size, part.size)), dtype=part.dtype)
+            for t in range(config.rounds):
+                rng = substream(config.seed, "batch", t, client)
+                rows[t] = rng.choice(part, size=rows.shape[1], replace=False)
+            _read_only(rows)
+            self.draws[client] = rows
+        return self.draws[client]
+
+
+@dataclass(frozen=True)
+class Environment(ClientData):
+    """What a run draws before its method matters: its data level, plus the
+    compromised set `mask`, the `honest` clients and their batches.
+
+    `batches[t]` holds round t's honest batch rows, in `honest` order, as
+    index stacks for one gradient call each: one (H, B) stack when every
+    honest client draws B = min(batch_size, partition size) rows of the
+    same size, else one (1, b_m) stack per client (a ragged environment;
+    partition sizes are fixed, so every round is ragged or none is). They
+    take rounds x H x B x 8 bytes, on top of the data level's draws.
+
+    Every array is read-only, because one environment serves every run that
+    differs from it only in method (see `environment`).
+    """
+
     mask: ByzantineMask
     honest: tuple[int, ...]
     batches: tuple[tuple[np.ndarray, ...], ...]
@@ -145,11 +181,10 @@ def _read_only(*arrays: np.ndarray | None):
             array.flags.writeable = False
 
 
-def build_environment(config: RunConfig) -> Environment:
-    """Draw `config`'s environment. It must not, and cannot, read the method:
-    `environment` passes the config with `method` blanked."""
+def build_client_data(config: RunConfig) -> ClientData:
+    """Draw `config`'s data level. It must not, and cannot, read the method,
+    attack or ratio: `build_environment` passes `config.data_key`."""
     seed = config.seed
-    m_clients = config.clients
 
     if config.dataset.kind == "synthetic":
         data, order = datamod.synth_classification(
@@ -191,7 +226,7 @@ def build_environment(config: RunConfig) -> Environment:
     partitions = tuple(
         rows[part]
         for part in datamod.dirichlet_partition(
-            train_labels, data.n_classes, m_clients, config.beta, config.min_size,
+            train_labels, data.n_classes, config.clients, config.beta, config.min_size,
             substream(seed, "partition"), exclude=shard,
         )
     )
@@ -199,43 +234,55 @@ def build_environment(config: RunConfig) -> Environment:
         shard = rows[shard]
     sizes = np.array([part.size for part in partitions], dtype=np.float64)
     alpha = sizes / sizes.sum()
-    shard_size = 0 if shard is None else shard.size
-    selection_weights = sizes / (sizes.sum() + shard_size)
-
-    mask = select_byzantine_set(
-        selection_weights,
-        config.requested_ratio,
-        substream(seed, "byzantine"),
-        exclude=frozenset(trusted),
-    )
-    honest = tuple(m for m in range(m_clients) if m not in mask.members)
-    if config.attack is not None and not honest:
-        raise InsufficientClients("attack requires at least one honest client")
-
-    # Drawn here, once per environment, so every method trains on the same
-    # batches without drawing them again. `choice` picks positions from the
-    # length of the partition alone, so drawing from its rows gives the rows
-    # of the positions a train-local partition would give.
-    batch_sizes = [min(config.batch_size, partitions[m].size) for m in honest]
-    ragged = len(set(batch_sizes)) > 1
-    batches = []
-    for t in range(config.rounds):
-        drawn = [
-            substream(seed, "batch", t, m).choice(partitions[m], size=size, replace=False)
-            for m, size in zip(honest, batch_sizes)
-        ]
-        batches.append(tuple(batch[None] for batch in drawn) if ragged else (np.stack(drawn),))
 
     _read_only(data.features, data.labels, test.features, test.labels, shard, alpha)
     _read_only(*partitions)
-    _read_only(*(stack for stacks in batches for stack in stacks))
-    return Environment(
-        data.features, data.labels, data.n_classes, test, shard, trusted, partitions,
-        alpha, mask, honest, tuple(batches),
+    return ClientData(
+        data.features, data.labels, data.n_classes, test, shard, trusted, partitions, alpha, {}
     )
 
 
-# The one environment this process holds: (its key, the environment).
+def build_environment(config: RunConfig) -> Environment:
+    """Draw `config`'s environment. It must not, and cannot, read the method:
+    `environment` passes the config with `method` blanked.
+
+    It draws its own data level (`build_client_data`), unless the
+    environment this process holds (`environment`) has the same data key;
+    then it shares that one's data level, batch draws included. The draws
+    are keyed as before, so either way the environment is the same.
+    """
+    if _cached is not None and _cached[0].data_key == config.data_key:
+        data: ClientData = _cached[1]
+    else:
+        data = build_client_data(config.data_key)
+    shared = {f.name: getattr(data, f.name) for f in fields(ClientData)}
+
+    sizes = np.array([part.size for part in data.partitions], dtype=np.float64)
+    shard_size = 0 if data.shard is None else data.shard.size
+    mask = select_byzantine_set(
+        sizes / (sizes.sum() + shard_size),
+        config.requested_ratio,
+        substream(config.seed, "byzantine"),
+        exclude=frozenset(data.trusted),
+    )
+    honest = tuple(m for m in range(config.clients) if m not in mask.members)
+    if config.attack is not None and not honest:
+        raise InsufficientClients("attack requires at least one honest client")
+
+    # Gathered here, once per environment, so every method trains on the
+    # same batches without gathering them again.
+    drawn = [data.client_batches(config, m) for m in honest]
+    if len({rows.shape[1] for rows in drawn}) > 1:  # ragged
+        batches = tuple(tuple(rows[t : t + 1] for rows in drawn) for t in range(config.rounds))
+    else:
+        stack = np.stack(drawn, axis=1)
+        _read_only(stack)
+        batches = tuple((stack[t],) for t in range(config.rounds))
+    return Environment(**shared, mask=mask, honest=honest, batches=batches)
+
+
+# The one environment this process holds, and through it the one data level:
+# (its key, the environment).
 _cached: tuple[RunConfig, Environment] | None = None
 
 
@@ -243,13 +290,16 @@ def environment(config: RunConfig) -> Environment:
     """`config`'s environment, from a one-entry cache per process, keyed by
     `RunConfig.environment_key`.
 
-    The old entry is dropped before the new one is built, so a process never
-    holds two datasets. IDX files are read once per key.
+    A new environment on the held one's data (`RunConfig.data_key`) shares
+    its data level. On new data, the old entry, data level included, is
+    dropped before the new one is built, so a process never holds two data
+    sets. IDX files are read once per data key.
     """
     global _cached
     key = config.environment_key
     if _cached is None or _cached[0] != key:
-        _cached = None
+        if _cached is not None and _cached[0].data_key != key.data_key:
+            _cached = None
         _cached = (key, build_environment(key))
     return _cached[1]
 

@@ -28,9 +28,10 @@ Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
 the sha256 of its RunConfig's canonical `to_json` form, with the master seed
 as `seed`. The fingerprint names the cell's output files and keys resume, so
 key order / whitespace in the source config cannot matter. The run's seed
-hashes the same description minus the method: cells that differ only in
-method are paired, with the same data, partition, compromised set, batches
-and attack noise, so their rows compare methods and nothing else.
+hashes the same description minus the method, attack and ratio (its data
+key): the cells of one (beta, seed) share data, partition, batches and
+windows, and cells that differ only in method share the compromised set and
+attack noise too, so their rows compare methods and nothing else.
 
 This module loads no numpy and no engine module (the specs come from
 `byzbench.specs`), so `byzbench validate` loads neither.
@@ -269,13 +270,15 @@ def _run_config(fields: dict, paths: dict) -> RunConfig:
 
 def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[list[RunConfig]]:
     """The sweep's Cartesian product at `seeds`: per environment, the RunConfigs
-    of its methods, in config order. A "none" attack is a control, whose
-    requested ratio is forced to 0. An error of a field that no axis or section
-    renames ("clean.clients[1]") keeps its path."""
+    of its methods, in config order. Betas and seeds are the outer axes, so
+    the environments of one data key (all but the attack and ratio equal) come
+    out next to each other. A "none" attack is a control, whose requested ratio
+    is forced to 0. An error of a field that no axis or section renames
+    ("clean.clients[1]") keeps its path."""
     shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
     shared.update(filter_params=config.hplus)
-    axes = (config.attacks, enumerate(config.ratios), config.betas, seeds)
-    for attack, (j, ratio), beta, seed in itertools.product(*axes):
+    axes = (config.betas, seeds, config.attacks, enumerate(config.ratios))
+    for beta, seed, attack, (j, ratio) in itertools.product(*axes):
         ratio = ratio if attack is not None else 0.0
         fields = dict(shared, beta=beta, requested_ratio=ratio, attack=attack, seed=seed)
         paths = dict(requested_ratio=f"ratios[{j}]", filter_params="hplus.N")
@@ -316,11 +319,16 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
     Controls collapse to one cell per (method, beta, seed) no matter how many
     ratios are swept. Method is the innermost axis, so the cells that share an
     environment (all but the method equal) come out next to each other.
+
+    A cell's seed derives from the master seed and its data key, so the
+    control and attacked cells of one (beta, master seed) share data,
+    partition, batches and windows, and their compromised sets nest: a lower
+    ratio's set is a prefix of a higher one's (`select_byzantine_set`).
     """
     cells: dict[str, Cell] = {}
     for runs in sweep_runs(config, config.seeds):
-        environment = runs[0].environment_key
-        cell_seed = _cell_seed(environment.seed, cell_fingerprint(to_json(environment)))
+        data = runs[0].data_key
+        cell_seed = _cell_seed(data.seed, cell_fingerprint(to_json(data)))
         for run in runs:
             fingerprint = cell_fingerprint(to_json(run))
             if fingerprint not in cells:

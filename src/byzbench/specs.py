@@ -12,7 +12,8 @@ construction (`_Spec`), whatever the spec's kind; a float must also be
 finite unless its metadata allows `infinite`, so NaN fails every field.
 
 The per-run rules live here too: the defaults a run fills in (N, Krum's f)
-and what its environment depends on (`environment_key`).
+and what its environment and its data depend on (`environment_key`,
+`data_key`).
 
 This module imports nothing but the standard library and `errors`, so that
 parsing and validating a config, IDX headers included, loads no numpy and no
@@ -476,3 +477,10 @@ class RunConfig(TrainingProtocol):
         blanked, so runs that differ only in method share one environment, and
         every other field, one added later included, keys it."""
         return replace(self, method=None)
+
+    @property
+    def data_key(self) -> RunConfig:
+        """What this run's data set, partition and batch draws depend on: the
+        environment key with `attack` and `requested_ratio` blanked too, so
+        the control and attacked runs of one seed share them."""
+        return replace(self, method=None, attack=None, requested_ratio=0.0)

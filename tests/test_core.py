@@ -187,6 +187,17 @@ def test_selection_respects_exclusions():
     assert mask.realized_ratio >= 0.5 - RATIO_TOL
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("weights", [np.full(10, 0.1), np.linspace(1.0, 3.0, 20), np.arange(1.0, 8.0)])
+def test_selections_of_one_stream_nest_across_ratios(weights, seed):
+    weights = weights / weights.sum()
+    exclude = frozenset({1}) if seed % 2 else frozenset()
+    masks = [_selection(weights, ratio, seed, exclude) for ratio in (0.0, 0.1, 0.2, 0.4, 0.6)]
+    for lower, higher in zip(masks, masks[1:]):
+        assert lower.members <= higher.members
+        assert lower.realized_ratio <= higher.realized_ratio
+
+
 def test_selection_rejects_unreachable_and_out_of_range():
     weights = np.full(10, 0.1)
     with pytest.raises(InvalidRatio):

@@ -400,8 +400,11 @@ def _same_result(a, b) -> bool:
         dict(method=MethodSpec(base=AggregatorSpec("median"))),
         # another environment: B's replaces A's
         dict(seed=7, beta=0.3, method=MethodSpec(filtered=True, base=AggregatorSpec("mca"))),
+        # the same data, another attack and ratio: B shares A's data level
+        dict(attack=AttackSpec("lie"), requested_ratio=0.2,
+             method=MethodSpec(base=AggregatorSpec("median"))),
     ],
-    ids=["same-environment", "other-environment"],
+    ids=["same-environment", "other-environment", "same-data"],
 )
 def test_a_cell_after_another_equals_the_cell_alone(monkeypatch, first):
     b = _cfg(rounds=4, requested_ratio=0.4, attack=AttackSpec("signflip"),
@@ -562,6 +565,21 @@ def test_environment_build_peaks_below_two_copies_of_the_data():
     finally:
         tracemalloc.stop()
     assert env.features.nbytes == matrix_bytes
+    assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
+
+
+def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
+    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02),
+                    method=None)
+    matrix_bytes = 20000 * 50 * 8
+    monkeypatch.setattr(flsim, "_cached", None)
+    tracemalloc.start()
+    try:
+        flsim.environment(cfg)
+        flsim.environment(replace(cfg, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from byzbench import data as datamod
 from byzbench import flsim
 from byzbench.errors import ConfigError, FormatError, IoError
 from byzbench.flsim import RoundRecord, pin_heap_thresholds, run_to_result
@@ -561,7 +562,7 @@ def _cell_environment(cell) -> tuple:
     return (run.attack_label, run.requested_ratio, run.beta, cell.seed)
 
 
-def test_cells_differing_only_in_method_share_a_seed():
+def test_cells_differing_only_in_method_attack_or_ratio_share_a_seed():
     cfg = parse_config_dict(
         _sweep_dict(
             attacks=["none", "signflip", "lie"],
@@ -577,13 +578,13 @@ def test_cells_differing_only_in_method_share_a_seed():
     }
     seeds: dict[tuple, set[int]] = {}
     for cell in cells:
-        seeds.setdefault(_cell_environment(cell), set()).add(cell.run_config.seed)
-    assert all(len(group) == 1 for group in seeds.values())  # paired across methods
-    assert len({seed for group in seeds.values() for seed in group}) == len(seeds)
-    assert len(seeds) == 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
+        seeds.setdefault((cell.run_config.beta, cell.seed), set()).add(cell.run_config.seed)
+    assert all(len(group) == 1 for group in seeds.values())  # paired across rows and methods
+    assert len({seed for group in seeds.values() for seed in group}) == len(seeds) == 2 * 2
     # the cells of one environment come out next to each other
     order = [_cell_environment(cell) for cell in cells]
-    assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == len(seeds) - 1
+    environments = 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
+    assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == environments - 1
 
 
 def test_fingerprint_is_whitespace_independent():
@@ -1133,6 +1134,61 @@ def test_sequential_sweep_builds_each_environment_once(tmp_path, monkeypatch):
     assert len(rows) == 12
     assert len(builds) == len({_row_environment(row) for row in rows}) == 4
     assert len(set(builds)) == 4
+
+
+def test_sequential_sweep_generates_each_seeds_data_once(tmp_path, monkeypatch):
+    calls = []
+    synth = datamod.synth_classification
+    monkeypatch.setattr(datamod, "synth_classification", lambda *a: calls.append(a) or synth(*a))
+    monkeypatch.setattr(flsim, "_cached", None)
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["none", "signflip", "lie"],
+            methods=["mean", "median"],
+            ratios=[0.25],
+            seeds=[0, 1],
+        )
+    )
+    rows = run_sweep(cfg, str(tmp_path / "out"))
+    assert len(rows) == 12 and all(row.status == "ok" for row in rows)
+    assert len(calls) == 2  # one data set per master seed, not per (attack, ratio)
+
+
+def test_a_seeds_rows_share_their_data_and_nest_their_compromised_sets(monkeypatch):
+    cfg = parse_config_dict(
+        _sweep_dict(
+            attacks=["none", "signflip", "lie"],
+            methods=["mean", "h+median"],
+            ratios=[0.2, 0.4],
+            clients=8,
+            seeds=[3],
+        )
+    )
+    cells = expand_cells(cfg)
+    assert len({cell.run_config.seed for cell in cells}) == 1
+    monkeypatch.setattr(flsim, "_cached", None)
+    envs = {}
+    for cell in cells:
+        run = cell.run_config
+        envs[(run.attack_label, run.requested_ratio)] = flsim.environment(run)
+    assert len(envs) == 1 + 2 * 2
+    control = envs[("None", 0.0)]
+    for env in envs.values():
+        assert env.features is control.features
+        assert all(np.array_equal(a, b) for a, b in zip(env.partitions, control.partitions))
+        assert np.array_equal(env.alpha, control.alpha)
+    for attack in ("SignFlip", "LIE"):
+        assert envs[(attack, 0.2)].mask.members <= envs[(attack, 0.4)].mask.members
+    # a client honest in two rows trains on the same batch rows in both
+    batches: dict[tuple, list] = {}
+    for env in envs.values():
+        for t, stacks in enumerate(env.batches):
+            rows = [row for stack in stacks for row in stack]
+            for client, row in zip(env.honest, rows):
+                batches.setdefault((client, t), []).append(row)
+    assert len(batches) == cfg.clients * cfg.rounds
+    for rows in batches.values():
+        assert all(np.array_equal(row, rows[0]) for row in rows)
 
 
 def _die_on_attacked_cells(cell):
