@@ -9,17 +9,16 @@ bitwise identical and independent of execution order.
 Ground truth about which clients are compromised lives only in this module
 and the records it emits; aggregation and filtering code never sees it.
 
-The setup draws come in two levels. The data level (`ClientData`: data,
+A run's setup draws come in two parts. The data level (`ClientData`: data,
 split, clean shard, partition, and each client's batch indices for every
 round) depends on neither the method, the attack nor the ratio
-(`RunConfig.data_key`). An `Environment` adds what the attack and ratio
-decide: the compromised set, and the honest clients' batches gathered from
-the data level. Each process keeps the last environment it built, and with
-it one data level, so consecutive runs in one process that differ only in
-method build the environment once, and runs on the same data (a sweep's
-control and attacked rows of one seed) build the data and draw each
-client's batches once; a parallel sweep hands each environment's runs to
-one worker, apart from the sweep's tail (see `harness.sweep`). A run's
+(`RunConfig.data_key`). Each process keeps the last data level it built, so
+the runs of one data key in one process (a sweep's control and attacked
+rows of one seed, every method) build the data and draw each client's
+batches once; a parallel sweep hands each data key's runs to one worker,
+apart from the sweep's tail (see `harness.sweep`). On top of it each
+`Simulation` draws what its attack and ratio decide: the compromised set,
+and the honest clients' batches gathered from the data level. A run's
 result does not depend on which runs came before it: every draw is keyed
 by (seed, purpose, round, client) and never by what was drawn before.
 
@@ -31,14 +30,14 @@ feature-major for evaluation (see `data.take`), so a build peaks at about
 1.5x the matrix's bytes, never at two copies of the data set. The batches
 cost rounds x H x batch_size x 8 bytes of indices (H honest clients), never
 the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32,
-once in the data level and once stacked in the environment.
+once in the data level and once stacked in the run.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,8 +59,8 @@ class RoundRecord:
     """Everything observable about one round.
 
     `wall` holds seconds per phase, and the phases add up to within a few
-    per cent of "total": "batches" (gathering the environment's pre-drawn
-    batch rows), "gradients" (honest gradients and the upload matrix),
+    per cent of "total": "batches" (gathering the run's pre-drawn batch
+    rows), "gradients" (honest gradients and the upload matrix),
     "attack", "clean" (server-shard gradient), then "reference" and "filter"
     (the window draw and the whole `filter_and_aggregate` call, survivor
     average included) for a filtered method or "aggregate" for a bare one,
@@ -111,8 +110,8 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class ClientData:
     """What a run draws before its method, attack and ratio matter: data,
-    split, clean shard, partition and client batches. Every environment of
-    one `RunConfig.data_key` shares it (see `environment`).
+    split, clean shard, partition and client batches. Every run of one
+    `RunConfig.data_key` shares it (see `client_data`).
 
     Every index is a row of `features` (and of `labels`): the partitions
     (`partitions[m]` holds client m's rows), the clean `shard` and the
@@ -124,8 +123,8 @@ class ClientData:
     evaluation itself.
 
     `draws[m]` holds client m's batch rows, one row per round, drawn the
-    first time an environment needs m as honest (`client_batches`). Every
-    array is read-only, because one data level serves many runs.
+    first time a run needs m as honest (`client_batches`). Every array is
+    read-only, because one data level serves many runs.
     """
 
     features: np.ndarray
@@ -154,27 +153,6 @@ class ClientData:
         return self.draws[client]
 
 
-@dataclass(frozen=True)
-class Environment(ClientData):
-    """What a run draws before its method matters: its data level, plus the
-    compromised set `mask`, the `honest` clients and their batches.
-
-    `batches[t]` holds round t's honest batch rows, in `honest` order, as
-    index stacks for one gradient call each: one (H, B) stack when every
-    honest client draws B = min(batch_size, partition size) rows of the
-    same size, else one (1, b_m) stack per client (a ragged environment;
-    partition sizes are fixed, so every round is ragged or none is). They
-    take rounds x H x B x 8 bytes, on top of the data level's draws.
-
-    Every array is read-only, because one environment serves every run that
-    differs from it only in method (see `environment`).
-    """
-
-    mask: ByzantineMask
-    honest: tuple[int, ...]
-    batches: tuple[tuple[np.ndarray, ...], ...]
-
-
 def _read_only(*arrays: np.ndarray | None):
     for array in arrays:
         if array is not None:
@@ -183,7 +161,7 @@ def _read_only(*arrays: np.ndarray | None):
 
 def build_client_data(config: RunConfig) -> ClientData:
     """Draw `config`'s data level. It must not, and cannot, read the method,
-    attack or ratio: `build_environment` passes `config.data_key`."""
+    attack or ratio: `client_data` passes `config.data_key`."""
     seed = config.seed
 
     if config.dataset.kind == "synthetic":
@@ -242,65 +220,20 @@ def build_client_data(config: RunConfig) -> ClientData:
     )
 
 
-def build_environment(config: RunConfig) -> Environment:
-    """Draw `config`'s environment. It must not, and cannot, read the method:
-    `environment` passes the config with `method` blanked.
-
-    It draws its own data level (`build_client_data`), unless the
-    environment this process holds (`environment`) has the same data key;
-    then it shares that one's data level, batch draws included. The draws
-    are keyed as before, so either way the environment is the same.
-    """
-    if _cached is not None and _cached[0].data_key == config.data_key:
-        data: ClientData = _cached[1]
-    else:
-        data = build_client_data(config.data_key)
-    shared = {f.name: getattr(data, f.name) for f in fields(ClientData)}
-
-    sizes = np.array([part.size for part in data.partitions], dtype=np.float64)
-    shard_size = 0 if data.shard is None else data.shard.size
-    mask = select_byzantine_set(
-        sizes / (sizes.sum() + shard_size),
-        config.requested_ratio,
-        substream(config.seed, "byzantine"),
-        exclude=frozenset(data.trusted),
-    )
-    honest = tuple(m for m in range(config.clients) if m not in mask.members)
-    if config.attack is not None and not honest:
-        raise InsufficientClients("attack requires at least one honest client")
-
-    # Gathered here, once per environment, so every method trains on the
-    # same batches without gathering them again.
-    drawn = [data.client_batches(config, m) for m in honest]
-    if len({rows.shape[1] for rows in drawn}) > 1:  # ragged
-        batches = tuple(tuple(rows[t : t + 1] for rows in drawn) for t in range(config.rounds))
-    else:
-        stack = np.stack(drawn, axis=1)
-        _read_only(stack)
-        batches = tuple((stack[t],) for t in range(config.rounds))
-    return Environment(**shared, mask=mask, honest=honest, batches=batches)
+# The one data level this process holds: (its key, the data level).
+_cached: tuple[RunConfig, ClientData] | None = None
 
 
-# The one environment this process holds, and through it the one data level:
-# (its key, the environment).
-_cached: tuple[RunConfig, Environment] | None = None
-
-
-def environment(config: RunConfig) -> Environment:
-    """`config`'s environment, from a one-entry cache per process, keyed by
-    `RunConfig.environment_key`.
-
-    A new environment on the held one's data (`RunConfig.data_key`) shares
-    its data level. On new data, the old entry, data level included, is
-    dropped before the new one is built, so a process never holds two data
-    sets. IDX files are read once per data key.
-    """
+def client_data(config: RunConfig) -> ClientData:
+    """`config`'s data level, from a one-entry cache per process keyed by
+    `RunConfig.data_key`. On new data the held entry is dropped before the
+    new one is built, so a process never holds two data sets, and IDX files
+    are read once per data key."""
     global _cached
-    key = config.environment_key
+    key = config.data_key
     if _cached is None or _cached[0] != key:
-        if _cached is not None and _cached[0].data_key != key.data_key:
-            _cached = None
-        _cached = (key, build_environment(key))
+        _cached = None
+        _cached = (key, build_client_data(key))
     return _cached[1]
 
 
@@ -334,14 +267,38 @@ def pin_heap_thresholds() -> None:
 
 
 class Simulation:
-    """Materialized state for one run of `run_to_result`. Building one pins
-    the heap first (`pin_heap_thresholds`), whoever builds it."""
+    """Materialized state for one run of `run_to_result`: its shared data
+    level (`data`), the compromised set it draws on it (`mask`), its `honest`
+    clients and their `batches`, and the model. Building one pins the heap
+    first (`pin_heap_thresholds`), whoever builds it."""
 
     def __init__(self, config: RunConfig):
         pin_heap_thresholds()
         self.config = config
-        self.env = env = environment(config)
-        self.model = build_model(config.model, env.features.shape[1], env.n_classes)
+        self.data = data = client_data(config)
+
+        sizes = np.array([part.size for part in data.partitions], dtype=np.float64)
+        shard_size = 0 if data.shard is None else data.shard.size
+        self.mask = select_byzantine_set(
+            sizes / (sizes.sum() + shard_size),
+            config.requested_ratio,
+            substream(config.seed, "byzantine"),
+            exclude=frozenset(data.trusted),
+        )
+        self.honest = tuple(m for m in range(config.clients) if m not in self.mask.members)
+        if config.attack is not None and not self.honest:
+            raise InsufficientClients("attack requires at least one honest client")
+        # Round t's honest batch rows, in `honest` order, as index stacks for
+        # one gradient call each: one (H, B) stack, else one (1, b_m) stack per
+        # client when partition sizes make B differ (then every round does).
+        drawn = [data.client_batches(config, m) for m in self.honest]
+        if len({rows.shape[1] for rows in drawn}) > 1:  # ragged
+            self.batches = tuple(tuple(r[t : t + 1] for r in drawn) for t in range(config.rounds))
+        else:
+            stack = np.stack(drawn, axis=1)
+            self.batches = tuple((stack[t],) for t in range(config.rounds))
+
+        self.model = build_model(config.model, data.features.shape[1], data.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
         self.prev_aggregate = np.zeros(self.model.n_params)
 
@@ -349,33 +306,28 @@ class Simulation:
         self.filter_params = config.resolved_filter_params
         # Where the honest gradients go in the upload matrix, and the weights
         # of their losses in the round's train loss.
-        self.honest_rows = np.array(env.honest, dtype=np.intp)
-        honest_alpha = env.alpha[self.honest_rows]
+        self.honest_rows = np.array(self.honest, dtype=np.intp)
+        honest_alpha = data.alpha[self.honest_rows]
         self.honest_weights = honest_alpha / honest_alpha.sum()
-
-    @property
-    def mask(self) -> ByzantineMask:
-        """The environment's compromised set, as `tests/test_acceptance.py` reads it."""
-        return self.env.mask
 
     # ------------------------------------------------------------------ round
 
     def _clean_gradient(self, round_index: int) -> np.ndarray:
-        env = self.env
+        data = self.data
         rng = substream(self.config.seed, "server_batch", round_index)
-        size = min(self.config.batch_size, env.shard.size)
-        batch = rng.choice(env.shard, size=size, replace=False)
-        _, grad = self.model.loss_and_gradient(self.params, env.features[batch], env.labels[batch])
+        size = min(self.config.batch_size, data.shard.size)
+        batch = rng.choice(data.shard, size=size, replace=False)
+        _, grad = self.model.loss_and_gradient(self.params, data.features[batch], data.labels[batch])
         return grad
 
     def run_round(self, round_index: int) -> RoundRecord:
-        cfg, env = self.config, self.env
+        cfg, data = self.config, self.data
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
 
         # `take` gathers the batch rows in about half the time indexing takes.
-        features, labels = env.features, env.labels
-        inputs = [(features.take(idx, axis=0), labels[idx]) for idx in env.batches[round_index]]
+        features, labels = data.features, data.labels
+        inputs = [(features.take(idx, axis=0), labels[idx]) for idx in self.batches[round_index]]
         wall["batches"] = time.perf_counter() - t_start
 
         t_mark = time.perf_counter()
@@ -387,11 +339,11 @@ class Simulation:
         wall["gradients"] = time.perf_counter() - t_mark
 
         t_mark = time.perf_counter()
-        if cfg.attack is not None and env.mask.count:
+        if cfg.attack is not None and self.mask.count:
             payloads = byzantine_payloads(
                 cfg.attack,
                 honest_stack,
-                env.mask.members,
+                self.mask.members,
                 cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
@@ -411,9 +363,9 @@ class Simulation:
             reference = build_reference(
                 self.method.reference,
                 self.method.base,
-                env.alpha,
+                data.alpha,
                 uploads,
-                trusted=env.trusted,
+                trusted=data.trusted,
                 clean_gradient=clean_grad,
                 center=self.prev_aggregate,
             )
@@ -422,7 +374,7 @@ class Simulation:
             result = filter_and_aggregate(
                 reference,
                 uploads,
-                env.alpha,
+                data.alpha,
                 self.filter_params,
                 substream(cfg.seed, "segments", round_index),
             )
@@ -432,7 +384,7 @@ class Simulation:
             t_mark = time.perf_counter()
             agg = aggregate(
                 self.method.base,
-                env.alpha,
+                data.alpha,
                 uploads,
                 center=self.prev_aggregate,
                 reference=clean_grad,
@@ -441,9 +393,9 @@ class Simulation:
             windows = ()
             wall["aggregate"] = time.perf_counter() - t_mark
 
-        honest_selected = sum(1 for m in selected if m not in env.mask.members)
+        honest_selected = sum(1 for m in selected if m not in self.mask.members)
         precision = honest_selected / len(selected) if selected else 1.0
-        recall = honest_selected / len(env.honest)
+        recall = honest_selected / len(self.honest)
 
         t_mark = time.perf_counter()
         self.params = self.params - cfg.lr.rate(round_index) * agg
@@ -455,7 +407,7 @@ class Simulation:
         test_accuracy = None
         if (round_index + 1) % cfg.eval_interval == 0 or round_index == cfg.rounds - 1:
             t_mark = time.perf_counter()
-            test_accuracy = self.model.accuracy(self.params, env.test.features, env.test.labels)
+            test_accuracy = self.model.accuracy(self.params, data.test.features, data.test.labels)
             wall["eval"] = time.perf_counter() - t_mark
 
         wall["total"] = time.perf_counter() - t_start
@@ -488,5 +440,5 @@ def run_to_result(config: RunConfig) -> ExperimentResult:
         max_accuracy=max(accs) if accs else None,
         final_accuracy=accs[-1] if accs else None,
         diverged=diverged,
-        byzantine=sim.env.mask,
+        byzantine=sim.mask,
     )

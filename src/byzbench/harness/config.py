@@ -269,12 +269,12 @@ def _run_config(fields: dict, paths: dict) -> RunConfig:
 
 
 def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[list[RunConfig]]:
-    """The sweep's Cartesian product at `seeds`: per environment, the RunConfigs
-    of its methods, in config order. Betas and seeds are the outer axes, so
-    the environments of one data key (all but the attack and ratio equal) come
-    out next to each other. A "none" attack is a control, whose requested ratio
-    is forced to 0. An error of a field that no axis or section renames
-    ("clean.clients[1]") keeps its path."""
+    """The sweep's Cartesian product at `seeds`: per (beta, seed, attack,
+    ratio), the RunConfigs of its methods, in config order. Betas and seeds
+    are the outer axes, so the runs of one data key (all but the method,
+    attack and ratio equal) come out next to each other. A "none" attack is
+    a control, whose requested ratio is forced to 0. An error of a field that
+    no axis or section renames ("clean.clients[1]") keeps its path."""
     shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
     shared.update(filter_params=config.hplus)
     axes = (config.betas, seeds, config.attacks, enumerate(config.ratios))
@@ -317,8 +317,8 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
     """The sweep's cells (`sweep_runs`), deduplicated by fingerprint.
 
     Controls collapse to one cell per (method, beta, seed) no matter how many
-    ratios are swept. Method is the innermost axis, so the cells that share an
-    environment (all but the method equal) come out next to each other.
+    ratios are swept. Betas and seeds are the outer axes, so the cells of one
+    data key come out next to each other, as `harness.sweep` groups them.
 
     A cell's seed derives from the master seed and its data key, so the
     control and attacked cells of one (beta, master seed) share data,

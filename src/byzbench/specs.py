@@ -12,8 +12,7 @@ construction (`_Spec`), whatever the spec's kind; a float must also be
 finite unless its metadata allows `infinite`, so NaN fails every field.
 
 The per-run rules live here too: the defaults a run fills in (N, Krum's f)
-and what its environment and its data depend on (`environment_key`,
-`data_key`).
+and what its data depends on (`data_key`).
 
 This module imports nothing but the standard library and `errors`, so that
 parsing and validating a config, IDX headers included, loads no numpy and no
@@ -409,11 +408,12 @@ class TrainingProtocol(_Spec):
 class RunConfig(TrainingProtocol):
     """Full declarative description of one training run.
 
-    With `method` None it describes no run but the environment that the runs
-    differing from it only in method share (see `environment_key`). It
-    checks every rule that relates its fields, so a run fails only on what its
-    drawn environment alone shows (an infeasible partition, say), and fills
-    in the defaults: N (`keep`) and Krum's f (`resolved_method`).
+    With `method` None it describes no run but the data that the runs
+    differing from it only in method, attack and ratio share (see
+    `data_key`). It checks every rule that relates its fields, so a run fails
+    only on what its drawn data and compromised set alone show (an
+    infeasible partition, say), and fills in the defaults: N (`keep`) and
+    Krum's f (`resolved_method`).
     """
 
     beta: float = field(default=0.6, metadata={"gt": 0.0})
@@ -472,15 +472,9 @@ class RunConfig(TrainingProtocol):
         return replace(self.filter_params, keep=self.keep) if self.method.filtered else None
 
     @property
-    def environment_key(self) -> RunConfig:
-        """What this run's environment depends on: the whole config with `method`
-        blanked, so runs that differ only in method share one environment, and
-        every other field, one added later included, keys it."""
-        return replace(self, method=None)
-
-    @property
     def data_key(self) -> RunConfig:
         """What this run's data set, partition and batch draws depend on: the
-        environment key with `attack` and `requested_ratio` blanked too, so
-        the control and attacked runs of one seed share them."""
+        whole config with `method`, `attack` and `requested_ratio` blanked, so
+        the control and attacked runs of one seed share them, and every other
+        field, one added later included, keys them."""
         return replace(self, method=None, attack=None, requested_ratio=0.0)

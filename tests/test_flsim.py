@@ -56,7 +56,7 @@ def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.nda
 
 @dataclass
 class _TrainLocal:
-    """An environment as built from a shuffled copy of the data set: train and
+    """A run's setup as built from a shuffled copy of the data set: train and
     test taken from that copy, and every index a position in the train split."""
 
     train: datamod.LabeledDataset
@@ -68,8 +68,8 @@ class _TrainLocal:
     server_batches: list  # server_batches[t]: train positions of the shard batch
 
 
-def _train_local_environment(cfg: RunConfig, honest) -> _TrainLocal:
-    """Rebuild `cfg`'s environment the dataset-copying way, from the same draws."""
+def _train_local_setup(cfg: RunConfig, honest) -> _TrainLocal:
+    """Rebuild `cfg`'s setup the dataset-copying way, from the same draws."""
     spec = cfg.dataset
     generated, order = datamod.synth_classification(
         spec.n, spec.dim, spec.classes, spec.separation, substream(cfg.seed, "data")
@@ -107,24 +107,25 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_rows_match(env, old: _TrainLocal):
-    """Every row the environment names holds the data the train-local one names."""
+def _assert_rows_match(sim: Simulation, old: _TrainLocal):
+    """Every row the run names holds the data the train-local one names."""
+    data = sim.data
 
     def same_rows(rows, positions) -> bool:
-        return _same_bits(env.features[rows], old.train.features[positions]) and _same_bits(
-            env.labels[rows], old.train.labels[positions]
+        return _same_bits(data.features[rows], old.train.features[positions]) and _same_bits(
+            data.labels[rows], old.train.labels[positions]
         )
 
-    assert _same_bits(env.test.features, old.test.features)
-    assert _same_bits(env.test.labels, old.test.labels)
-    assert env.n_classes == old.test.n_classes == old.train.n_classes
-    assert _same_bits(env.alpha, old.alpha) and abs(env.alpha.sum() - 1.0) < 1e-12
-    for part, old_part in zip(env.partitions, old.partitions, strict=True):
+    assert _same_bits(data.test.features, old.test.features)
+    assert _same_bits(data.test.labels, old.test.labels)
+    assert data.n_classes == old.test.n_classes == old.train.n_classes
+    assert _same_bits(data.alpha, old.alpha) and abs(data.alpha.sum() - 1.0) < 1e-12
+    for part, old_part in zip(data.partitions, old.partitions, strict=True):
         assert same_rows(part, old_part)
-    assert (env.shard is None) == (old.shard is None)
-    assert env.shard is None or same_rows(env.shard, old.shard)
-    assert len(env.batches) == len(old.batches)
-    for stacks, old_batches in zip(env.batches, old.batches):
+    assert (data.shard is None) == (old.shard is None)
+    assert data.shard is None or same_rows(data.shard, old.shard)
+    assert len(sim.batches) == len(old.batches)
+    for stacks, old_batches in zip(sim.batches, old.batches):
         rows = [row for stack in stacks for row in stack]
         for row, positions in zip(rows, old_batches, strict=True):
             assert same_rows(row, positions)
@@ -273,8 +274,8 @@ def test_filter_keep_out_of_range_rejected():
 
 
 def test_foe_payload_does_not_depend_on_the_victim(monkeypatch):
-    # Given the same parameters each round, MCA and GM runs of one
-    # environment must aggregate the same uploads, payloads included.
+    # Given the same parameters each round, an MCA and a GM run that differ
+    # only in method must aggregate the same uploads, payloads included.
     uploads = {"mca": [], "gm": []}
 
     def recording(spec, weights, vectors, **kwargs):
@@ -361,7 +362,7 @@ def test_trusted_clients_never_compromised():
         method=MethodSpec(filtered=True, reference="trusted"),
     )
     sim = Simulation(cfg)
-    assert not (set(sim.env.mask.members) & {0, 1})
+    assert not (set(sim.mask.members) & {0, 1})
 
 
 # ------------------------------------------------------------------ training
@@ -396,9 +397,9 @@ def _same_result(a, b) -> bool:
 @pytest.mark.parametrize(
     "first",
     [
-        # the same environment, another method: B reuses A's environment
+        # another method: B reuses A's data level
         dict(method=MethodSpec(base=AggregatorSpec("median"))),
-        # another environment: B's replaces A's
+        # other data: B's data level replaces A's
         dict(seed=7, beta=0.3, method=MethodSpec(filtered=True, base=AggregatorSpec("mca"))),
         # the same data, another attack and ratio: B shares A's data level
         dict(attack=AttackSpec("lie"), requested_ratio=0.2,
@@ -418,27 +419,29 @@ def test_a_cell_after_another_equals_the_cell_alone(monkeypatch, first):
     assert _same_result(after, alone)
 
 
-def test_environment_is_keyed_on_everything_but_the_method(monkeypatch):
+def test_data_level_is_keyed_on_everything_but_method_attack_and_ratio(monkeypatch):
     builds = []
-    build = flsim.build_environment
-    monkeypatch.setattr(flsim, "build_environment", lambda key: builds.append(key) or build(key))
+    build = flsim.build_client_data
+    monkeypatch.setattr(flsim, "build_client_data", lambda key: builds.append(key) or build(key))
     monkeypatch.setattr(flsim, "_cached", None)
     cfg = _cfg(requested_ratio=0.4, attack=AttackSpec("signflip"))
-    first = flsim.environment(cfg)
+    first = Simulation(cfg).data
     h_gm = MethodSpec(filtered=True, base=AggregatorSpec("gm"))
-    assert flsim.environment(replace(cfg, method=h_gm)) is first
-    assert len(builds) == 1 and builds[0].method is None
-    for changed in (dict(rounds=4), dict(seed=1), dict(attack=AttackSpec("lie"))):
-        assert flsim.environment(replace(cfg, **changed)) is not first
+    for same in (dict(method=h_gm), dict(attack=AttackSpec("lie")), dict(requested_ratio=0.2),
+                 dict(attack=None, requested_ratio=0.0)):
+        assert Simulation(replace(cfg, **same)).data is first
+    assert builds == [cfg.data_key] and (builds[0].method, builds[0].attack) == (None, None)
+    for changed in (dict(rounds=4), dict(seed=1), dict(beta=0.3)):
+        assert Simulation(replace(cfg, **changed)).data is not first
     assert len(builds) == 4
 
 
 def test_a_simulation_pins_the_heap_before_it_builds_anything(monkeypatch):
     calls = []
-    build = flsim.build_environment
+    build = flsim.build_client_data
     monkeypatch.setattr(flsim, "_cached", None)
     monkeypatch.setattr(flsim, "pin_heap_thresholds", lambda: calls.append("pin"))
-    monkeypatch.setattr(flsim, "build_environment", lambda key: calls.append("build") or build(key))
+    monkeypatch.setattr(flsim, "build_client_data", lambda key: calls.append("build") or build(key))
     Simulation(RunConfig(rounds=0))
     assert calls == ["pin", "build"]
 
@@ -456,9 +459,9 @@ def test_a_simulation_pins_the_heap_before_it_builds_anything(monkeypatch):
 def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fraction, clean):
     dataset = DatasetSpec(n=n, dim=4, classes=classes, separation=4.0, test_fraction=test_fraction)
     cfg = _cfg(dataset=dataset, clean=clean, min_client_size=1)
-    env = flsim.build_environment(cfg)
+    data = flsim.build_client_data(cfg)
     # per class: the partitions hold exactly the pools that `validate` counts
-    partitioned = env.labels[np.concatenate(env.partitions)]
+    partitioned = data.labels[np.concatenate(data.partitions)]
     pools = cfg.partition_pools(cfg.dataset.train_counts)
     assert np.bincount(partitioned, minlength=classes).tolist() == pools
 
@@ -466,19 +469,19 @@ def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fr
 def test_environment_arrays_reject_writes(monkeypatch):
     monkeypatch.setattr(flsim, "_cached", None)
     for cfg in (_cfg(clean=CleanSpec("server", fraction=0.1)), _RAGGED):
-        env = flsim.environment(cfg)
-        arrays = [env.features, env.labels, env.test.features, env.test.labels,
-                  env.alpha, *env.partitions,
-                  *(stack for stacks in env.batches for stack in stacks)]
-        if env.shard is not None:
-            arrays.append(env.shard)
+        sim = Simulation(cfg)
+        data = sim.data
+        arrays = [data.features, data.labels, data.test.features, data.test.labels,
+                  data.alpha, *data.partitions, *data.draws.values()]
+        if data.shard is not None:
+            arrays.append(data.shard)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         with pytest.raises(AttributeError):
-            env.partitions.append(env.partitions[0])
+            data.partitions.append(data.partitions[0])
         with pytest.raises(TypeError):
-            env.batches[0] = env.batches[0]
+            sim.batches[0] = sim.batches[0]
 
 
 @pytest.mark.parametrize(
@@ -496,23 +499,23 @@ def test_environment_arrays_reject_writes(monkeypatch):
 )
 def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
     monkeypatch.setattr(flsim, "_cached", None)
-    env = flsim.environment(cfg)
-    assert len(env.batches) == cfg.rounds
-    for t, stacks in enumerate(env.batches):
-        want = [_oracle_batch(cfg, env.partitions[m], t, m) for m in env.honest]
+    sim = Simulation(cfg)
+    assert len(sim.batches) == cfg.rounds
+    for t, stacks in enumerate(sim.batches):
+        want = [_oracle_batch(cfg, sim.data.partitions[m], t, m) for m in sim.honest]
         assert len(stacks) == (len(want) if ragged else 1)
         got = [row for stack in stacks for row in stack]
         assert len(got) == len(want)
         for row, batch in zip(got, want):
             assert row.dtype == batch.dtype and np.array_equal(row, batch)
-    _assert_rows_match(env, _train_local_environment(cfg, env.honest))
+    _assert_rows_match(sim, _train_local_setup(cfg, sim.honest))
 
 
 def test_environment_holds_the_test_split_feature_major():
-    env = flsim.build_environment(_cfg())
-    assert env.test.features.shape == (env.test.n, env.features.shape[1])
-    assert env.test.features.T.flags.c_contiguous
-    assert not env.test.features.flags.writeable
+    data = flsim.build_client_data(_cfg())
+    assert data.test.features.shape == (data.test.n, data.features.shape[1])
+    assert data.test.features.T.flags.c_contiguous
+    assert not data.test.features.flags.writeable
 
 
 def _write_idx_pair(directory, name, pixels, labels):
@@ -532,15 +535,15 @@ def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
         paths[name] = _write_idx_pair(tmp_path, name, pixels, labels)
     spec = DatasetSpec(kind="idx", train_images=paths["train"][0], train_labels=paths["train"][1],
                        test_images=paths["test"][0], test_labels=paths["test"][1])
-    env = flsim.build_environment(_cfg(dataset=spec))
+    data = flsim.build_client_data(_cfg(dataset=spec))
     loaded = datamod.load_idx(*paths["test"])
-    assert env.test.features.T.flags.c_contiguous
-    assert np.array_equal(env.test.features, loaded.features)
-    assert np.array_equal(env.test.labels, loaded.labels)
+    assert data.test.features.T.flags.c_contiguous
+    assert np.array_equal(data.test.features, loaded.features)
+    assert np.array_equal(data.test.labels, loaded.labels)
     # a config built in code reads no files before the run, so the build checks the classes
     unseen = replace(spec, test_images=paths["unseen"][0], test_labels=paths["unseen"][1])
     with pytest.raises(ConfigError) as info:
-        flsim.build_environment(_cfg(dataset=unseen))
+        flsim.build_client_data(_cfg(dataset=unseen))
     assert info.value.path == "dataset"
 
 
@@ -560,11 +563,11 @@ def test_environment_build_peaks_below_two_copies_of_the_data():
     matrix_bytes = 20000 * 50 * 8
     tracemalloc.start()
     try:
-        env = flsim.build_environment(cfg)
+        data = flsim.build_client_data(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert env.features.nbytes == matrix_bytes
+    assert data.features.nbytes == matrix_bytes
     assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
 
 
@@ -575,8 +578,8 @@ def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
     monkeypatch.setattr(flsim, "_cached", None)
     tracemalloc.start()
     try:
-        flsim.environment(cfg)
-        flsim.environment(replace(cfg, seed=1))
+        flsim.client_data(cfg)
+        flsim.client_data(replace(cfg, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -595,8 +598,8 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
 
     monkeypatch.setattr(flsim, "substream", counted)
     monkeypatch.setattr(flsim, "_cached", None)
-    env = flsim.environment(cfg)
-    assert draws["batch"] == cfg.rounds * len(env.honest) < cfg.rounds * cfg.clients
+    honest = len(Simulation(cfg).honest)
+    assert draws["batch"] == cfg.rounds * honest < cfg.rounds * cfg.clients
     methods = [
         MethodSpec(base=AggregatorSpec("mean")),
         MethodSpec(base=AggregatorSpec("median")),
@@ -608,13 +611,19 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
     for method in methods:
         result = run_to_result(replace(cfg, method=method))
         assert len(result.records) == cfg.rounds
-    assert draws["batch"] == cfg.rounds * len(env.honest)
+    assert draws["batch"] == cfg.rounds * honest
+    # the control draws only the clients the attacked run left out, and
+    # another attack and ratio on the same data draws none
+    run_to_result(replace(cfg, attack=None, requested_ratio=0.0))
+    assert draws["batch"] == cfg.rounds * cfg.clients
+    run_to_result(replace(cfg, attack=AttackSpec("signflip"), requested_ratio=0.2))
+    assert draws["batch"] == cfg.rounds * cfg.clients
 
 
 def test_single_mean_round_is_one_sgd_step():
     cfg = _cfg(rounds=1)
     sim = Simulation(cfg)
-    old = _train_local_environment(cfg, sim.env.honest)
+    old = _train_local_setup(cfg, sim.honest)
     params0 = sim.params.copy()
     honest_grads = []
     for batch in old.batches[0]:
@@ -622,7 +631,7 @@ def test_single_mean_round_is_one_sgd_step():
             params0, old.train.features[batch], old.train.labels[batch]
         )
         honest_grads.append(grad)
-    want = params0 - cfg.lr.rate(0) * (sim.env.alpha @ np.stack(honest_grads))
+    want = params0 - cfg.lr.rate(0) * (sim.data.alpha @ np.stack(honest_grads))
     sim.run_round(0)
     assert np.allclose(sim.params, want, atol=1e-12)
 
@@ -630,7 +639,7 @@ def test_single_mean_round_is_one_sgd_step():
 def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
     cfg = replace(_RAGGED, rounds=1)
     sim = Simulation(cfg)
-    old = _train_local_environment(cfg, sim.env.honest)
+    old = _train_local_setup(cfg, sim.honest)
     batches = old.batches[0]
     assert len({batch.size for batch in batches}) > 1  # some partition is below batch_size
     want = np.stack(
@@ -655,8 +664,8 @@ def test_ragged_round_calls_the_model_once_per_client(monkeypatch):
     monkeypatch.setattr(sim.model, "loss_and_gradient", counted)
     monkeypatch.setattr(flsim, "aggregate", spy)
     sim.run_round(0)
-    assert seen["calls"] == len(sim.env.honest)
-    assert np.array_equal(seen["uploads"][list(sim.env.honest)], want)
+    assert seen["calls"] == len(sim.honest)
+    assert np.array_equal(seen["uploads"][list(sim.honest)], want)
 
 
 @pytest.mark.parametrize(
@@ -792,10 +801,10 @@ def test_server_clean_shard_feeds_reference():
         method=MethodSpec(filtered=True, reference="server_clean"),
     )
     sim = Simulation(cfg)
-    assert sim.env.shard is not None and sim.env.shard.size > 0
-    claimed = np.concatenate(sim.env.partitions)
-    assert not np.intersect1d(claimed, sim.env.shard).size
-    old = _train_local_environment(cfg, sim.env.honest)
+    assert sim.data.shard is not None and sim.data.shard.size > 0
+    claimed = np.concatenate(sim.data.partitions)
+    assert not np.intersect1d(claimed, sim.data.shard).size
+    old = _train_local_setup(cfg, sim.honest)
     for t, batch in enumerate(old.server_batches):
         _, want = sim.model.loss_and_gradient(
             sim.params, old.train.features[batch], old.train.labels[batch]

@@ -556,7 +556,7 @@ def test_fingerprints_react_to_semantic_changes():
     assert base.run_config.seed != changed.run_config.seed  # seeds derive from fp
 
 
-def _cell_environment(cell) -> tuple:
+def _cell_group(cell) -> tuple:
     """What a cell shares with the cells that differ from it only in method."""
     run = cell.run_config
     return (run.attack_label, run.requested_ratio, run.beta, cell.seed)
@@ -581,10 +581,10 @@ def test_cells_differing_only_in_method_attack_or_ratio_share_a_seed():
         seeds.setdefault((cell.run_config.beta, cell.seed), set()).add(cell.run_config.seed)
     assert all(len(group) == 1 for group in seeds.values())  # paired across rows and methods
     assert len({seed for group in seeds.values() for seed in group}) == len(seeds) == 2 * 2
-    # the cells of one environment come out next to each other
-    order = [_cell_environment(cell) for cell in cells]
-    environments = 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
-    assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == environments - 1
+    # the cells that differ only in method come out next to each other
+    order = [_cell_group(cell) for cell in cells]
+    groups = 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
+    assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == groups - 1
 
 
 def test_fingerprint_is_whitespace_independent():
@@ -1064,7 +1064,7 @@ def test_run_sweep_captures_cell_failures(tmp_path):
     )
 
 
-def _row_environment(row: SummaryRow) -> tuple:
+def _row_group(row: SummaryRow) -> tuple:
     return (row.attack, row.requested_ratio, row.beta, row.seed)
 
 
@@ -1079,7 +1079,7 @@ def test_smoke_sweep_pairs_methods_and_records_caveats(tmp_path):
     groups: dict[tuple, list] = {}
     for cell in expand_cells(cfg):
         result = run_to_result(cell.run_config)
-        groups.setdefault(_cell_environment(cell), []).append((cell, result))
+        groups.setdefault(_cell_group(cell), []).append((cell, result))
     assert len(groups) == 2
     for pairs in groups.values():
         results = [result for _, result in pairs]
@@ -1087,12 +1087,12 @@ def test_smoke_sweep_pairs_methods_and_records_caveats(tmp_path):
         filtered = [result for cell, result in pairs if cell.run_config.method.filtered]
         segments = {tuple(rec.pass_segments for rec in r.records) for r in filtered}
         assert len(segments) == 1 and () not in next(iter(segments))
-    attacked = next(pairs for env, pairs in groups.items() if env[0] == "SignFlip")
+    attacked = next(pairs for group, pairs in groups.items() if group[0] == "SignFlip")
     assert attacked[0][1].byzantine.count > 0
 
     default_keep = cfg.clients - ceil_ratio(0.4, cfg.clients)
     for row in rows:
-        peers = [other for other in rows if _row_environment(other) == _row_environment(row)]
+        peers = [other for other in rows if _row_group(other) == _row_group(row)]
         assert {(p.byzantine_count, p.realized_ratio) for p in peers} == {
             (row.byzantine_count, row.realized_ratio)
         }
@@ -1117,10 +1117,10 @@ def test_library_result_reports_the_summary_accuracies():
         ), row.method
 
 
-def test_sequential_sweep_builds_each_environment_once(tmp_path, monkeypatch):
+def test_sequential_sweep_builds_each_data_key_once(tmp_path, monkeypatch):
     builds = []
-    build = flsim.build_environment
-    monkeypatch.setattr(flsim, "build_environment", lambda key: builds.append(key) or build(key))
+    build = flsim.build_client_data
+    monkeypatch.setattr(flsim, "build_client_data", lambda key: builds.append(key) or build(key))
     monkeypatch.setattr(flsim, "_cached", None)
     cfg = parse_config_dict(
         _sweep_dict(
@@ -1132,8 +1132,8 @@ def test_sequential_sweep_builds_each_environment_once(tmp_path, monkeypatch):
     )
     rows = run_sweep(cfg, str(tmp_path / "out"))
     assert len(rows) == 12
-    assert len(builds) == len({_row_environment(row) for row in rows}) == 4
-    assert len(set(builds)) == 4
+    assert len(builds) == len({(row.beta, row.seed) for row in rows}) == 2
+    assert len(set(builds)) == 2
 
 
 def test_sequential_sweep_generates_each_seeds_data_once(tmp_path, monkeypatch):
@@ -1167,24 +1167,21 @@ def test_a_seeds_rows_share_their_data_and_nest_their_compromised_sets(monkeypat
     cells = expand_cells(cfg)
     assert len({cell.run_config.seed for cell in cells}) == 1
     monkeypatch.setattr(flsim, "_cached", None)
-    envs = {}
+    sims = {}
     for cell in cells:
         run = cell.run_config
-        envs[(run.attack_label, run.requested_ratio)] = flsim.environment(run)
-    assert len(envs) == 1 + 2 * 2
-    control = envs[("None", 0.0)]
-    for env in envs.values():
-        assert env.features is control.features
-        assert all(np.array_equal(a, b) for a, b in zip(env.partitions, control.partitions))
-        assert np.array_equal(env.alpha, control.alpha)
+        sims[(run.attack_label, run.requested_ratio)] = flsim.Simulation(run)
+    assert len(sims) == 1 + 2 * 2
+    control = sims[("None", 0.0)]
+    assert all(sim.data is control.data for sim in sims.values())
     for attack in ("SignFlip", "LIE"):
-        assert envs[(attack, 0.2)].mask.members <= envs[(attack, 0.4)].mask.members
+        assert sims[(attack, 0.2)].mask.members <= sims[(attack, 0.4)].mask.members
     # a client honest in two rows trains on the same batch rows in both
     batches: dict[tuple, list] = {}
-    for env in envs.values():
-        for t, stacks in enumerate(env.batches):
+    for sim in sims.values():
+        for t, stacks in enumerate(sim.batches):
             rows = [row for stack in stacks for row in stack]
-            for client, row in zip(env.honest, rows):
+            for client, row in zip(sim.honest, rows):
                 batches.setdefault((client, t), []).append(row)
     assert len(batches) == cfg.clients * cfg.rounds
     for rows in batches.values():
@@ -1238,22 +1235,22 @@ def test_a_pool_that_cannot_take_cells_fails_every_cell(tmp_path, monkeypatch):
 
 
 def _count_builds(monkeypatch, tmp_path) -> Path:
-    """Log the pid of every environment build, forked workers' included."""
+    """Log the pid of every data-level build, forked workers' included."""
     log = tmp_path / "builds.log"
     log.touch()
-    build = flsim.build_environment
+    build = flsim.build_client_data
 
     def counting(key):
         with open(log, "a", encoding="utf-8") as out:
             out.write(f"{os.getpid()}\n")
         return build(key)
 
-    monkeypatch.setattr(flsim, "build_environment", counting)
+    monkeypatch.setattr(flsim, "build_client_data", counting)
     monkeypatch.setattr(flsim, "_cached", None)
     return log
 
 
-def test_parallel_sweep_builds_each_environment_in_one_worker(tmp_path, monkeypatch):
+def test_parallel_sweep_builds_each_data_key_in_one_worker(tmp_path, monkeypatch):
     log = _count_builds(monkeypatch, tmp_path)
     cfg = parse_config_dict(
         _sweep_dict(
@@ -1263,11 +1260,12 @@ def test_parallel_sweep_builds_each_environment_in_one_worker(tmp_path, monkeypa
             seeds=[0, 1, 2],
         )
     )
-    groups = len({cell.run_config.environment_key for cell in expand_cells(cfg)})
+    groups = len({cell.run_config.data_key for cell in expand_cells(cfg)})
     par = run_sweep(cfg, str(tmp_path / "par"), parallelism=2)
-    assert (groups, len(par)) == (6, 18)
-    # workers sharing one queue would each build nearly every environment
-    assert len(log.read_text().split()) <= groups + 2
+    assert (groups, len(par)) == (3, 18)
+    # each worker takes a whole seed, and only the last one is split between
+    # them; grouping by (attack, ratio) builds 6
+    assert len(log.read_text().split()) <= groups + 1
     monkeypatch.setattr(flsim, "_cached", None)
     assert _strip_wall(par) == _strip_wall(run_sweep(cfg, str(tmp_path / "seq")))
 
@@ -1275,9 +1273,9 @@ def test_parallel_sweep_builds_each_environment_in_one_worker(tmp_path, monkeypa
 _SIX_METHODS = ["mean", "median", "gm", "cclip", "mca", "h+gm"]
 
 
-def test_one_environment_is_split_between_the_workers(tmp_path, monkeypatch):
+def test_one_data_key_is_split_between_the_workers(tmp_path, monkeypatch):
     # The first worker gets the whole group; the second takes its newer half,
-    # which has not started, and builds the environment too.
+    # which has not started, and builds the data level too.
     log = _count_builds(monkeypatch, tmp_path)
     cfg = parse_config_dict(
         _sweep_dict(attacks=["signflip"], methods=_SIX_METHODS, ratios=[0.25], seeds=[0])
