@@ -14,11 +14,15 @@ from .specs import class_counts, class_share, idx_counts
 
 _MAX_PARTITION_ATTEMPTS = 10000
 _TAKE_BLOCK = 256
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix (n, d) with integer labels in [0, n_classes)."""
+    """Feature matrix (n, d) with integer labels in [0, n_classes).
+
+    The features are float64, except inside `load_idx`, where the file's
+    uint8 pixels pass through `take` on their way to floats."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -44,19 +48,26 @@ class LabeledDataset:
 
 
 def take(dataset: LabeledDataset, indices) -> LabeledDataset:
-    """The samples at `indices`, with (k, d) features laid out feature-major.
+    """The samples at `indices`, with (k, d) float64 features laid out feature-major.
 
     The features are the transpose view of a C-contiguous (d, k) array, the
     layout `_DenseNet.accuracy` scores fastest. They are gathered into it
     _TAKE_BLOCK rows at a time, so besides the source and the result no more
-    than one block of them is held.
+    than one block of them is held. A uint8 source (IDX pixels) is converted
+    as it is gathered.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    features = np.empty((dataset.dim, idx.size), dtype=dataset.features.dtype)
+    features = np.empty((dataset.dim, idx.size))
     for lo in range(0, idx.size, _TAKE_BLOCK):
         block = idx[lo : lo + _TAKE_BLOCK]
         features[:, lo : lo + block.size] = dataset.features[block].T
     return LabeledDataset(features.T, dataset.labels[idx], dataset.n_classes)
+
+
+def class_labels(n: int, n_classes: int) -> np.ndarray:
+    """The labels of `synth_classification`'s n samples, in generation order:
+    one contiguous block per class, sized by `class_counts`."""
+    return np.repeat(np.arange(n_classes, dtype=np.int64), class_counts(n, n_classes))
 
 
 def synth_classification(
@@ -65,15 +76,26 @@ def synth_classification(
     n_classes: int,
     class_separation: float,
     rng: np.random.Generator,
-) -> tuple[LabeledDataset, np.ndarray]:
-    """Gaussian-cluster classification data and the shuffle of its samples.
+    keep=None,
+    test=None,
+) -> tuple[LabeledDataset, np.ndarray, LabeledDataset]:
+    """Gaussian-cluster classification data, the shuffle of its samples, and
+    a test split: `(dataset, order, test)`.
 
     Class centers are drawn at random and rescaled so the closest pair sits
     exactly class_separation apart; samples add unit-variance isotropic noise.
-    Class counts are balanced within one sample. The samples come in
-    generation order, one contiguous block per class; the shuffled data set
-    is `take(dataset, order)`. Returning the permutation and not the shuffled
-    copy lets a caller keep the one feature matrix and index its rows.
+    Class counts are balanced within one sample, and the samples come in
+    generation order, one contiguous block per class (`class_labels`).
+    `order` is their shuffle: the shuffled data set is `take(dataset, order)`.
+
+    The features are generated _BLOCK_ROWS samples at a time, and only the
+    asked-for ones are held. `dataset` holds the samples `keep` marks (a
+    boolean mask over the n samples, every sample by default), row-major in
+    generation order. `test` holds the samples at positions `test` (none by
+    default), in that order, laid out as `take` lays them out. Every draw is
+    the same whatever is kept, so a caller that learns from `order` which
+    samples it needs calls twice, on two streams of one key: keeping nothing,
+    for the order, then keeping what it needs.
     """
     if n < n_classes or n_classes < 1:
         raise InfeasiblePartition(f"cannot build {n_classes} classes from {n} samples")
@@ -89,17 +111,45 @@ def synth_classification(
                 break
         centers *= class_separation / closest
 
-    counts = class_counts(n, n_classes)
-    labels = np.repeat(np.arange(n_classes), counts)
-    # Labels come in contiguous class blocks, so each center is added to its
-    # block in place: the same sums as centers[labels] + noise, without two
-    # more (n, dim) temporaries.
-    features = rng.standard_normal((n, dim))
-    ends = np.cumsum(counts)
-    for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
-        features[lo:hi] += centers[c]
+    labels = class_labels(n, n_classes)
+    keep = np.ones(n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    test = np.asarray(() if test is None else test, dtype=np.int64)
+    in_test = np.zeros(n, dtype=bool)
+    in_test[test] = True
+    kept = np.empty((np.count_nonzero(keep), dim))
+    test_rows = np.empty((test.size, dim))  # in generation order until `take` below
+
+    # Chunked draws are the one-shot draw: `standard_normal` fills its output
+    # from the stream in row-major order, whatever the output's size.
+    ends = np.cumsum(class_counts(n, n_classes))
+    block = np.empty((min(_BLOCK_ROWS, n), dim))
+    n_kept = n_test_rows = 0
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        chunk = rng.standard_normal(out=block[: hi - lo])
+        # Each center is added to its class's rows in place: the same sums as
+        # centers[labels] + noise.
+        for c in range(np.searchsorted(ends, lo, side="right"), n_classes):
+            start = ends[c - 1] if c else 0
+            if start >= hi:
+                break
+            chunk[max(start, lo) - lo : min(ends[c], hi) - lo] += centers[c]
+        marks = keep[lo:hi]
+        count = np.count_nonzero(marks)
+        np.compress(marks, chunk, axis=0, out=kept[n_kept : n_kept + count])
+        n_kept += count
+        marks = in_test[lo:hi]
+        count = np.count_nonzero(marks)
+        np.compress(marks, chunk, axis=0, out=test_rows[n_test_rows : n_test_rows + count])
+        n_test_rows += count
+    del block, chunk
     order = rng.permutation(n)
-    return LabeledDataset(features, labels.astype(np.int64), n_classes), order
+
+    test_set = take(
+        LabeledDataset(test_rows, labels[in_test], n_classes),
+        np.searchsorted(np.flatnonzero(in_test), test),
+    )
+    return LabeledDataset(kept, labels[keep], n_classes), order, test_set
 
 
 def stratified_holdout(
@@ -193,22 +243,38 @@ def dirichlet_partition(
     )
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
+def idx_labels(images_path, labels_path) -> np.ndarray:
+    """The labels of an IDX image/label file pair, after checking both
+    headers (`idx_counts`, which `validate` runs too)."""
+    n_images = idx_counts(images_path, "image")[0]
+    idx_counts(labels_path, "label", n_images)
+    labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, count=n_images, offset=8)
+    return labels.astype(np.int64)
+
+
+def load_idx(
+    images_path, labels_path, keep=None, test=None
+) -> tuple[LabeledDataset, LabeledDataset]:
     """Load an IDX image/label file pair (big-endian, MNIST-style layout).
 
     Pixels are scaled to [0, 1] floats and flattened row-major; labels stay
     integers. Bad magic numbers, mismatched counts, or truncated payloads
-    raise FormatError (`idx_counts`, which `validate` runs too).
+    raise FormatError. Returns `(dataset, test)` as `synth_classification`
+    does: the images `keep` marks (every one by default), row-major in file
+    order, and the images at positions `test` (none by default), laid out as
+    `take` lays them out. Only those are converted; the others stay uint8
+    bytes of the file.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
+    labels = idx_labels(images_path, labels_path)
     n_images, rows, cols = idx_counts(images_path, "image")
-    idx_counts(labels_path, "label", n_images)
     pixels = np.frombuffer(
-        images_path.read_bytes(), dtype=np.uint8, count=n_images * rows * cols, offset=16
-    )
-    labels = np.frombuffer(labels_path.read_bytes(), dtype=np.uint8, count=n_images, offset=8)
-
-    features = pixels.astype(np.float64).reshape(n_images, rows * cols)
-    features /= 255.0  # in place: the same quotients without a second float copy
+        Path(images_path).read_bytes(), dtype=np.uint8, count=n_images * rows * cols, offset=16
+    ).reshape(n_images, rows * cols)
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(features, labels.astype(np.int64), n_classes)
+
+    keep = slice(None) if keep is None else np.asarray(keep, dtype=bool)
+    features = pixels[keep].astype(np.float64)
+    features /= 255.0  # in place: the same quotients without a second float copy
+    test_set = take(LabeledDataset(pixels, labels, n_classes), () if test is None else test)
+    np.divide(test_set.features, 255.0, out=test_set.features)
+    return LabeledDataset(features, labels[keep], n_classes), test_set

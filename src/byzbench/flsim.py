@@ -10,11 +10,11 @@ Ground truth about which clients are compromised lives only in this module
 and the records it emits; aggregation and filtering code never sees it.
 
 A run's setup draws come in two parts. The data level (`ClientData`: data,
-split, clean shard, partition, and each client's batch indices for every
-round) depends on neither the method, the attack nor the ratio
-(`RunConfig.data_key`). Each process keeps the last data level it built, so
-the runs of one data key in one process (a sweep's control and attacked
-rows of one seed, every method) build the data and draw each client's
+split, clean shard, partition, and every client's and the server's batch
+indices for every round) depends on neither the method, the attack nor the
+ratio (`RunConfig.data_key`). Each process keeps the last data level it
+built, so the runs of one data key in one process (a sweep's control and
+attacked rows of one seed, every method) build the data and draw the
 batches once; a parallel sweep hands each data key's runs to one worker,
 apart from the sweep's tail (see `harness.sweep`). On top of it each
 `Simulation` draws what its attack and ratio decide: the compromised set,
@@ -22,15 +22,19 @@ and the honest clients' batches gathered from the data level. A run's
 result does not depend on which runs came before it: every draw is keyed
 by (seed, purpose, round, client) and never by what was drawn before.
 
-A data level holds one feature matrix, generated once and never copied,
-and every index it holds (partitions, clean shard, batches) is a row of that
-matrix. The data shuffle is not applied to the features but composed into
-the indices, and only the test split is gathered into an array of its own,
-feature-major for evaluation (see `data.take`), so a build peaks at about
-1.5x the matrix's bytes, never at two copies of the data set. The batches
-cost rounds x H x batch_size x 8 bytes of indices (H honest clients), never
-the gathered features: about 0.5 MB for 100 rounds of 20 clients at B = 32,
-once in the data level and once stacked in the run.
+A data level holds the features a run reads, not the data set. Its build
+first draws everything that picks samples, from the labels alone: split,
+shard, partition and every batch. Only then does it make features: the
+samples some batch reads, as one row-major matrix that every batch index
+points into, and the test split, feature-major for evaluation (see
+`data.take`). Synthetic data is generated twice from one stream key, in
+blocks: the first pass only runs the stream up to the shuffle, the second
+keeps the selected samples. IDX pixels stay uint8 until a selected image
+is converted. So a data level grows with rounds x clients x batch size and
+the test split, not with n: a 10-round build at n = 40,000, d = 50 peaks
+at 0.71x the n x d matrix and holds 0.38x of it. The batch indices cost
+rounds x clients x batch_size x 8 bytes: about 0.5 MB for 100 rounds of 20
+clients at B = 32, once in the data level and once stacked in the run.
 """
 
 from __future__ import annotations
@@ -110,21 +114,20 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class ClientData:
     """What a run draws before its method, attack and ratio matter: data,
-    split, clean shard, partition and client batches. Every run of one
-    `RunConfig.data_key` shares it (see `client_data`).
+    split, clean shard, partition, and every batch of every round. Every run
+    of one `RunConfig.data_key` shares it (see `client_data`).
 
-    Every index is a row of `features` (and of `labels`): the partitions
-    (`partitions[m]` holds client m's rows), the clean `shard` and the
-    batches. `alpha[m]` is client m's share of the partitioned rows. The
-    rows of the test split are in `features` too, but no index names them;
-    `test` holds them gathered, its (n_test, d) features the transpose view
-    of a C-contiguous (d, n_test) array, the layout evaluation scores
-    fastest. Gathering them per evaluation instead would cost more than the
-    evaluation itself.
-
-    `draws[m]` holds client m's batch rows, one row per round, drawn the
-    first time a run needs m as honest (`client_batches`). Every array is
-    read-only, because one data level serves many runs.
+    The partitions (`partitions[m]` holds client m's samples) and the clean
+    `shard` are sample ids of the generated (or loaded) data set. `alpha[m]`
+    is client m's share of the partitioned samples. Of the samples, only the
+    ones some batch reads are held: `features` and `labels` hold them, in
+    sample order, and every batch index is a row of them. `batches[m]` holds
+    client m's batch rows, one row per round, for every client, since a
+    control run trains them all; `server_batches` holds the clean shard's,
+    one row per round (None without a shard). `test` holds the test split,
+    its (n_test, d) features the transpose view of a C-contiguous (d, n_test)
+    array, the layout evaluation scores fastest. Every array is read-only,
+    because one data level serves many runs.
     """
 
     features: np.ndarray
@@ -135,22 +138,8 @@ class ClientData:
     trusted: tuple[int, ...]
     partitions: tuple[np.ndarray, ...]
     alpha: np.ndarray
-    draws: dict[int, np.ndarray]
-
-    def client_batches(self, config: RunConfig, client: int) -> np.ndarray:
-        """Client `client`'s (rounds, min(batch_size, partition size)) batch
-        rows. `choice` picks positions from the length of the partition
-        alone, so drawing from its rows gives the rows of the positions a
-        train-local partition would give."""
-        if client not in self.draws:
-            part = self.partitions[client]
-            rows = np.empty((config.rounds, min(config.batch_size, part.size)), dtype=part.dtype)
-            for t in range(config.rounds):
-                rng = substream(config.seed, "batch", t, client)
-                rows[t] = rng.choice(part, size=rows.shape[1], replace=False)
-            _read_only(rows)
-            self.draws[client] = rows
-        return self.draws[client]
+    batches: tuple[np.ndarray, ...]
+    server_batches: np.ndarray | None
 
 
 def _read_only(*arrays: np.ndarray | None):
@@ -159,44 +148,77 @@ def _read_only(*arrays: np.ndarray | None):
             array.flags.writeable = False
 
 
-def build_client_data(config: RunConfig) -> ClientData:
-    """Draw `config`'s data level. It must not, and cannot, read the method,
-    attack or ratio: `client_data` passes `config.data_key`."""
-    seed = config.seed
+def _draw_batches(config: RunConfig, pool: np.ndarray, purpose: str, *coords) -> np.ndarray:
+    """(rounds, min(batch_size, pool size)) samples of `pool`, round t's
+    drawn from the stream (seed, purpose, t, *coords). `choice` picks
+    positions from the length of the pool alone, so drawing from sample ids
+    gives the samples of the positions a train-local pool would give."""
+    drawn = np.empty((config.rounds, min(config.batch_size, pool.size)), dtype=np.int64)
+    for t in range(config.rounds):
+        drawn[t] = substream(config.seed, purpose, t, *coords).choice(
+            pool, size=drawn.shape[1], replace=False
+        )
+    return drawn
 
-    if config.dataset.kind == "synthetic":
-        data, order = datamod.synth_classification(
-            config.dataset.n,
-            config.dataset.dim,
-            config.dataset.classes,
-            config.dataset.separation,
-            substream(seed, "data"),
+
+def _split(config: RunConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Every sample's label, the class count, and the samples of the train
+    and the test split, in the order of the shuffled data set. Reads no
+    features: for synthetic data, the data stream is only run up to the shuffle."""
+    seed, spec = config.seed, config.dataset
+    if spec.kind == "synthetic":
+        labels = datamod.class_labels(spec.n, spec.classes)
+        _, order, _ = datamod.synth_classification(
+            spec.n, spec.dim, spec.classes, spec.separation, substream(seed, "data"),
+            np.zeros(spec.n, dtype=bool),
         )
         train_idx, test_idx = datamod.stratified_holdout(
-            data.labels[order], data.n_classes, config.dataset.test_fraction,
-            substream(seed, "split"),
+            labels[order], spec.classes, spec.test_fraction, substream(seed, "split")
         )
-        # Position i of the shuffled data set is row order[i] of `data`, so
-        # the train split is rows[i] and the test split is gathered directly.
-        rows = order[train_idx]
-        test = datamod.take(data, order[test_idx])
-    else:
-        data = datamod.load_idx(config.dataset.train_images, config.dataset.train_labels)
-        test = datamod.load_idx(config.dataset.test_images, config.dataset.test_labels)
-        if test.n_classes > data.n_classes:
-            raise ConfigError("dataset", "test split contains unseen classes")
-        test = datamod.take(test, np.arange(test.n))  # feature-major, as in the synthetic branch
-        rows = np.arange(data.n)
+        return labels, spec.classes, order[train_idx], order[test_idx]
+    labels = datamod.idx_labels(spec.train_images, spec.train_labels)
+    test_labels = datamod.idx_labels(spec.test_images, spec.test_labels)
+    n_classes = int(labels.max()) + 1 if labels.size else 0
+    if test_labels.size and test_labels.max() >= n_classes:
+        raise ConfigError("dataset", "test split contains unseen classes")
+    return labels, n_classes, np.arange(labels.size), np.arange(test_labels.size)
+
+
+def _read(config: RunConfig, keep: np.ndarray, test_rows: np.ndarray):
+    """The samples `keep` marks, row-major, and the test split, feature-major."""
+    spec = config.dataset
+    if spec.kind == "synthetic":
+        data, _, test = datamod.synth_classification(
+            spec.n, spec.dim, spec.classes, spec.separation, substream(config.seed, "data"),
+            keep, test_rows,
+        )
+        return data, test
+    data, _ = datamod.load_idx(spec.train_images, spec.train_labels, keep)
+    _, test = datamod.load_idx(
+        spec.test_images, spec.test_labels, np.zeros(test_rows.size, dtype=bool), test_rows
+    )
+    return data, test
+
+
+def build_client_data(config: RunConfig) -> ClientData:
+    """Draw `config`'s data level. It must not, and cannot, read the method,
+    attack or ratio: `client_data` passes `config.data_key`.
+
+    Every draw that picks samples comes first, from the labels alone: split,
+    shard, partition and every batch. Only then are features made, for the
+    samples some batch reads and for the test split."""
+    seed = config.seed
+    labels, n_classes, rows, test_rows = _split(config)
 
     # The shard and the partition are drawn over train positions, as in the
-    # shuffled train split, and then mapped to rows of `data`.
-    train_labels = data.labels[rows]
+    # shuffled train split, and then mapped to samples.
+    train_labels = labels[rows]
     shard: np.ndarray | None = None
     trusted: tuple[int, ...] = ()
     if config.clean is not None:
         if config.clean.kind == "server":
             shard = datamod.carve_clean_shard(
-                train_labels, data.n_classes, config.clean.fraction, substream(seed, "shard")
+                train_labels, n_classes, config.clean.fraction, substream(seed, "shard")
             )
         else:
             trusted = tuple(sorted(set(config.clean.clients)))
@@ -204,7 +226,7 @@ def build_client_data(config: RunConfig) -> ClientData:
     partitions = tuple(
         rows[part]
         for part in datamod.dirichlet_partition(
-            train_labels, data.n_classes, config.clients, config.beta, config.min_size,
+            train_labels, n_classes, config.clients, config.beta, config.min_size,
             substream(seed, "partition"), exclude=shard,
         )
     )
@@ -213,10 +235,23 @@ def build_client_data(config: RunConfig) -> ClientData:
     sizes = np.array([part.size for part in partitions], dtype=np.float64)
     alpha = sizes / sizes.sum()
 
-    _read_only(data.features, data.labels, test.features, test.labels, shard, alpha)
-    _read_only(*partitions)
+    batches = [_draw_batches(config, part, "batch", m) for m, part in enumerate(partitions)]
+    server_batches = None if shard is None else _draw_batches(config, shard, "server_batch")
+    # The samples some batch reads, and the row of `features` each one gets.
+    drawn = batches if server_batches is None else [*batches, server_batches]
+    keep = np.zeros(labels.size, dtype=bool)
+    for samples in drawn:
+        keep[samples] = True
+    row_of = np.cumsum(keep) - 1
+    for samples in drawn:
+        np.take(row_of, samples, out=samples)
+
+    data, test = _read(config, keep, test_rows)
+    _read_only(data.features, data.labels, test.features, test.labels, shard, alpha, server_batches)
+    _read_only(*partitions, *batches)
     return ClientData(
-        data.features, data.labels, data.n_classes, test, shard, trusted, partitions, alpha, {}
+        data.features, data.labels, n_classes, test, shard, trusted, partitions, alpha,
+        tuple(batches), server_batches,
     )
 
 
@@ -291,7 +326,7 @@ class Simulation:
         # Round t's honest batch rows, in `honest` order, as index stacks for
         # one gradient call each: one (H, B) stack, else one (1, b_m) stack per
         # client when partition sizes make B differ (then every round does).
-        drawn = [data.client_batches(config, m) for m in self.honest]
+        drawn = [data.batches[m] for m in self.honest]
         if len({rows.shape[1] for rows in drawn}) > 1:  # ragged
             self.batches = tuple(tuple(r[t : t + 1] for r in drawn) for t in range(config.rounds))
         else:
@@ -314,9 +349,7 @@ class Simulation:
 
     def _clean_gradient(self, round_index: int) -> np.ndarray:
         data = self.data
-        rng = substream(self.config.seed, "server_batch", round_index)
-        size = min(self.config.batch_size, data.shard.size)
-        batch = rng.choice(data.shard, size=size, replace=False)
+        batch = data.server_batches[round_index]
         _, grad = self.model.loss_and_gradient(self.params, data.features[batch], data.labels[batch])
         return grad
 

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from byzbench import data as datamod
 from byzbench.data import (
     LabeledDataset,
+    class_labels,
     carve_clean_shard,
     dirichlet_partition,
     load_idx,
@@ -20,7 +22,7 @@ from byzbench.errors import EmptySelection, FormatError, InfeasiblePartition
 
 def _dataset(n=1000, d=8, classes=4, separation=6.0, seed=0):
     """The shuffled data set: generated samples in the order the permutation gives."""
-    ds, order = synth_classification(n, d, classes, separation, np.random.default_rng(seed))
+    ds, order, _ = synth_classification(n, d, classes, separation, np.random.default_rng(seed))
     return take(ds, order)
 
 
@@ -69,12 +71,12 @@ def test_synth_balanced_labels():
 
 
 def test_synth_single_class():
-    ds, _ = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
+    ds, _, _ = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
     assert np.array_equal(ds.labels, np.zeros(20, dtype=np.int64))
 
 
 def test_synth_returns_generation_order_and_a_permutation():
-    ds, order = synth_classification(103, 4, 10, 6.0, np.random.default_rng(4))
+    ds, order, _ = synth_classification(103, 4, 10, 6.0, np.random.default_rng(4))
     assert np.array_equal(np.sort(order), np.arange(103))
     assert np.all(np.diff(ds.labels) >= 0)  # one contiguous block per class
     shuffled = take(ds, order)
@@ -86,6 +88,55 @@ def test_synth_deterministic_per_seed():
     a, b = _dataset(seed=9), _dataset(seed=9)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+def _one_shot_synth(n, d, classes, separation, rng):
+    """The generation as one (n, d) draw: centers, noise, centers added, shuffle."""
+    if classes == 1:
+        centers = rng.standard_normal((1, d))
+    else:
+        while True:
+            centers = rng.standard_normal((classes, d))
+            dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+            closest = dist[np.triu_indices(classes, k=1)].min()
+            if closest > 0.0:
+                break
+        centers *= separation / closest
+    labels = class_labels(n, classes)
+    features = rng.standard_normal((n, d)) + centers[labels]
+    return features, labels, rng.permutation(n)
+
+
+@pytest.mark.parametrize(
+    "n, d, classes, block",
+    [
+        (4000, 5, 4, 1000),
+        (5000, 20, 10, 1000),
+        (12345, 7, 3, 999),
+        (1001, 6, 1, 250),
+        (50, 3, 2, 2048),
+    ],
+    ids=["divides", "divides-10-classes", "does-not-divide", "single-class", "one-block"],
+)
+def test_chunked_generation_is_the_one_shot_draw(monkeypatch, n, d, classes, block):
+    monkeypatch.setattr(datamod, "_BLOCK_ROWS", block)
+    features, labels, order = _one_shot_synth(n, d, classes, 4.0, np.random.default_rng(n))
+    ds, got_order, test = synth_classification(n, d, classes, 4.0, np.random.default_rng(n))
+    assert ds.features.tobytes() == features.tobytes()
+    assert np.array_equal(ds.labels, labels) and np.array_equal(got_order, order)
+    assert test.n == 0
+    # keeping some samples and a test split draws the same stream
+    rng = np.random.default_rng(1)
+    keep = rng.random(n) < 0.2
+    test_rows = rng.permutation(np.flatnonzero(~keep))[: n // 5]
+    kept, got_order, test = synth_classification(
+        n, d, classes, 4.0, np.random.default_rng(n), keep, test_rows
+    )
+    assert kept.features.tobytes() == features[keep].tobytes()
+    assert np.array_equal(kept.labels, labels[keep]) and np.array_equal(got_order, order)
+    assert test.features.T.flags.c_contiguous
+    assert test.features.tobytes() == features[test_rows].tobytes()
+    assert np.array_equal(test.labels, labels[test_rows])
 
 
 def test_synth_rejects_more_classes_than_samples():
@@ -277,7 +328,7 @@ def test_idx_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(10, 28, 28), dtype=np.uint8)
     labels = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], dtype=np.uint8)
-    ds = load_idx(*_write_idx(tmp_path, pixels, labels))
+    ds, _ = load_idx(*_write_idx(tmp_path, pixels, labels))
     assert ds.n == 10 and ds.dim == 784 and ds.n_classes == 10
     assert np.array_equal(ds.labels, labels.astype(np.int64))
     assert np.allclose(ds.features, pixels.reshape(10, 784) / 255.0, atol=0)
@@ -290,10 +341,27 @@ def test_idx_scaling_matches_dividing_a_float_copy(tmp_path):
         [np.arange(256, dtype=np.uint8), rng.integers(0, 256, size=344, dtype=np.uint8)]
     ).reshape(6, 10, 10)
     labels = np.arange(6, dtype=np.uint8) % 3
-    ds = load_idx(*_write_idx(tmp_path, pixels, labels))
+    ds, _ = load_idx(*_write_idx(tmp_path, pixels, labels))
     want = pixels.astype(np.float64).reshape(6, 100) / 255.0
     assert ds.features.dtype == want.dtype and ds.features.shape == want.shape
     assert ds.features.tobytes() == want.tobytes()
+
+
+def test_idx_converts_only_the_selected_images_bitwise(tmp_path):
+    rng = np.random.default_rng(2)
+    pixels = rng.integers(0, 256, size=(40, 4, 5), dtype=np.uint8)
+    paths = _write_idx(tmp_path, pixels, (np.arange(40) % 4).astype(np.uint8))
+    everything, none = load_idx(*paths)
+    assert none.n == 0 and none.dim == 20
+    keep = rng.random(40) < 0.3
+    test_rows = rng.permutation(40)[:11]
+    kept, test = load_idx(*paths, keep, test_rows)
+    assert kept.features.tobytes() == everything.features[keep].tobytes()
+    assert np.array_equal(kept.labels, everything.labels[keep])
+    # the test split goes from the file's bytes straight into its feature-major array
+    assert test.features.T.flags.c_contiguous
+    assert test.features.tobytes() == everything.features[test_rows].tobytes()
+    assert np.array_equal(test.labels, everything.labels[test_rows])
 
 
 def test_idx_bad_image_magic(tmp_path):

@@ -57,8 +57,11 @@ def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.nda
 @dataclass
 class _TrainLocal:
     """A run's setup as built from a shuffled copy of the data set: train and
-    test taken from that copy, and every index a position in the train split."""
+    test taken from that copy, and every index a position in the train split.
+    `generated` is the whole data set in generation order, which the sample
+    ids of a data level (partitions, shard) name."""
 
+    generated: datamod.LabeledDataset
     train: datamod.LabeledDataset
     test: datamod.LabeledDataset
     shard: np.ndarray | None
@@ -71,7 +74,7 @@ class _TrainLocal:
 def _train_local_setup(cfg: RunConfig, honest) -> _TrainLocal:
     """Rebuild `cfg`'s setup the dataset-copying way, from the same draws."""
     spec = cfg.dataset
-    generated, order = datamod.synth_classification(
+    generated, order, _ = datamod.synth_classification(
         spec.n, spec.dim, spec.classes, spec.separation, substream(cfg.seed, "data")
     )
     full = datamod.take(generated, order)
@@ -100,7 +103,7 @@ def _train_local_setup(cfg: RunConfig, honest) -> _TrainLocal:
             )
             for t in range(cfg.rounds)
         ]
-    return _TrainLocal(train, test, shard, partitions, alpha, batches, server_batches)
+    return _TrainLocal(generated, train, test, shard, partitions, alpha, batches, server_batches)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -108,27 +111,38 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _assert_rows_match(sim: Simulation, old: _TrainLocal):
-    """Every row the run names holds the data the train-local one names."""
+    """Every sample and every row the run names holds the data the
+    train-local index names: partitions and shard name samples of the
+    generated data set, batches name rows of the data level's features."""
     data = sim.data
 
-    def same_rows(rows, positions) -> bool:
-        return _same_bits(data.features[rows], old.train.features[positions]) and _same_bits(
-            data.labels[rows], old.train.labels[positions]
+    def same_data(features, labels, positions) -> bool:
+        return _same_bits(features, old.train.features[positions]) and _same_bits(
+            labels, old.train.labels[positions]
         )
+
+    def same_samples(ids, positions) -> bool:
+        return same_data(old.generated.features[ids], old.generated.labels[ids], positions)
+
+    def same_rows(rows, positions) -> bool:
+        return same_data(data.features[rows], data.labels[rows], positions)
 
     assert _same_bits(data.test.features, old.test.features)
     assert _same_bits(data.test.labels, old.test.labels)
     assert data.n_classes == old.test.n_classes == old.train.n_classes
     assert _same_bits(data.alpha, old.alpha) and abs(data.alpha.sum() - 1.0) < 1e-12
     for part, old_part in zip(data.partitions, old.partitions, strict=True):
-        assert same_rows(part, old_part)
+        assert same_samples(part, old_part)
     assert (data.shard is None) == (old.shard is None)
-    assert data.shard is None or same_rows(data.shard, old.shard)
+    assert data.shard is None or same_samples(data.shard, old.shard)
     assert len(sim.batches) == len(old.batches)
     for stacks, old_batches in zip(sim.batches, old.batches):
         rows = [row for stack in stacks for row in stack]
         for row, positions in zip(rows, old_batches, strict=True):
             assert same_rows(row, positions)
+    assert (data.server_batches is None) == (old.shard is None)
+    for t, positions in enumerate(old.server_batches):
+        assert same_rows(data.server_batches[t], positions)
 
 
 def _records_equal(a, b) -> bool:
@@ -461,7 +475,7 @@ def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fr
     cfg = _cfg(dataset=dataset, clean=clean, min_client_size=1)
     data = flsim.build_client_data(cfg)
     # per class: the partitions hold exactly the pools that `validate` counts
-    partitioned = data.labels[np.concatenate(data.partitions)]
+    partitioned = datamod.class_labels(n, classes)[np.concatenate(data.partitions)]
     pools = cfg.partition_pools(cfg.dataset.train_counts)
     assert np.bincount(partitioned, minlength=classes).tolist() == pools
 
@@ -472,9 +486,9 @@ def test_environment_arrays_reject_writes(monkeypatch):
         sim = Simulation(cfg)
         data = sim.data
         arrays = [data.features, data.labels, data.test.features, data.test.labels,
-                  data.alpha, *data.partitions, *data.draws.values()]
+                  data.alpha, *data.partitions, *data.batches]
         if data.shard is not None:
-            arrays.append(data.shard)
+            arrays += [data.shard, data.server_batches]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -500,15 +514,30 @@ def test_environment_arrays_reject_writes(monkeypatch):
 def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
     monkeypatch.setattr(flsim, "_cached", None)
     sim = Simulation(cfg)
+    data, old = sim.data, _train_local_setup(cfg, sim.honest)
+
+    def names(rows, samples) -> bool:  # rows of the data level hold these samples
+        return _same_bits(data.features[rows], old.generated.features[samples]) and _same_bits(
+            data.labels[rows], old.generated.labels[samples]
+        )
+
     assert len(sim.batches) == cfg.rounds
     for t, stacks in enumerate(sim.batches):
-        want = [_oracle_batch(cfg, sim.data.partitions[m], t, m) for m in sim.honest]
+        want = [_oracle_batch(cfg, data.partitions[m], t, m) for m in sim.honest]
         assert len(stacks) == (len(want) if ragged else 1)
         got = [row for stack in stacks for row in stack]
         assert len(got) == len(want)
         for row, batch in zip(got, want):
-            assert row.dtype == batch.dtype and np.array_equal(row, batch)
-    _assert_rows_match(sim, _train_local_setup(cfg, sim.honest))
+            assert row.dtype == batch.dtype and names(row, batch)
+    if data.shard is not None:
+        for t, rows in enumerate(data.server_batches):
+            rng = substream(cfg.seed, "server_batch", t)
+            assert names(rows, rng.choice(data.shard, size=rows.size, replace=False))
+    # the data level holds the rows its batches read and no other
+    read = [*data.batches, *([] if data.shard is None else [data.server_batches])]
+    assert np.array_equal(np.unique(np.concatenate([b.ravel() for b in read])),
+                          np.arange(len(data.features)))
+    _assert_rows_match(sim, old)
 
 
 def test_environment_holds_the_test_split_feature_major():
@@ -535,11 +564,20 @@ def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
         paths[name] = _write_idx_pair(tmp_path, name, pixels, labels)
     spec = DatasetSpec(kind="idx", train_images=paths["train"][0], train_labels=paths["train"][1],
                        test_images=paths["test"][0], test_labels=paths["test"][1])
-    data = flsim.build_client_data(_cfg(dataset=spec))
-    loaded = datamod.load_idx(*paths["test"])
+    cfg = _cfg(dataset=spec)
+    data = flsim.build_client_data(cfg)
+    loaded, _ = datamod.load_idx(*paths["test"])
     assert data.test.features.T.flags.c_contiguous
-    assert np.array_equal(data.test.features, loaded.features)
-    assert np.array_equal(data.test.labels, loaded.labels)
+    assert _same_bits(data.test.features, loaded.features)
+    assert _same_bits(data.test.labels, loaded.labels)
+    # the batch rows are the images load_idx converts, bitwise
+    train, _ = datamod.load_idx(*paths["train"])
+    for m, part in enumerate(data.partitions):
+        for t in range(cfg.rounds):
+            samples = _oracle_batch(cfg, part, t, m)
+            rows = data.batches[m][t]
+            assert _same_bits(data.features[rows], train.features[samples])
+            assert _same_bits(data.labels[rows], train.labels[samples])
     # a config built in code reads no files before the run, so the build checks the classes
     unseen = replace(spec, test_images=paths["unseen"][0], test_labels=paths["unseen"][1])
     with pytest.raises(ConfigError) as info:
@@ -567,8 +605,26 @@ def test_environment_build_peaks_below_two_copies_of_the_data():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert data.features.nbytes == matrix_bytes
+    assert data.features.shape[0] < 20000  # only the rows some batch reads
     assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
+
+
+def test_a_short_run_builds_well_below_its_data_set():
+    # setup-heavy's cells: 10 rounds read about a fifth of the 32,000 train rows
+    cfg = RunConfig(dataset=DatasetSpec(n=40000, dim=50), clean=CleanSpec("server", fraction=0.02),
+                    rounds=10, method=None)
+    matrix_bytes = 40000 * 50 * 8
+    flsim.build_client_data(cfg)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        data = flsim.build_client_data(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 0.71x and 0.38x when written; building the whole matrix peaks at 1.36x and holds 1.24x
+    assert peak <= 0.8 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the n x d matrix"
+    assert held <= 0.45 * matrix_bytes, f"holds {held / matrix_bytes:.2f}x the n x d matrix"
+    assert data.features.shape[0] < 0.25 * 32000
 
 
 def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
@@ -598,8 +654,11 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
 
     monkeypatch.setattr(flsim, "substream", counted)
     monkeypatch.setattr(flsim, "_cached", None)
-    honest = len(Simulation(cfg).honest)
-    assert draws["batch"] == cfg.rounds * honest < cfg.rounds * cfg.clients
+    # the build draws every client's batches, the compromised ones' too, since
+    # the control run of the same data trains them
+    assert len(Simulation(cfg).honest) < cfg.clients
+    once = {"batch": cfg.rounds * cfg.clients, "server_batch": cfg.rounds}
+    assert {purpose: draws[purpose] for purpose in once} == once
     methods = [
         MethodSpec(base=AggregatorSpec("mean")),
         MethodSpec(base=AggregatorSpec("median")),
@@ -611,13 +670,11 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
     for method in methods:
         result = run_to_result(replace(cfg, method=method))
         assert len(result.records) == cfg.rounds
-    assert draws["batch"] == cfg.rounds * honest
-    # the control draws only the clients the attacked run left out, and
-    # another attack and ratio on the same data draws none
+    # the control and another attack and ratio on the same data draw none either
     run_to_result(replace(cfg, attack=None, requested_ratio=0.0))
-    assert draws["batch"] == cfg.rounds * cfg.clients
-    run_to_result(replace(cfg, attack=AttackSpec("signflip"), requested_ratio=0.2))
-    assert draws["batch"] == cfg.rounds * cfg.clients
+    run_to_result(replace(cfg, attack=AttackSpec("signflip"), requested_ratio=0.2,
+                          method=MethodSpec(base=AggregatorSpec("fltrust"))))
+    assert {purpose: draws[purpose] for purpose in once} == once
 
 
 def test_single_mean_round_is_one_sgd_step():
