@@ -114,16 +114,18 @@ def synth_classification(
     labels = class_labels(n, n_classes)
     keep = np.ones(n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     test = np.asarray(() if test is None else test, dtype=np.int64)
-    in_test = np.zeros(n, dtype=bool)
-    in_test[test] = True
     kept = np.empty((np.count_nonzero(keep), dim))
-    test_rows = np.empty((test.size, dim))  # in generation order until `take` below
+    # The test split as `take` lays it out; `columns` lists its columns in
+    # generation order, so each block writes its test rows straight into them.
+    test_features = np.empty((dim, test.size))
+    columns = np.argsort(test)
+    test_sorted = test[columns]
 
     # Chunked draws are the one-shot draw: `standard_normal` fills its output
     # from the stream in row-major order, whatever the output's size.
     ends = np.cumsum(class_counts(n, n_classes))
     block = np.empty((min(_BLOCK_ROWS, n), dim))
-    n_kept = n_test_rows = 0
+    n_kept = 0
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         chunk = rng.standard_normal(out=block[: hi - lo])
@@ -138,17 +140,12 @@ def synth_classification(
         count = np.count_nonzero(marks)
         np.compress(marks, chunk, axis=0, out=kept[n_kept : n_kept + count])
         n_kept += count
-        marks = in_test[lo:hi]
-        count = np.count_nonzero(marks)
-        np.compress(marks, chunk, axis=0, out=test_rows[n_test_rows : n_test_rows + count])
-        n_test_rows += count
+        first, last = np.searchsorted(test_sorted, (lo, hi))
+        test_features[:, columns[first:last]] = chunk[test_sorted[first:last] - lo].T
     del block, chunk
     order = rng.permutation(n)
 
-    test_set = take(
-        LabeledDataset(test_rows, labels[in_test], n_classes),
-        np.searchsorted(np.flatnonzero(in_test), test),
-    )
+    test_set = LabeledDataset(test_features.T, labels[test], n_classes)
     return LabeledDataset(kept, labels[keep], n_classes), order, test_set
 
 

@@ -11,16 +11,16 @@ and the records it emits; aggregation and filtering code never sees it.
 
 A run's setup draws come in two parts. The data level (`ClientData`: data,
 split, clean shard, partition, and every client's and the server's batch
-indices for every round) depends on neither the method, the attack nor the
-ratio (`RunConfig.data_key`). Each process keeps the last data level it
-built, so the runs of one data key in one process (a sweep's control and
-attacked rows of one seed, every method) build the data and draw the
-batches once; a parallel sweep hands each data key's runs to one worker,
-apart from the sweep's tail (see `harness.sweep`). On top of it each
-`Simulation` draws what its attack and ratio decide: the compromised set,
-and the honest clients' batches gathered from the data level. A run's
-result does not depend on which runs came before it: every draw is keyed
-by (seed, purpose, round, client) and never by what was drawn before.
+indices for every round) is built from the run's `DrawKey` alone. Each
+process keeps the last data level it built, so the runs of one draw key in
+one process (a sweep's control and attacked rows of one seed, every method)
+build the data and draw the batches once; a parallel sweep hands each draw
+key's runs to one worker, apart from the sweep's tail (see `harness.sweep`).
+On top of it each `Simulation` draws what its attack and ratio decide: the
+compromised set, and the honest clients' batches gathered from the data
+level. A run's result does not depend on which runs came before it: every
+draw is keyed by (seed, purpose, round, client) and never by what was drawn
+before.
 
 A data level holds the features a run reads, not the data set. Its build
 first draws everything that picks samples, from the labels alone: split,
@@ -29,12 +29,13 @@ samples some batch reads, as one row-major matrix that every batch index
 points into, and the test split, feature-major for evaluation (see
 `data.take`). Synthetic data is generated twice from one stream key, in
 blocks: the first pass only runs the stream up to the shuffle, the second
-keeps the selected samples. IDX pixels stay uint8 until a selected image
-is converted. So a data level grows with rounds x clients x batch size and
-the test split, not with n: a 10-round build at n = 40,000, d = 50 peaks
-at 0.71x the n x d matrix and holds 0.38x of it. The batch indices cost
-rounds x clients x batch_size x 8 bytes: about 0.5 MB for 100 rounds of 20
-clients at B = 32, once in the data level and once stacked in the run.
+keeps the selected samples and writes the test split's straight into its
+columns. IDX pixels stay uint8 until a selected image is converted. So a
+data level grows with rounds x clients x batch size and the test split, not
+with n: a 10-round build at n = 40,000, d = 50 peaks at 0.51x the n x d
+matrix and holds 0.38x of it. The batch indices cost rounds x clients x
+batch_size x 8 bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32,
+once in the data level and once stacked in the run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .filtering import build_reference, filter_and_aggregate
 from .models import build_model
 
 # CleanSpec and MethodSpec are unused here: tests/test_acceptance.py reads them.
-from .specs import CleanSpec, MethodSpec, RunConfig
+from .specs import CleanSpec, DrawKey, MethodSpec, RunConfig
 
 
 @dataclass
@@ -115,7 +116,7 @@ class ExperimentResult:
 class ClientData:
     """What a run draws before its method, attack and ratio matter: data,
     split, clean shard, partition, and every batch of every round. Every run
-    of one `RunConfig.data_key` shares it (see `client_data`).
+    of one `DrawKey` shares it (see `client_data`).
 
     The partitions (`partitions[m]` holds client m's samples) and the clean
     `shard` are sample ids of the generated (or loaded) data set. `alpha[m]`
@@ -148,24 +149,24 @@ def _read_only(*arrays: np.ndarray | None):
             array.flags.writeable = False
 
 
-def _draw_batches(config: RunConfig, pool: np.ndarray, purpose: str, *coords) -> np.ndarray:
+def _draw_batches(key: DrawKey, pool: np.ndarray, purpose: str, *coords) -> np.ndarray:
     """(rounds, min(batch_size, pool size)) samples of `pool`, round t's
     drawn from the stream (seed, purpose, t, *coords). `choice` picks
     positions from the length of the pool alone, so drawing from sample ids
     gives the samples of the positions a train-local pool would give."""
-    drawn = np.empty((config.rounds, min(config.batch_size, pool.size)), dtype=np.int64)
-    for t in range(config.rounds):
-        drawn[t] = substream(config.seed, purpose, t, *coords).choice(
+    drawn = np.empty((key.rounds, min(key.batch_size, pool.size)), dtype=np.int64)
+    for t in range(key.rounds):
+        drawn[t] = substream(key.seed, purpose, t, *coords).choice(
             pool, size=drawn.shape[1], replace=False
         )
     return drawn
 
 
-def _split(config: RunConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+def _split(key: DrawKey) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Every sample's label, the class count, and the samples of the train
     and the test split, in the order of the shuffled data set. Reads no
     features: for synthetic data, the data stream is only run up to the shuffle."""
-    seed, spec = config.seed, config.dataset
+    seed, spec = key.seed, key.dataset
     if spec.kind == "synthetic":
         labels = datamod.class_labels(spec.n, spec.classes)
         _, order, _ = datamod.synth_classification(
@@ -184,12 +185,12 @@ def _split(config: RunConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     return labels, n_classes, np.arange(labels.size), np.arange(test_labels.size)
 
 
-def _read(config: RunConfig, keep: np.ndarray, test_rows: np.ndarray):
+def _read(key: DrawKey, keep: np.ndarray, test_rows: np.ndarray):
     """The samples `keep` marks, row-major, and the test split, feature-major."""
-    spec = config.dataset
+    spec = key.dataset
     if spec.kind == "synthetic":
         data, _, test = datamod.synth_classification(
-            spec.n, spec.dim, spec.classes, spec.separation, substream(config.seed, "data"),
+            spec.n, spec.dim, spec.classes, spec.separation, substream(key.seed, "data"),
             keep, test_rows,
         )
         return data, test
@@ -200,33 +201,33 @@ def _read(config: RunConfig, keep: np.ndarray, test_rows: np.ndarray):
     return data, test
 
 
-def build_client_data(config: RunConfig) -> ClientData:
-    """Draw `config`'s data level. It must not, and cannot, read the method,
-    attack or ratio: `client_data` passes `config.data_key`.
+def build_client_data(key: DrawKey) -> ClientData:
+    """Draw the data level of `key`, which holds every field the build
+    reads, so the build cannot read one it is not keyed on.
 
     Every draw that picks samples comes first, from the labels alone: split,
     shard, partition and every batch. Only then are features made, for the
     samples some batch reads and for the test split."""
-    seed = config.seed
-    labels, n_classes, rows, test_rows = _split(config)
+    seed = key.seed
+    labels, n_classes, rows, test_rows = _split(key)
 
     # The shard and the partition are drawn over train positions, as in the
     # shuffled train split, and then mapped to samples.
     train_labels = labels[rows]
     shard: np.ndarray | None = None
     trusted: tuple[int, ...] = ()
-    if config.clean is not None:
-        if config.clean.kind == "server":
+    if key.clean is not None:
+        if key.clean.kind == "server":
             shard = datamod.carve_clean_shard(
-                train_labels, n_classes, config.clean.fraction, substream(seed, "shard")
+                train_labels, n_classes, key.clean.fraction, substream(seed, "shard")
             )
         else:
-            trusted = tuple(sorted(set(config.clean.clients)))
+            trusted = tuple(sorted(set(key.clean.clients)))
 
     partitions = tuple(
         rows[part]
         for part in datamod.dirichlet_partition(
-            train_labels, n_classes, config.clients, config.beta, config.min_size,
+            train_labels, n_classes, key.clients, key.beta, key.min_size,
             substream(seed, "partition"), exclude=shard,
         )
     )
@@ -235,8 +236,8 @@ def build_client_data(config: RunConfig) -> ClientData:
     sizes = np.array([part.size for part in partitions], dtype=np.float64)
     alpha = sizes / sizes.sum()
 
-    batches = [_draw_batches(config, part, "batch", m) for m, part in enumerate(partitions)]
-    server_batches = None if shard is None else _draw_batches(config, shard, "server_batch")
+    batches = [_draw_batches(key, part, "batch", m) for m, part in enumerate(partitions)]
+    server_batches = None if shard is None else _draw_batches(key, shard, "server_batch")
     # The samples some batch reads, and the row of `features` each one gets.
     drawn = batches if server_batches is None else [*batches, server_batches]
     keep = np.zeros(labels.size, dtype=bool)
@@ -246,7 +247,7 @@ def build_client_data(config: RunConfig) -> ClientData:
     for samples in drawn:
         np.take(row_of, samples, out=samples)
 
-    data, test = _read(config, keep, test_rows)
+    data, test = _read(key, keep, test_rows)
     _read_only(data.features, data.labels, test.features, test.labels, shard, alpha, server_batches)
     _read_only(*partitions, *batches)
     return ClientData(
@@ -256,16 +257,16 @@ def build_client_data(config: RunConfig) -> ClientData:
 
 
 # The one data level this process holds: (its key, the data level).
-_cached: tuple[RunConfig, ClientData] | None = None
+_cached: tuple[DrawKey, ClientData] | None = None
 
 
 def client_data(config: RunConfig) -> ClientData:
     """`config`'s data level, from a one-entry cache per process keyed by
-    `RunConfig.data_key`. On new data the held entry is dropped before the
-    new one is built, so a process never holds two data sets, and IDX files
-    are read once per data key."""
+    its `DrawKey`. On new data the held entry is dropped before the new one
+    is built, so a process never holds two data sets, and IDX files are read
+    once per draw key."""
     global _cached
-    key = config.data_key
+    key = config.draw_key
     if _cached is None or _cached[0] != key:
         _cached = None
         _cached = (key, build_client_data(key))

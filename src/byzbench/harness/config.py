@@ -28,10 +28,13 @@ Every cell (attack x method x ratio x beta x seed) gets a content fingerprint:
 the sha256 of its RunConfig's canonical `to_json` form, with the master seed
 as `seed`. The fingerprint names the cell's output files and keys resume, so
 key order / whitespace in the source config cannot matter. The run's seed
-hashes the same description minus the method, attack and ratio (its data
-key): the cells of one (beta, seed) share data, partition, batches and
-windows, and cells that differ only in method share the compromised set and
-attack noise too, so their rows compare methods and nothing else.
+hashes only what its data level draws from, its `DrawKey` without `rounds`:
+the cells of one (beta, seed) share data, partition, batches and windows,
+and cells that differ only in method share the compromised set and attack
+noise too, so their rows compare methods and nothing else. Two sweeps that
+differ only in the model, learning rate, filter knobs, evaluation interval
+or round count pair their cells the same way: a shorter run is a prefix of
+the longer one.
 
 This module loads no numpy and no engine module (the specs come from
 `byzbench.specs`), so `byzbench validate` loads neither.
@@ -271,10 +274,10 @@ def _run_config(fields: dict, paths: dict) -> RunConfig:
 def sweep_runs(config: ExperimentConfig, seeds) -> Iterator[list[RunConfig]]:
     """The sweep's Cartesian product at `seeds`: per (beta, seed, attack,
     ratio), the RunConfigs of its methods, in config order. Betas and seeds
-    are the outer axes, so the runs of one data key (all but the method,
-    attack and ratio equal) come out next to each other. A "none" attack is
-    a control, whose requested ratio is forced to 0. An error of a field that
-    no axis or section renames ("clean.clients[1]") keeps its path."""
+    are the outer axes, so the runs of one `DrawKey` come out next to each
+    other. A "none" attack is a control, whose requested ratio is forced to
+    0. An error of a field that no axis or section renames
+    ("clean.clients[1]") keeps its path."""
     shared = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainingProtocol)}
     shared.update(filter_params=config.hplus)
     axes = (config.betas, seeds, config.attacks, enumerate(config.ratios))
@@ -318,17 +321,18 @@ def expand_cells(config: ExperimentConfig) -> list[Cell]:
 
     Controls collapse to one cell per (method, beta, seed) no matter how many
     ratios are swept. Betas and seeds are the outer axes, so the cells of one
-    data key come out next to each other, as `harness.sweep` groups them.
+    `DrawKey` come out next to each other, as `harness.sweep` groups them.
 
-    A cell's seed derives from the master seed and its data key, so the
-    control and attacked cells of one (beta, master seed) share data,
-    partition, batches and windows, and their compromised sets nest: a lower
-    ratio's set is a prefix of a higher one's (`select_byzantine_set`).
+    A cell's seed derives from the master seed and its `DrawKey` without
+    `rounds`, so the control and attacked cells of one (beta, master seed)
+    share data, partition, batches and windows, and their compromised sets
+    nest: a lower ratio's set is a prefix of a higher one's (`select_byzantine_set`).
     """
     cells: dict[str, Cell] = {}
     for runs in sweep_runs(config, config.seeds):
-        data = runs[0].data_key
-        cell_seed = _cell_seed(data.seed, cell_fingerprint(to_json(data)))
+        draws = to_json(runs[0].draw_key)
+        del draws["rounds"]
+        cell_seed = _cell_seed(runs[0].seed, cell_fingerprint(draws))
         for run in runs:
             fingerprint = cell_fingerprint(to_json(run))
             if fingerprint not in cells:

@@ -158,17 +158,17 @@ class _Lane:
 
 
 def _run_lanes(pending: list[Cell], lanes: int, record, fail):
-    """Run `pending` on `lanes` single-worker pools, one data key per worker.
+    """Run `pending` on `lanes` single-worker pools, one draw key per worker.
 
-    The cells of one data key (`RunConfig.data_key`) are adjacent in
-    `pending`. A lane down to its last cell takes the next whole group, so its
-    queue never runs dry and one worker builds that data level. Once no
-    group is left, a lane that runs dry takes the newer half of the busiest
-    lane's cells, as far as they are still queued in the parent. A lane whose worker dies fails only
+    The cells of one `DrawKey` are adjacent in `pending`. A lane down to its
+    last cell takes the next whole group, so its queue never runs dry and
+    one worker builds that data level. Once no group is left, a lane that
+    runs dry takes the newer half of the busiest lane's cells, as far as
+    they are still queued in the parent. A lane whose worker dies fails only
     the cell it was running and restarts with the rest, so every death costs
     at least one cell and no lane is lost.
     """
-    grouped = groupby(pending, key=lambda cell: cell.run_config.data_key)
+    grouped = groupby(pending, key=lambda cell: cell.run_config.draw_key)
     groups = deque(list(group) for _, group in grouped)
     running = [_Lane() for _ in range(lanes)]
     try:
@@ -214,7 +214,7 @@ def run_sweep(
     back sorted on a canonical key, so sequential and parallel runs of the
     same config produce identical summary files.
 
-    In parallel, each worker takes whole data-key groups (`_run_lanes`), so
+    In parallel, each worker takes whole draw-key groups (`_run_lanes`), so
     one worker builds each data level, and only the sweep's tail is split
     across workers. If a worker dies (killed by the OS, say), the cell it was
     running gets a failed row but no cell file, so `--resume` runs it again;

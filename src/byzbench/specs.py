@@ -12,7 +12,7 @@ construction (`_Spec`), whatever the spec's kind; a float must also be
 finite unless its metadata allows `infinite`, so NaN fails every field.
 
 The per-run rules live here too: the defaults a run fills in (N, Krum's f)
-and what its data depends on (`data_key`).
+and what its data level draws from (`DrawKey`).
 
 This module imports nothing but the standard library and `errors`, so that
 parsing and validating a config, IDX headers included, loads no numpy and no
@@ -405,15 +405,33 @@ class TrainingProtocol(_Spec):
 
 
 @dataclass(frozen=True)
+class DrawKey(_Spec):
+    """The fields a run's data level draws from, and no other: the build
+    (`flsim.build_client_data`) reads only these. The whole key keys the
+    data-level cache and the parallel runner's groups, and the key without
+    `rounds` the cell seed: round t's draws do not depend on later rounds.
+    `min_size` is resolved, so a `min_client_size` equal to its default
+    draws as an unset one.
+    """
+
+    dataset: DatasetSpec
+    clients: int = field(metadata={"ge": 1})
+    batch_size: int = field(metadata={"ge": 1})
+    clean: CleanSpec | None
+    beta: float = field(metadata={"gt": 0.0})
+    min_size: int = field(metadata={"ge": 1})
+    seed: int
+    rounds: int = field(metadata={"ge": 0})
+
+
+@dataclass(frozen=True)
 class RunConfig(TrainingProtocol):
     """Full declarative description of one training run.
 
-    With `method` None it describes no run but the data that the runs
-    differing from it only in method, attack and ratio share (see
-    `data_key`). It checks every rule that relates its fields, so a run fails
-    only on what its drawn data and compromised set alone show (an
-    infeasible partition, say), and fills in the defaults: N (`keep`) and
-    Krum's f (`resolved_method`).
+    It checks every rule that relates its fields, so a run fails only on
+    what its drawn data and compromised set alone show (an infeasible
+    partition, say), and fills in the defaults: N (`keep`) and Krum's f
+    (`resolved_method`). `draw_key` names what its data level draws from.
     """
 
     beta: float = field(default=0.6, metadata={"gt": 0.0})
@@ -425,6 +443,8 @@ class RunConfig(TrainingProtocol):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.method is None:
+            raise InvalidField("method", "a run needs a method")
         if self.requested_ratio > 0.0 and self.attack is None:
             raise InvalidField("attack", "requested_ratio > 0 needs an attack")
         if self.keep > self.clients:
@@ -434,8 +454,6 @@ class RunConfig(TrainingProtocol):
             if client >= self.clients:
                 raise InvalidField(f"clean.clients[{i}]", f"must lie in [0, {self.clients})")
         method = self.resolved_method
-        if method is None:
-            return
         if method.clean_kind not in (None, clean_kind):
             raise InvalidField("method", f"{method.label!r} needs clean.kind = {method.clean_kind}")
         if method.filtered and self.keep < 1:
@@ -459,9 +477,9 @@ class RunConfig(TrainingProtocol):
         return self.filter_params.keep or self.clients - self.default_byzantine
 
     @property
-    def resolved_method(self) -> MethodSpec | None:
+    def resolved_method(self) -> MethodSpec:
         """`method` with Krum's f set: as given, else ceil(C * M)."""
-        base = None if self.method is None else self.method.base
+        base = self.method.base
         if base is None or base.kind != "krum" or base.assumed_byzantine is not None:
             return self.method
         return replace(self.method, base=replace(base, assumed_byzantine=self.default_byzantine))
@@ -472,9 +490,9 @@ class RunConfig(TrainingProtocol):
         return replace(self.filter_params, keep=self.keep) if self.method.filtered else None
 
     @property
-    def data_key(self) -> RunConfig:
-        """What this run's data set, partition and batch draws depend on: the
-        whole config with `method`, `attack` and `requested_ratio` blanked, so
-        the control and attacked runs of one seed share them, and every other
-        field, one added later included, keys them."""
-        return replace(self, method=None, attack=None, requested_ratio=0.0)
+    def draw_key(self) -> DrawKey:
+        """What this run's data level draws from: see `DrawKey`."""
+        return DrawKey(
+            self.dataset, self.clients, self.batch_size, self.clean, self.beta, self.min_size,
+            self.seed, self.rounds,
+        )

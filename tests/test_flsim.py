@@ -433,7 +433,7 @@ def test_a_cell_after_another_equals_the_cell_alone(monkeypatch, first):
     assert _same_result(after, alone)
 
 
-def test_data_level_is_keyed_on_everything_but_method_attack_and_ratio(monkeypatch):
+def test_data_level_is_keyed_on_the_fields_the_draws_read(monkeypatch):
     builds = []
     build = flsim.build_client_data
     monkeypatch.setattr(flsim, "build_client_data", lambda key: builds.append(key) or build(key))
@@ -442,12 +442,17 @@ def test_data_level_is_keyed_on_everything_but_method_attack_and_ratio(monkeypat
     first = Simulation(cfg).data
     h_gm = MethodSpec(filtered=True, base=AggregatorSpec("gm"))
     for same in (dict(method=h_gm), dict(attack=AttackSpec("lie")), dict(requested_ratio=0.2),
-                 dict(attack=None, requested_ratio=0.0)):
+                 dict(attack=None, requested_ratio=0.0), dict(model=ModelSpec("mlp1")),
+                 dict(lr=LRSchedule(eta0=0.1)), dict(eval_interval=2),
+                 dict(filter_params=FilterParams(penalty_weight=0.0))):
         assert Simulation(replace(cfg, **same)).data is first
-    assert builds == [cfg.data_key] and (builds[0].method, builds[0].attack) == (None, None)
-    for changed in (dict(rounds=4), dict(seed=1), dict(beta=0.3)):
+    assert builds == [cfg.draw_key]
+    changes = (dict(rounds=4), dict(seed=1), dict(beta=0.3), dict(clients=4),
+               dict(batch_size=8), dict(dataset=replace(cfg.dataset, n=601)),
+               dict(clean=CleanSpec("server", fraction=0.1)))
+    for changed in changes:
         assert Simulation(replace(cfg, **changed)).data is not first
-    assert len(builds) == 4
+    assert len(builds) == 1 + len(changes)
 
 
 def test_a_simulation_pins_the_heap_before_it_builds_anything(monkeypatch):
@@ -473,7 +478,7 @@ def test_a_simulation_pins_the_heap_before_it_builds_anything(monkeypatch):
 def test_partition_rows_counts_the_pool_the_build_partitions(n, classes, test_fraction, clean):
     dataset = DatasetSpec(n=n, dim=4, classes=classes, separation=4.0, test_fraction=test_fraction)
     cfg = _cfg(dataset=dataset, clean=clean, min_client_size=1)
-    data = flsim.build_client_data(cfg)
+    data = flsim.build_client_data(cfg.draw_key)
     # per class: the partitions hold exactly the pools that `validate` counts
     partitioned = datamod.class_labels(n, classes)[np.concatenate(data.partitions)]
     pools = cfg.partition_pools(cfg.dataset.train_counts)
@@ -541,7 +546,7 @@ def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
 
 
 def test_environment_holds_the_test_split_feature_major():
-    data = flsim.build_client_data(_cfg())
+    data = flsim.build_client_data(_cfg().draw_key)
     assert data.test.features.shape == (data.test.n, data.features.shape[1])
     assert data.test.features.T.flags.c_contiguous
     assert not data.test.features.flags.writeable
@@ -565,7 +570,7 @@ def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
     spec = DatasetSpec(kind="idx", train_images=paths["train"][0], train_labels=paths["train"][1],
                        test_images=paths["test"][0], test_labels=paths["test"][1])
     cfg = _cfg(dataset=spec)
-    data = flsim.build_client_data(cfg)
+    data = flsim.build_client_data(cfg.draw_key)
     loaded, _ = datamod.load_idx(*paths["test"])
     assert data.test.features.T.flags.c_contiguous
     assert _same_bits(data.test.features, loaded.features)
@@ -581,7 +586,7 @@ def test_idx_environment_holds_its_test_split_feature_major(tmp_path):
     # a config built in code reads no files before the run, so the build checks the classes
     unseen = replace(spec, test_images=paths["unseen"][0], test_labels=paths["unseen"][1])
     with pytest.raises(ConfigError) as info:
-        flsim.build_client_data(_cfg(dataset=unseen))
+        flsim.build_client_data(_cfg(dataset=unseen).draw_key)
     assert info.value.path == "dataset"
 
 
@@ -596,12 +601,11 @@ def test_dataset_rejects_an_empty_test_split():
 
 
 def test_environment_build_peaks_below_two_copies_of_the_data():
-    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02),
-                    method=None)
+    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02))
     matrix_bytes = 20000 * 50 * 8
     tracemalloc.start()
     try:
-        data = flsim.build_client_data(cfg)
+        data = flsim.build_client_data(cfg.draw_key)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -611,25 +615,24 @@ def test_environment_build_peaks_below_two_copies_of_the_data():
 
 def test_a_short_run_builds_well_below_its_data_set():
     # setup-heavy's cells: 10 rounds read about a fifth of the 32,000 train rows
-    cfg = RunConfig(dataset=DatasetSpec(n=40000, dim=50), clean=CleanSpec("server", fraction=0.02),
-                    rounds=10, method=None)
+    key = RunConfig(dataset=DatasetSpec(n=40000, dim=50), clean=CleanSpec("server", fraction=0.02),
+                    rounds=10).draw_key
     matrix_bytes = 40000 * 50 * 8
-    flsim.build_client_data(cfg)  # first-call allocations stay out of the count
+    flsim.build_client_data(key)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
-        data = flsim.build_client_data(cfg)
+        data = flsim.build_client_data(key)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 0.71x and 0.38x when written; building the whole matrix peaks at 1.36x and holds 1.24x
-    assert peak <= 0.8 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the n x d matrix"
+    # 0.51x and 0.38x when written; building the whole matrix peaks at 1.36x and holds 1.24x
+    assert peak <= 0.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the n x d matrix"
     assert held <= 0.45 * matrix_bytes, f"holds {held / matrix_bytes:.2f}x the n x d matrix"
     assert data.features.shape[0] < 0.25 * 32000
 
 
 def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
-    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02),
-                    method=None)
+    cfg = RunConfig(dataset=DatasetSpec(n=20000, dim=50), clean=CleanSpec("server", fraction=0.02))
     matrix_bytes = 20000 * 50 * 8
     monkeypatch.setattr(flsim, "_cached", None)
     tracemalloc.start()

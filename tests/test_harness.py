@@ -551,9 +551,12 @@ def test_fingerprints_ignore_source_key_order():
 
 def test_fingerprints_react_to_semantic_changes():
     base = expand_cells(parse_config_dict(_sweep_dict()))[0]
-    changed = expand_cells(parse_config_dict(_sweep_dict(rounds=3)))[0]
-    assert base.fingerprint != changed.fingerprint
-    assert base.run_config.seed != changed.run_config.seed  # seeds derive from fp
+    longer = expand_cells(parse_config_dict(_sweep_dict(rounds=3)))[0]
+    other_beta = expand_cells(parse_config_dict(_sweep_dict(beta=0.3)))[0]
+    assert len({base.fingerprint, longer.fingerprint, other_beta.fingerprint}) == 3
+    # seeds derive from what the draws read, which takes in beta but not the round count
+    assert base.run_config.seed != other_beta.run_config.seed
+    assert base.run_config.seed == longer.run_config.seed
 
 
 def _cell_group(cell) -> tuple:
@@ -585,6 +588,57 @@ def test_cells_differing_only_in_method_attack_or_ratio_share_a_seed():
     order = [_cell_group(cell) for cell in cells]
     groups = 2 * 2 * (1 + 2 * 2)  # betas x seeds x (control + attacks x ratios)
     assert len([i for i in range(1, len(order)) if order[i] != order[i - 1]]) == groups - 1
+
+
+def _rows_by_cell(rows) -> dict:
+    """Rows keyed by what names a cell across sweeps: attack, method, ratio, beta, seed."""
+    return {(r.attack, r.method, r.requested_ratio, r.beta, r.seed): r for r in rows}
+
+
+def test_sweeps_differing_only_in_rho_give_equal_bare_rows(tmp_path):
+    sweep_dict = _sweep_dict(
+        attacks=["none", "signflip", "foe"],
+        methods=["mean", "median", "h+gm"],
+        ratios=[0.25],
+        beta=[0.3, 0.6],
+        seeds=[0, 1],
+        rounds=4,
+    )
+    runs = [
+        _rows_by_cell(run_sweep(parse_config_dict(dict(sweep_dict, hplus={"rho": rho})),
+                                str(tmp_path / f"rho{rho}")))
+        for rho in (10.0, 0.0)
+    ]
+    assert runs[0].keys() == runs[1].keys() and len(runs[0]) == 2 * 2 * 3 * 3
+    for key, row in runs[0].items():
+        other = runs[1][key]
+        assert row.byzantine_count == other.byzantine_count
+        if not row.method.startswith("H+"):
+            differ = {k for k, v in row.__dict__.items() if v != other.__dict__[k]}
+            assert differ <= {"fingerprint", "wall_ms", "sources"}, key
+
+
+def test_a_shorter_sweep_is_a_prefix_of_a_longer_one(tmp_path):
+    sweep_dict = _sweep_dict(
+        attacks=["none", "lie"], methods=["mean", "h+median"], ratios=[0.25], seeds=[0, 1],
+        eval_interval=1,
+    )
+    tables = []
+    for rounds in (40, 100):
+        out = tmp_path / f"rounds{rounds}"
+        rows = run_sweep(parse_config_dict(dict(sweep_dict, rounds=rounds)), str(out))
+        tables.append({
+            key: [
+                {k: v for k, v in line.items() if k != "wall_ms"}
+                for line in _read_rounds(str(out / "rounds" / f"{row.fingerprint}.csv"))
+            ]
+            for key, row in _rows_by_cell(rows).items()
+        })
+    short, long = tables
+    assert short.keys() == long.keys() and len(short) == 2 * 2 * 2
+    for key, lines in short.items():
+        assert len(lines) == 40 and len(long[key]) == 100
+        assert lines == long[key][:40], key
 
 
 def test_fingerprint_is_whitespace_independent():
@@ -1265,7 +1319,7 @@ def test_parallel_sweep_builds_each_data_key_in_one_worker(tmp_path, monkeypatch
             seeds=[0, 1, 2],
         )
     )
-    groups = len({cell.run_config.data_key for cell in expand_cells(cfg)})
+    groups = len({cell.run_config.draw_key for cell in expand_cells(cfg)})
     par = run_sweep(cfg, str(tmp_path / "par"), parallelism=2)
     assert (groups, len(par)) == (3, 18)
     # each worker takes a whole seed, and only the last one is split between

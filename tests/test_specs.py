@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzbench import specs
-from byzbench.errors import ConfigError
+from byzbench.errors import ConfigError, InvalidField
 from byzbench.harness.config import ExperimentConfig, parse_config_dict
 
 # Number fields that take any finite value: the attack knobs, whose sign and
@@ -60,6 +60,12 @@ def test_every_number_field_declares_its_range():
         if not {"gt", "ge", "lt"} & set(f.metadata) and f.name not in _ANY_FINITE
     ]
     assert unbounded == []
+
+
+def test_a_run_needs_a_method():
+    with pytest.raises(InvalidField) as info:
+        specs.RunConfig(method=None)
+    assert info.value.field == "method"
 
 
 def test_every_kind_and_reference_declares_its_choices():
