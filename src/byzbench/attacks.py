@@ -68,18 +68,19 @@ def byzantine_payloads(
     byzantine_ids,
     n_clients: int,
     rng_for: Callable[[int], np.random.Generator],
-) -> dict[int, np.ndarray]:
-    """Build the upload for every compromised client.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The compromised uploads as `(ids, rows)`, for `uploads[ids] = rows`.
 
-    honest holds the honest gradients (any order); byzantine_ids the
-    compromised client ids. rng_for(m) must return client m's noise stream,
-    used only by the Gaussian attack.
+    honest holds the honest gradients (any order); `ids` the sorted
+    byzantine_ids. `rows` is the colluders' one (p,) payload, or the Gaussian
+    attackers' (B, p) block, row i drawn from client ids[i]'s rng_for(ids[i]).
     """
     mat = as_matrix(honest)
-    ids = sorted(int(m) for m in byzantine_ids)
-    n_byz = len(ids)
+    ids = np.array(sorted(int(m) for m in byzantine_ids), dtype=np.intp)
+    n_byz, dim = ids.size, mat.shape[1]
     if spec.kind == "gaussian":
-        return {m: attack_gaussian(mat.shape[1], spec.variance, rng_for(m)) for m in ids}
+        noise = [attack_gaussian(dim, spec.variance, rng_for(m)) for m in ids.tolist()]
+        return ids, np.array(noise).reshape(n_byz, dim)
     if spec.kind == "signflip":
         payload = attack_signflip(mat)
     elif spec.kind == "lie":
@@ -89,4 +90,4 @@ def byzantine_payloads(
         payload = attack_foe(mat, scale, n_clients, n_byz)
     else:
         payload = attack_negated_mean(mat, n_clients, n_byz)
-    return {m: payload for m in ids}
+    return ids, payload

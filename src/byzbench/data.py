@@ -78,24 +78,21 @@ def synth_classification(
     rng: np.random.Generator,
     keep=None,
     test=None,
-) -> tuple[LabeledDataset, np.ndarray, LabeledDataset]:
-    """Gaussian-cluster classification data, the shuffle of its samples, and
-    a test split: `(dataset, order, test)`.
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Gaussian-cluster classification data and a test split, `(dataset,
+    test)` as `load_idx` returns them. `rng` draws the centers and noise only.
 
     Class centers are drawn at random and rescaled so the closest pair sits
     exactly class_separation apart; samples add unit-variance isotropic noise.
     Class counts are balanced within one sample, and the samples come in
     generation order, one contiguous block per class (`class_labels`).
-    `order` is their shuffle: the shuffled data set is `take(dataset, order)`.
 
     The features are generated _BLOCK_ROWS samples at a time, and only the
     asked-for ones are held. `dataset` holds the samples `keep` marks (a
     boolean mask over the n samples, every sample by default), row-major in
     generation order. `test` holds the samples at positions `test` (none by
     default), in that order, laid out as `take` lays them out. Every draw is
-    the same whatever is kept, so a caller that learns from `order` which
-    samples it needs calls twice, on two streams of one key: keeping nothing,
-    for the order, then keeping what it needs.
+    the same whatever is kept.
     """
     if n < n_classes or n_classes < 1:
         raise InfeasiblePartition(f"cannot build {n_classes} classes from {n} samples")
@@ -143,10 +140,8 @@ def synth_classification(
         first, last = np.searchsorted(test_sorted, (lo, hi))
         test_features[:, columns[first:last]] = chunk[test_sorted[first:last] - lo].T
     del block, chunk
-    order = rng.permutation(n)
-
     test_set = LabeledDataset(test_features.T, labels[test], n_classes)
-    return LabeledDataset(kept, labels[keep], n_classes), order, test_set
+    return LabeledDataset(kept, labels[keep], n_classes), test_set
 
 
 def stratified_holdout(

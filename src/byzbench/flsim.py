@@ -23,19 +23,17 @@ draw is keyed by (seed, purpose, round, client) and never by what was drawn
 before.
 
 A data level holds the features a run reads, not the data set. Its build
-first draws everything that picks samples, from the labels alone: split,
-shard, partition and every batch. Only then does it make features: the
-samples some batch reads, as one row-major matrix that every batch index
-points into, and the test split, feature-major for evaluation (see
-`data.take`). Synthetic data is generated twice from one stream key, in
-blocks: the first pass only runs the stream up to the shuffle, the second
-keeps the selected samples and writes the test split's straight into its
-columns. IDX pixels stay uint8 until a selected image is converted. So a
-data level grows with rounds x clients x batch size and the test split, not
-with n: a 10-round build at n = 40,000, d = 50 peaks at 0.51x the n x d
-matrix and holds 0.38x of it. The batch indices cost rounds x clients x
-batch_size x 8 bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32,
-once in the data level and once stacked in the run.
+first draws, from the labels alone, all that picks samples: shuffle, split,
+shard, partition, and every round's batches from one stream per client and
+one for the server shard. Then it makes features, in one synthetic pass or
+converting only the IDX images it needs: the samples some batch reads, as
+one row-major matrix that every batch index points into, and the test
+split, feature-major for evaluation (see `data.take`). So a data level grows
+with rounds x clients x batch size and the test split, not with n: a
+10-round build at n = 40,000, d = 50 peaks at 0.51x the n x d matrix and
+holds 0.38x of it. The batch indices cost rounds x clients x batch_size x 8
+bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32, once in the
+data level and once stacked in the run.
 """
 
 from __future__ import annotations
@@ -125,10 +123,11 @@ class ClientData:
     sample order, and every batch index is a row of them. `batches[m]` holds
     client m's batch rows, one row per round, for every client, since a
     control run trains them all; `server_batches` holds the clean shard's,
-    one row per round (None without a shard). `test` holds the test split,
-    its (n_test, d) features the transpose view of a C-contiguous (d, n_test)
-    array, the layout evaluation scores fastest. Every array is read-only,
-    because one data level serves many runs.
+    one row per round (None without a shard), each from a stream of its own
+    (`_draw_batches`). `test` holds the test split, its (n_test, d) features
+    the transpose view of a C-contiguous (d, n_test) array, the layout
+    evaluation scores fastest. Every array is read-only, because one data
+    level serves many runs.
     """
 
     features: np.ndarray
@@ -149,30 +148,36 @@ def _read_only(*arrays: np.ndarray | None):
             array.flags.writeable = False
 
 
+_KEY_BLOCK = 1 << 16  # keys `_draw_batches` holds at once, so long runs build small
+
+
 def _draw_batches(key: DrawKey, pool: np.ndarray, purpose: str, *coords) -> np.ndarray:
-    """(rounds, min(batch_size, pool size)) samples of `pool`, round t's
-    drawn from the stream (seed, purpose, t, *coords). `choice` picks
-    positions from the length of the pool alone, so drawing from sample ids
-    gives the samples of the positions a train-local pool would give."""
-    drawn = np.empty((key.rounds, min(key.batch_size, pool.size)), dtype=np.int64)
-    for t in range(key.rounds):
-        drawn[t] = substream(key.seed, purpose, t, *coords).choice(
-            pool, size=drawn.shape[1], replace=False
-        )
+    """(rounds, b) samples of `pool`, b = min(batch_size, pool size), all
+    drawn from the one stream (seed, purpose, *coords). Row t of a (rounds,
+    pool size) block of uniform keys, drawn _KEY_BLOCK keys at a time, gives
+    round t's batch: the samples at its b smallest keys, in key order. So
+    fewer rounds draw a prefix of these batches. The keys pick positions by
+    the length of the pool alone, so drawing from sample ids gives the
+    samples of the positions a train-local pool would give."""
+    rng, size = substream(key.seed, purpose, *coords), min(key.batch_size, pool.size)
+    drawn = np.empty((key.rounds, size), dtype=np.int64)
+    step = max(1, _KEY_BLOCK // pool.size)
+    for lo in range(0, key.rounds, step):
+        keys = rng.random((min(step, key.rounds - lo), pool.size))
+        smallest = np.argpartition(keys, size - 1, axis=1)[:, :size]
+        in_order = np.take_along_axis(keys, smallest, axis=1).argsort(axis=1)
+        drawn[lo : lo + keys.shape[0]] = pool[np.take_along_axis(smallest, in_order, axis=1)]
     return drawn
 
 
 def _split(key: DrawKey) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Every sample's label, the class count, and the samples of the train
     and the test split, in the order of the shuffled data set. Reads no
-    features: for synthetic data, the data stream is only run up to the shuffle."""
+    features: a synthetic data set is shuffled from a stream of its own."""
     seed, spec = key.seed, key.dataset
     if spec.kind == "synthetic":
         labels = datamod.class_labels(spec.n, spec.classes)
-        _, order, _ = datamod.synth_classification(
-            spec.n, spec.dim, spec.classes, spec.separation, substream(seed, "data"),
-            np.zeros(spec.n, dtype=bool),
-        )
+        order = substream(seed, "shuffle").permutation(spec.n)
         train_idx, test_idx = datamod.stratified_holdout(
             labels[order], spec.classes, spec.test_fraction, substream(seed, "split")
         )
@@ -189,11 +194,10 @@ def _read(key: DrawKey, keep: np.ndarray, test_rows: np.ndarray):
     """The samples `keep` marks, row-major, and the test split, feature-major."""
     spec = key.dataset
     if spec.kind == "synthetic":
-        data, _, test = datamod.synth_classification(
+        return datamod.synth_classification(
             spec.n, spec.dim, spec.classes, spec.separation, substream(key.seed, "data"),
             keep, test_rows,
         )
-        return data, test
     data, _ = datamod.load_idx(spec.train_images, spec.train_labels, keep)
     _, test = datamod.load_idx(
         spec.test_images, spec.test_labels, np.zeros(test_rows.size, dtype=bool), test_rows
@@ -205,9 +209,9 @@ def build_client_data(key: DrawKey) -> ClientData:
     """Draw the data level of `key`, which holds every field the build
     reads, so the build cannot read one it is not keyed on.
 
-    Every draw that picks samples comes first, from the labels alone: split,
-    shard, partition and every batch. Only then are features made, for the
-    samples some batch reads and for the test split."""
+    Every draw that picks samples comes first, from the labels alone:
+    shuffle, split, shard, partition and every batch. Only then are features
+    made, for the samples some batch reads and for the test split."""
     seed = key.seed
     labels, n_classes, rows, test_rows = _split(key)
 
@@ -236,8 +240,8 @@ def build_client_data(key: DrawKey) -> ClientData:
     sizes = np.array([part.size for part in partitions], dtype=np.float64)
     alpha = sizes / sizes.sum()
 
-    batches = [_draw_batches(key, part, "batch", m) for m, part in enumerate(partitions)]
-    server_batches = None if shard is None else _draw_batches(key, shard, "server_batch")
+    batches = [_draw_batches(key, part, "batches", 0, m) for m, part in enumerate(partitions)]
+    server_batches = None if shard is None else _draw_batches(key, shard, "server_batches")
     # The samples some batch reads, and the row of `features` each one gets.
     drawn = batches if server_batches is None else [*batches, server_batches]
     keep = np.zeros(labels.size, dtype=bool)
@@ -374,14 +378,14 @@ class Simulation:
 
         t_mark = time.perf_counter()
         if cfg.attack is not None and self.mask.count:
-            payloads = byzantine_payloads(
+            ids, rows = byzantine_payloads(
                 cfg.attack,
                 honest_stack,
                 self.mask.members,
                 cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
-            uploads[list(payloads)] = list(payloads.values())
+            uploads[ids] = rows
         if not np.isfinite(uploads).all():
             raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark

@@ -176,26 +176,31 @@ def test_collusive_attacks_share_one_payload():
     honest = rng.normal(size=(4, 8))
     for kind in ("signflip", "lie", "foe", "negated_mean"):
         spec = AttackSpec(kind, foe_scale=-0.1)
-        payloads = byzantine_payloads(spec, honest, [4, 5, 6], 7, _client_rng(0))
-        assert set(payloads) == {4, 5, 6}
-        base = payloads[4]
-        assert all(np.array_equal(base, p) for p in payloads.values()), kind
+        ids, rows = byzantine_payloads(spec, honest, [6, 4, 5], 7, _client_rng(0))
+        assert ids.tolist() == [4, 5, 6]
+        assert rows.shape == (8,), kind  # one payload, written to every id
+        uploads = np.zeros((7, 8))
+        uploads[ids] = rows
+        assert all(np.array_equal(uploads[m], rows) for m in ids), kind
 
 
 def test_gaussian_attackers_draw_independently():
     honest = np.random.default_rng(5).normal(size=(3, 50))
-    payloads = byzantine_payloads(AttackSpec("gaussian"), honest, [3, 4], 5, _client_rng(1))
-    assert not np.array_equal(payloads[3], payloads[4])
-    again = byzantine_payloads(AttackSpec("gaussian"), honest, [3, 4], 5, _client_rng(1))
-    assert np.array_equal(payloads[3], again[3])
+    ids, rows = byzantine_payloads(AttackSpec("gaussian"), honest, [4, 3], 5, _client_rng(1))
+    assert ids.tolist() == [3, 4] and rows.shape == (2, 50)
+    assert not np.array_equal(rows[0], rows[1])
+    # row i is client ids[i]'s own stream
+    assert np.array_equal(rows[1], attack_gaussian(50, 90.0, _client_rng(1)(4)))
+    _, again = byzantine_payloads(AttackSpec("gaussian"), honest, [3, 4], 5, _client_rng(1))
+    assert np.array_equal(rows, again)
 
 
 def test_an_unset_foe_scale_is_minus_a_tenth():
     honest = np.random.default_rng(3).normal(size=(3, 5))
-    unset = byzantine_payloads(AttackSpec("foe"), honest, [3], 4, _client_rng(0))
-    tenth = byzantine_payloads(AttackSpec("foe", foe_scale=-0.1), honest, [3], 4, _client_rng(0))
-    assert np.array_equal(unset[3], tenth[3])
-    assert np.array_equal(unset[3], attack_foe(honest, -0.1, 4, 1))
+    _, unset = byzantine_payloads(AttackSpec("foe"), honest, [3], 4, _client_rng(0))
+    _, tenth = byzantine_payloads(AttackSpec("foe", foe_scale=-0.1), honest, [3], 4, _client_rng(0))
+    assert np.array_equal(unset, tenth)
+    assert np.array_equal(unset, attack_foe(honest, -0.1, 4, 1))
 
 
 def test_attack_spec_validation():

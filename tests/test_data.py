@@ -21,9 +21,11 @@ from byzbench.errors import EmptySelection, FormatError, InfeasiblePartition
 
 
 def _dataset(n=1000, d=8, classes=4, separation=6.0, seed=0):
-    """The shuffled data set: generated samples in the order the permutation gives."""
-    ds, order, _ = synth_classification(n, d, classes, separation, np.random.default_rng(seed))
-    return take(ds, order)
+    """The shuffled data set: generated samples in the order of a permutation
+    drawn after them, from the same stream."""
+    rng = np.random.default_rng(seed)
+    ds, _ = synth_classification(n, d, classes, separation, rng)
+    return take(ds, rng.permutation(n))
 
 
 # ------------------------------------------------------------------- dataset
@@ -71,17 +73,15 @@ def test_synth_balanced_labels():
 
 
 def test_synth_single_class():
-    ds, _, _ = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
+    ds, _ = synth_classification(20, 5, 1, 10.0, np.random.default_rng(0))
     assert np.array_equal(ds.labels, np.zeros(20, dtype=np.int64))
 
 
-def test_synth_returns_generation_order_and_a_permutation():
-    ds, order, _ = synth_classification(103, 4, 10, 6.0, np.random.default_rng(4))
-    assert np.array_equal(np.sort(order), np.arange(103))
+def test_synth_returns_generation_order():
+    ds, test = synth_classification(103, 4, 10, 6.0, np.random.default_rng(4))
     assert np.all(np.diff(ds.labels) >= 0)  # one contiguous block per class
-    shuffled = take(ds, order)
-    assert np.array_equal(np.bincount(shuffled.labels), np.bincount(ds.labels))
-    assert not np.array_equal(shuffled.labels, ds.labels)
+    assert np.array_equal(ds.labels, class_labels(103, 10))
+    assert test.n == 0 and test.dim == 4
 
 
 def test_synth_deterministic_per_seed():
@@ -91,7 +91,7 @@ def test_synth_deterministic_per_seed():
 
 
 def _one_shot_synth(n, d, classes, separation, rng):
-    """The generation as one (n, d) draw: centers, noise, centers added, shuffle."""
+    """The generation as one (n, d) draw: centers, noise, centers added."""
     if classes == 1:
         centers = rng.standard_normal((1, d))
     else:
@@ -103,8 +103,7 @@ def _one_shot_synth(n, d, classes, separation, rng):
                 break
         centers *= separation / closest
     labels = class_labels(n, classes)
-    features = rng.standard_normal((n, d)) + centers[labels]
-    return features, labels, rng.permutation(n)
+    return rng.standard_normal((n, d)) + centers[labels], labels
 
 
 @pytest.mark.parametrize(
@@ -120,20 +119,22 @@ def _one_shot_synth(n, d, classes, separation, rng):
 )
 def test_chunked_generation_is_the_one_shot_draw(monkeypatch, n, d, classes, block):
     monkeypatch.setattr(datamod, "_BLOCK_ROWS", block)
-    features, labels, order = _one_shot_synth(n, d, classes, 4.0, np.random.default_rng(n))
-    ds, got_order, test = synth_classification(n, d, classes, 4.0, np.random.default_rng(n))
+    one_shot = np.random.default_rng(n)
+    features, labels = _one_shot_synth(n, d, classes, 4.0, one_shot)
+    rng = np.random.default_rng(n)
+    ds, test = synth_classification(n, d, classes, 4.0, rng)
     assert ds.features.tobytes() == features.tobytes()
-    assert np.array_equal(ds.labels, labels) and np.array_equal(got_order, order)
+    assert np.array_equal(ds.labels, labels)
     assert test.n == 0
+    # it draws the centers and the noise and nothing after them
+    assert rng.bit_generator.state == one_shot.bit_generator.state
     # keeping some samples and a test split draws the same stream
     rng = np.random.default_rng(1)
     keep = rng.random(n) < 0.2
     test_rows = rng.permutation(np.flatnonzero(~keep))[: n // 5]
-    kept, got_order, test = synth_classification(
-        n, d, classes, 4.0, np.random.default_rng(n), keep, test_rows
-    )
+    kept, test = synth_classification(n, d, classes, 4.0, np.random.default_rng(n), keep, test_rows)
     assert kept.features.tobytes() == features[keep].tobytes()
-    assert np.array_equal(kept.labels, labels[keep]) and np.array_equal(got_order, order)
+    assert np.array_equal(kept.labels, labels[keep])
     assert test.features.T.flags.c_contiguous
     assert test.features.tobytes() == features[test_rows].tobytes()
     assert np.array_equal(test.labels, labels[test_rows])

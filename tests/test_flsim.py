@@ -48,10 +48,17 @@ def _cfg(**overrides) -> RunConfig:
 _RAGGED = _cfg(rounds=3, batch_size=64, min_client_size=8)
 
 
+def _oracle_batches(cfg: RunConfig, pool, purpose: str, *coords) -> np.ndarray:
+    """The batch-draw contract: one keyed stream per pool draws a (rounds,
+    pool size) block of uniform keys at once, and round t's batch is the
+    samples with the smallest keys of row t, in key order (a full sort)."""
+    keys = substream(cfg.seed, purpose, *coords).random((cfg.rounds, pool.size))
+    return pool[np.argsort(keys, axis=1, kind="stable")[:, : min(cfg.batch_size, pool.size)]]
+
+
 def _oracle_batch(cfg: RunConfig, part, round_index: int, client: int) -> np.ndarray:
-    """The batch-draw contract: one keyed stream per (round, client)."""
-    rng = substream(cfg.seed, "batch", round_index, client)
-    return rng.choice(part, size=min(cfg.batch_size, part.size), replace=False)
+    """Client `client`'s batch in round `round_index`, drawn from its one stream."""
+    return _oracle_batches(cfg, part, "batches", 0, client)[round_index]
 
 
 @dataclass
@@ -74,10 +81,10 @@ class _TrainLocal:
 def _train_local_setup(cfg: RunConfig, honest) -> _TrainLocal:
     """Rebuild `cfg`'s setup the dataset-copying way, from the same draws."""
     spec = cfg.dataset
-    generated, order, _ = datamod.synth_classification(
+    generated, _ = datamod.synth_classification(
         spec.n, spec.dim, spec.classes, spec.separation, substream(cfg.seed, "data")
     )
-    full = datamod.take(generated, order)
+    full = datamod.take(generated, substream(cfg.seed, "shuffle").permutation(spec.n))
     train_idx, test_idx = datamod.stratified_holdout(
         full.labels, full.n_classes, spec.test_fraction, substream(cfg.seed, "split")
     )
@@ -95,14 +102,7 @@ def _train_local_setup(cfg: RunConfig, honest) -> _TrainLocal:
     sizes = np.array([part.size for part in partitions])
     alpha = sizes / sizes.sum()  # the exact size ratios S_m / sum(S)
     batches = [[_oracle_batch(cfg, partitions[m], t, m) for m in honest] for t in range(cfg.rounds)]
-    server_batches = []
-    if shard is not None:
-        server_batches = [
-            substream(cfg.seed, "server_batch", t).choice(
-                shard, size=min(cfg.batch_size, shard.size), replace=False
-            )
-            for t in range(cfg.rounds)
-        ]
+    server_batches = [] if shard is None else list(_oracle_batches(cfg, shard, "server_batches"))
     return _TrainLocal(generated, train, test, shard, partitions, alpha, batches, server_batches)
 
 
@@ -535,9 +535,9 @@ def test_environment_batches_follow_the_draw_contract(monkeypatch, cfg, ragged):
         for row, batch in zip(got, want):
             assert row.dtype == batch.dtype and names(row, batch)
     if data.shard is not None:
-        for t, rows in enumerate(data.server_batches):
-            rng = substream(cfg.seed, "server_batch", t)
-            assert names(rows, rng.choice(data.shard, size=rows.size, replace=False))
+        want = _oracle_batches(cfg, data.shard, "server_batches")
+        for rows, batch in zip(data.server_batches, want, strict=True):
+            assert names(rows, batch)
     # the data level holds the rows its batches read and no other
     read = [*data.batches, *([] if data.shard is None else [data.server_batches])]
     assert np.array_equal(np.unique(np.concatenate([b.ravel() for b in read])),
@@ -646,8 +646,6 @@ def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
 
 
 def test_batches_are_drawn_once_per_environment(monkeypatch):
-    cfg = _cfg(rounds=4, clean=CleanSpec("server", fraction=0.1), requested_ratio=0.4,
-               attack=AttackSpec("lie"))
     draws = {}
     draw = flsim.substream
 
@@ -656,11 +654,27 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
         return draw(seed, purpose, *coords)
 
     monkeypatch.setattr(flsim, "substream", counted)
+    # At the headline's sizes a build derives one data stream and 20 batch
+    # streams, one per client, plus one per server shard, whatever its rounds:
+    # a stream per round would count 2,000 at 100 rounds.
+    build = {"shuffle": 1, "split": 1, "partition": 1, "data": 1, "batches": 20}
+    for rounds in (1, 100):
+        headline = RunConfig(rounds=rounds)
+        draws.clear()
+        flsim.build_client_data(headline.draw_key)
+        assert draws == build
+        draws.clear()
+        flsim.build_client_data(replace(headline, clean=CleanSpec("server", fraction=0.02)).draw_key)
+        assert draws == {**build, "shard": 1, "server_batches": 1}
+
+    cfg = _cfg(rounds=4, clean=CleanSpec("server", fraction=0.1), requested_ratio=0.4,
+               attack=AttackSpec("lie"))
+    draws.clear()
     monkeypatch.setattr(flsim, "_cached", None)
     # the build draws every client's batches, the compromised ones' too, since
     # the control run of the same data trains them
     assert len(Simulation(cfg).honest) < cfg.clients
-    once = {"batch": cfg.rounds * cfg.clients, "server_batch": cfg.rounds}
+    once = {"data": 1, "batches": cfg.clients, "server_batches": 1}
     assert {purpose: draws[purpose] for purpose in once} == once
     methods = [
         MethodSpec(base=AggregatorSpec("mean")),
@@ -678,6 +692,38 @@ def test_batches_are_drawn_once_per_environment(monkeypatch):
     run_to_result(replace(cfg, attack=AttackSpec("signflip"), requested_ratio=0.2,
                           method=MethodSpec(base=AggregatorSpec("fltrust"))))
     assert {purpose: draws[purpose] for purpose in once} == once
+
+
+@pytest.mark.parametrize(
+    "cfg, ragged",
+    [(_cfg(rounds=100, clean=CleanSpec("server", fraction=0.1)), False),
+     (replace(_RAGGED, rounds=100, clean=CleanSpec("server", fraction=0.1)), True)],
+    ids=["equal", "ragged"],
+)
+def test_a_shorter_data_level_draws_a_prefix_of_the_batches(monkeypatch, cfg, ragged):
+    short = flsim.build_client_data(replace(cfg, rounds=40).draw_key)
+    monkeypatch.setattr(flsim, "_KEY_BLOCK", 1000)  # draw the keys a few rounds at a time
+    long = flsim.build_client_data(cfg.draw_key)
+    spec = cfg.dataset
+    generated, _ = datamod.synth_classification(
+        spec.n, spec.dim, spec.classes, spec.separation, substream(cfg.seed, "data")
+    )
+
+    def samples(data, rows):
+        return data.features[rows].tobytes(), data.labels[rows].tobytes()
+
+    assert (len({rows.shape[1] for rows in long.batches}) > 1) == ragged
+    streams = [(part, ("batches", 0, m), short.batches[m], long.batches[m])
+               for m, part in enumerate(long.partitions)]
+    streams.append((long.shard, ("server_batches",), short.server_batches, long.server_batches))
+    for pool, stream, rows, long_rows in streams:
+        assert rows.shape == (40, long_rows.shape[1])
+        assert samples(short, rows) == samples(long, long_rows[:40])
+        # every row is its stream's smallest keys in key order, as a full sort gives
+        want = _oracle_batches(cfg, pool, *stream)
+        assert samples(long, long_rows) == (
+            generated.features[want].tobytes(), generated.labels[want].tobytes()
+        )
 
 
 def test_single_mean_round_is_one_sgd_step():

@@ -1205,12 +1205,11 @@ def test_sequential_sweep_generates_each_seeds_data_once(tmp_path, monkeypatch):
     )
     rows = run_sweep(cfg, str(tmp_path / "out"))
     assert len(rows) == 12 and all(row.status == "ok" for row in rows)
-    # one data set per master seed, not per (attack, ratio), generated in two
-    # passes: the first keeps no features, the second the rows the batches read
-    assert len(calls) == 4
-    for first, second in zip(calls[::2], calls[1::2]):
-        assert first[:4] == second[:4]
-        assert not first[5].any() and 0 < np.count_nonzero(second[5]) < first[0]
+    # one data set per master seed, not per (attack, ratio), generated in one
+    # pass that keeps the rows the batches read
+    assert len(calls) == 2
+    for call in calls:
+        assert 0 < np.count_nonzero(call[5]) < call[0]
 
 
 def test_a_seeds_rows_share_their_data_and_nest_their_compromised_sets(monkeypatch):
