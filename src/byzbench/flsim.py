@@ -34,11 +34,19 @@ with rounds x clients x batch size and the test split, not with n: a
 holds 0.38x of it. The batch indices cost rounds x clients x batch_size x 8
 bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32, once in the
 data level and once stacked in the run.
+
+Evaluation is scored in blocks. A `Simulation` holds the parameters of its
+evaluated rounds until `eval_block` of them are held, the last round runs or
+a round diverges, then fills in their test accuracy from one `accuracy`
+call over the stack (`_eval_block` says when blocks pay). Each round gets
+the accuracy its parameters get scored alone (see
+`models._DenseNet._stacked_accuracy` on the BLAS this was measured with).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,7 +58,7 @@ from .aggregators import aggregate
 from .attacks import byzantine_payloads
 from .core import ByzantineMask, select_byzantine_set, substream
 from .errors import ConfigError, DivergenceDetected, InsufficientClients
-from .filtering import build_reference, filter_and_aggregate
+from .filtering import _SLAB_ELEMENTS, build_reference, filter_and_aggregate
 from .models import build_model
 
 # CleanSpec and MethodSpec are unused here: tests/test_acceptance.py reads them.
@@ -67,7 +75,10 @@ class RoundRecord:
     "attack", "clean" (server-shard gradient), then "reference" and "filter"
     (the window draw and the whole `filter_and_aggregate` call, survivor
     average included) for a filtered method or "aggregate" for a bare one,
-    "step", "eval".
+    "step", "eval". An evaluated round's `test_accuracy` is None until its
+    block of evaluated rounds is scored (see `Simulation.run_round`); "eval"
+    is the whole block's time, and only the round that completed the block
+    has it (on a divergence, the last round held, whose "total" grows by it).
     """
 
     round_index: int
@@ -283,11 +294,13 @@ _M_MMAP_THRESHOLD = -3
 _OWN_MAPPING_BYTES = 4 << 20
 
 
+@functools.cache
 def pin_heap_thresholds() -> None:
     """Serve allocations below 4 MB from the heap, and give larger ones their
     own mapping (glibc only, process-wide; elsewhere it does nothing). Every
     `Simulation` calls it first, so rounds allocate alike in a sweep, a
-    library call or a test.
+    library call or a test. It sets the thresholds once per process; later
+    calls return at once.
 
     glibc's mmap threshold starts at 128 KB and rises only when a mapped
     block is freed, so unpinned, a round's arrays of about 1 MB (an mlp1
@@ -304,6 +317,32 @@ def pin_heap_thresholds() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _OWN_MAPPING_BYTES)
     mallopt(_M_TRIM_THRESHOLD, 2 * _OWN_MAPPING_BYTES)
+
+
+# Evaluated rounds one `accuracy` call scores, at most, and the widest stack
+# of first layers it computes at once (see `_eval_block`).
+_EVAL_ROUNDS = 16
+_EVAL_ROWS = 128
+
+
+def _eval_block(model, test_features: np.ndarray) -> int:
+    """How many evaluated rounds `Simulation` scores in one `accuracy` call:
+    min(16, 128 // width) for a first layer narrower than 128 on test
+    features of at least _SLAB_ELEMENTS float64s, else 1.
+
+    A stack of first layers turns R products of (width, d) @ (d, n) into
+    one of (R * width, d) @ (d, cols) per chunk of test columns, which BLAS
+    runs at about twice the rate: 171-176 us against 337 us a round for a
+    softmax with 10 classes on 8,000 test rows of d = 50 (one thread, 2-vCPU
+    Xeon, OpenBLAS 0.3.31). On a smaller test split the saving is too small
+    to pay for holding rounds: a prototype that blocked 1,000 test rows of
+    d = 20 made softmax sweeps' cells 8.3% slower. A first layer 128 wide
+    is already a product of 128 rows.
+    """
+    width = model.widths[1]
+    if test_features.size < _SLAB_ELEMENTS or width >= _EVAL_ROWS:
+        return 1
+    return min(_EVAL_ROUNDS, _EVAL_ROWS // width)
 
 
 class Simulation:
@@ -340,6 +379,10 @@ class Simulation:
 
         self.model = build_model(config.model, data.features.shape[1], data.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
+        self.eval_block = _eval_block(self.model, data.test.features)
+        # Evaluated rounds whose accuracy is not computed yet, with their
+        # parameters (see `run_round`).
+        self._unscored: list[tuple[RoundRecord, np.ndarray]] = []
         self.prev_aggregate = np.zeros(self.model.n_params)
 
         self.method = config.resolved_method
@@ -359,6 +402,11 @@ class Simulation:
         return grad
 
     def run_round(self, round_index: int) -> RoundRecord:
+        """Run round `round_index` and return its record. An evaluated round
+        is held until `eval_block` rounds are, or the last round runs, or a
+        later round diverges; then every held round's `test_accuracy` is
+        filled in from one `accuracy` call, timed in the "eval" of the round
+        that completed the block."""
         cfg, data = self.config, self.data
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
@@ -387,7 +435,7 @@ class Simulation:
             )
             uploads[ids] = rows
         if not np.isfinite(uploads).all():
-            raise DivergenceDetected(f"non-finite client upload in round {round_index}")
+            raise self._diverged(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark
 
         clean_grad = None
@@ -439,20 +487,13 @@ class Simulation:
         self.params = self.params - cfg.lr.rate(round_index) * agg
         self.prev_aggregate = agg
         if not np.isfinite(self.params).all():
-            raise DivergenceDetected(f"parameters diverged in round {round_index}")
+            raise self._diverged(f"parameters diverged in round {round_index}")
         wall["step"] = time.perf_counter() - t_mark
 
-        test_accuracy = None
-        if (round_index + 1) % cfg.eval_interval == 0 or round_index == cfg.rounds - 1:
-            t_mark = time.perf_counter()
-            test_accuracy = self.model.accuracy(self.params, data.test.features, data.test.labels)
-            wall["eval"] = time.perf_counter() - t_mark
-
-        wall["total"] = time.perf_counter() - t_start
-        return RoundRecord(
+        record = RoundRecord(
             round_index=round_index,
             train_loss=train_loss,
-            test_accuracy=test_accuracy,
+            test_accuracy=None,
             selected=selected,
             filter_precision=precision,
             filter_recall=recall,
@@ -460,6 +501,37 @@ class Simulation:
             pass_segments=windows,
             wall=wall,
         )
+        last = round_index == cfg.rounds - 1
+        if (round_index + 1) % cfg.eval_interval == 0 or last:
+            self._unscored.append((record, self.params))
+            if len(self._unscored) == self.eval_block or last:
+                self._score_unscored(wall)
+        wall["total"] = time.perf_counter() - t_start
+        return record
+
+    def _score_unscored(self, wall: dict) -> None:
+        """Fill in the held rounds' test accuracy from one `accuracy` call
+        (a stack of their parameters, or one vector), timed as wall["eval"]."""
+        t_mark = time.perf_counter()
+        records, params = zip(*self._unscored)
+        test = self.data.test
+        if len(params) == 1:
+            accs = [self.model.accuracy(params[0], test.features, test.labels)]
+        else:
+            accs = self.model.accuracy(np.stack(params), test.features, test.labels).tolist()
+        for record, acc in zip(records, accs):
+            record.test_accuracy = acc
+        self._unscored.clear()
+        wall["eval"] = time.perf_counter() - t_mark
+
+    def _diverged(self, message: str) -> DivergenceDetected:
+        """The error to raise for a diverged round, once the held rounds are
+        scored, their time charged to the last of them."""
+        if self._unscored:
+            wall = self._unscored[-1][0].wall
+            self._score_unscored(wall)
+            wall["total"] += wall["eval"]
+        return DivergenceDetected(message)
 
 
 def run_to_result(config: RunConfig) -> ExperimentResult:

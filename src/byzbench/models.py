@@ -13,6 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
+from .filtering import _SLAB_ELEMENTS
 from .specs import ModelSpec
 
 
@@ -42,6 +43,11 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return loss, probs
 
 
+# Stacked evaluation's chunks of test columns start at multiples of this many
+# columns (see `_DenseNet._stacked_accuracy`).
+_CHUNK_ALIGN = 64
+
+
 class _DenseNet:
     """Dense layers of the given widths with a ReLU between consecutive layers.
 
@@ -50,6 +56,7 @@ class _DenseNet:
     """
 
     def __init__(self, widths: tuple[int, ...]):
+        self.widths = widths
         shapes = []
         for fan_in, fan_out in zip(widths, widths[1:]):
             shapes += [(fan_in, fan_out), (fan_out,)]
@@ -111,7 +118,7 @@ class _DenseNet:
         grad = self.flatten(*grads)
         return (float(loss[0]), grad[0]) if single else (loss, grad)
 
-    def accuracy(self, params, features, y) -> float:
+    def accuracy(self, params, features, y):
         """Share of the (n, d) rows whose highest logit is at their label.
 
         Scored class-major: each layer computes W.T @ out on (d, n) inputs,
@@ -123,11 +130,17 @@ class _DenseNet:
         never reads them.
         A row whose highest logit is tied, or that holds a NaN, is predicted
         as argmax predicts it: the first highest (or first NaN) class.
+
+        A (p,) parameter vector gives a float. An (R, p) stack gives an (R,)
+        array whose entry r is the float params[r] alone gives (see
+        `_stacked_accuracy`).
         """
         y = np.asarray(y)
         n = y.shape[0]
         if n == 0:
             raise EmptySelection("accuracy of an empty test set")
+        if np.ndim(params) == 2:
+            return self._stacked_accuracy(params, features, y)
         parts = self.unflatten(params)
         out = features.T
         n_layers = len(parts) // 2
@@ -144,6 +157,67 @@ class _DenseNet:
         else:
             correct = np.count_nonzero(np.argmax(out, axis=0) == y)
         return float(correct / n)
+
+    def _stacked_accuracy(self, stack, features, y) -> np.ndarray:
+        """`accuracy` of each row of an (R, p) stack, from one first-layer
+        product per chunk of test columns.
+
+        The R first layers are laid side by side as one (d, R * width) matrix
+        M, and M.T @ x runs on chunks of the (d, n) test columns whose
+        (R * width, cols) product holds at most _SLAB_ELEMENTS float64s (the
+        last chunk up to _CHUNK_ALIGN columns more). Round r's rows of that
+        product hold the dot products W_r.T @ x holds, so the larger product
+        runs at a higher rate and computes nothing twice. Later layers run as
+        one stacked matmul, a BLAS product per row. Each row's ties and NaNs
+        are found per chunk, and only that row's chunk takes the argmax path.
+
+        BLAS may sum a product's edge columns in another order than its
+        inner ones, so chunks start at multiples of _CHUNK_ALIGN columns, and
+        a shorter tail joins the chunk before it (a one-column chunk would
+        run as a matrix-vector product). On OpenBLAS 0.3.31 (SkylakeX
+        kernels, one thread) every chunk then held the single calls' logits
+        bitwise when n was a multiple of 16 and d at most 384; the last
+        chunk of other splits held some logits a last bit apart, which moves
+        an accuracy only where a test row's two highest logits are that close.
+        """
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.shape[1:] != (self.n_params,):
+            raise DimensionMismatch(f"expected (R, {self.n_params}) params, got {stack.shape}")
+        n_rows, n = stack.shape[0], y.shape[0]
+        parts = [stack[:, bounds].reshape(n_rows, *shape) for bounds, shape in self._parts]
+        dim, width = parts[0].shape[1:]
+        first = parts[0].transpose(1, 0, 2).reshape(dim, n_rows * width)
+        first_bias = parts[1].reshape(-1, 1)
+        later = [(np.swapaxes(w, 1, 2), b[:, :, None]) for w, b in zip(parts[2::2], parts[3::2])]
+        cols = max(_CHUNK_ALIGN, _SLAB_ELEMENTS // first.shape[1] // _CHUNK_ALIGN * _CHUNK_ALIGN)
+        starts = list(range(0, n, cols))
+        if len(starts) > 1 and n - starts[-1] < _CHUNK_ALIGN:
+            starts.pop()
+        ends = [*starts[1:], n]
+        # Every chunk's product goes to one buffer, so a call holds one at a time.
+        buffer = np.empty(first.shape[1] * max(hi - lo for lo, hi in zip(starts, ends)))
+        x = features.T
+        correct = np.zeros(n_rows, dtype=np.int64)
+        for lo, hi in zip(starts, ends):
+            out = buffer[: first.shape[1] * (hi - lo)].reshape(-1, hi - lo)
+            np.matmul(first.T, x[:, lo:hi], out=out)
+            out += first_bias
+            out = out.reshape(n_rows, width, hi - lo)
+            for weights, bias in later:
+                np.maximum(out, 0.0, out=out)
+                out = weights @ out
+                out += bias
+            labels, at_label = y[lo:hi], y[lo:hi] * (hi - lo) + np.arange(hi - lo)
+            top = out.max(axis=1)
+            hit = out == top[:, None]
+            nan_rows = np.isnan(top).any(axis=1)
+            for r in range(n_rows):
+                # A NaN column holds no hit, so a tie elsewhere could make up its count.
+                if np.count_nonzero(hit[r]) == hi - lo and not nan_rows[r]:
+                    correct[r] += np.count_nonzero(hit[r].ravel()[at_label])
+                else:
+                    correct[r] += np.count_nonzero(np.argmax(out[r], axis=0) == labels)
+        return correct / n
 
 
 class SoftmaxRegression(_DenseNet):

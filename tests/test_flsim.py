@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from byzbench import data as datamod
-from byzbench import filtering, flsim
+from byzbench import filtering, flsim, models
 from byzbench.aggregators import aggregate
 from byzbench.core import substream
 from byzbench.errors import ConfigError, DivergenceDetected, InvalidField
@@ -819,7 +819,7 @@ def test_signflip_hurts_bare_mean():
         assert attacked.records[-1].train_loss > control.records[-1].train_loss
 
 
-def test_divergence_yields_partial_result():
+def test_divergence_yields_partial_result(monkeypatch):
     # softmax gradients are bounded, so blow-up needs the mlp's compounding
     cfg = _cfg(
         rounds=40,
@@ -828,10 +828,23 @@ def test_divergence_yields_partial_result():
         attack=AttackSpec("signflip"),
         lr=LRSchedule(eta0=5000.0, decay=0.0),
     )
+    # Blocks of 128 // 16 = 8 rounds even on this small test split: the
+    # rounds held when a round diverges are scored all the same.
+    monkeypatch.setattr(flsim, "_SLAB_ELEMENTS", 0)
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_to_result(cfg)
         assert result.diverged
         assert len(result.records) < 40
+        assert len(result.records) % 8  # the divergence found rounds held
+        monkeypatch.setattr(flsim, "_EVAL_ROUNDS", 1)
+        one_by_one = run_to_result(cfg)
+    assert [r.test_accuracy for r in result.records] == [
+        r.test_accuracy for r in one_by_one.records
+    ]
+    assert None not in [r.test_accuracy for r in result.records]
+    assert result.max_accuracy == max(r.test_accuracy for r in result.records)
+    last = result.records[-1].wall
+    assert last["eval"] > 0.0 and sum(v for k, v in last.items() if k != "total") <= last["total"]
     # a step of 1e308 overflows the parameters themselves in round 0
     cfg = RunConfig(
         lr=LRSchedule(eta0=1e308), requested_ratio=0.2, attack=AttackSpec("signflip"), rounds=5, seed=1
@@ -857,6 +870,80 @@ def test_filtered_mean_with_filter_disabled_matches_bare_mean():
         assert ra.test_accuracy == rb.test_accuracy
         assert ra.aggregate_norm == rb.aggregate_norm
     assert filtered.records[-1].selected == (0, 1, 2, 3, 4)
+
+
+# A test split of 2,100 rows of d = 64, 134,400 float64s, is large enough for
+# blocks: min(16, 128 // 4) = 16 rounds of a 4-class softmax per call.
+_BLOCKED = _cfg(dataset=DatasetSpec(n=6000, dim=64, classes=4, separation=4.0, test_fraction=0.35))
+
+
+def _count_accuracy_calls(monkeypatch, cls) -> list:
+    calls = []
+    accuracy = cls.accuracy
+    monkeypatch.setattr(cls, "accuracy", lambda self, params, *a: calls.append(np.ndim(params))
+                        or accuracy(self, params, *a))
+    return calls
+
+
+@pytest.mark.parametrize("rounds, eval_interval", [(20, 1), (52, 3)])
+def test_blocked_eval_gives_the_records_of_one_round_per_call(monkeypatch, rounds, eval_interval):
+    cfg = replace(_BLOCKED, rounds=rounds, eval_interval=eval_interval,
+                  requested_ratio=0.2, attack=AttackSpec("signflip"),
+                  method=MethodSpec(filtered=True, base=AggregatorSpec("median")))
+    assert Simulation(cfg).eval_block == 16
+    calls = _count_accuracy_calls(monkeypatch, models.SoftmaxRegression)
+    blocked = run_to_result(cfg)
+    # one full block of 16 evaluated rounds, then a partial one at the last round
+    assert calls == [2, 2]
+    evaluated = [r.round_index for r in blocked.records if r.test_accuracy is not None]
+    assert evaluated == [t for t in range(rounds) if (t + 1) % eval_interval == 0 or t == rounds - 1]
+    assert [r.round_index for r in blocked.records if "eval" in r.wall] == [evaluated[15], rounds - 1]
+    monkeypatch.setattr(flsim, "_EVAL_ROUNDS", 1)
+    calls.clear()
+    one_by_one = run_to_result(cfg)
+    assert calls == [1] * len(evaluated)
+    assert _records_equal(blocked.records, one_by_one.records)
+    assert (blocked.max_accuracy, blocked.final_accuracy) == (
+        one_by_one.max_accuracy, one_by_one.final_accuracy
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, cls",
+    [
+        # a 20 x 1,000 test split, as softmax sweeps have: 20,000 float64s
+        (_cfg(dataset=DatasetSpec(n=5000, dim=20, classes=10, separation=4.0)),
+         models.SoftmaxRegression),
+        # first layers 128 wide or wider, on a test split large enough for blocks
+        (replace(_BLOCKED, model=ModelSpec("mlp1", hidden=128)), models.OneHiddenMLP),
+        (replace(_BLOCKED, model=ModelSpec("mlp1", hidden=200)), models.OneHiddenMLP),
+    ],
+)
+def test_small_test_splits_and_wide_layers_score_one_round_per_call(monkeypatch, cfg, cls):
+    cfg = replace(cfg, rounds=6)
+    calls = _count_accuracy_calls(monkeypatch, cls)
+    result = run_to_result(cfg)
+    assert calls == [1] * 6
+    assert all("eval" in r.wall and r.test_accuracy is not None for r in result.records)
+
+
+def test_a_second_simulation_does_not_pin_the_heap_again(monkeypatch):
+    calls = []
+
+    class _Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    monkeypatch.setattr(flsim.ctypes, "CDLL", lambda name: _Libc())
+    flsim.pin_heap_thresholds.cache_clear()
+    try:
+        Simulation(_cfg(rounds=0))
+        Simulation(_cfg(rounds=0, seed=1))
+    finally:
+        monkeypatch.undo()
+        flsim.pin_heap_thresholds.cache_clear()
+        flsim.pin_heap_thresholds()
+    assert calls == [(flsim._M_MMAP_THRESHOLD, 4 << 20), (flsim._M_TRIM_THRESHOLD, 8 << 20)]
 
 
 def test_eval_interval_skips_rounds():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from byzbench.errors import DimensionMismatch, EmptySelection
+from byzbench import models
 from byzbench.models import OneHiddenMLP, SoftmaxRegression, build_model
 from byzbench.specs import ModelSpec
 
@@ -346,3 +347,63 @@ def test_accuracy_of_an_empty_test_set_raises():
     model = SoftmaxRegression(4, 3)
     with pytest.raises(EmptySelection, match="empty test set"):
         model.accuracy(np.zeros(model.n_params), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+
+
+def _test_split(rng, n, dim, classes):
+    """Features laid out as `data.take` returns them: the transpose of a (d, n) array."""
+    return np.ascontiguousarray(rng.normal(size=(dim, n))).T, rng.integers(0, classes, size=n)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_stacked_accuracy_equals_the_row_by_row_calls(kind, monkeypatch):
+    rng = np.random.default_rng(41)
+    model = build_model(ModelSpec(kind, hidden=6), 12, 5)
+    stack = rng.normal(size=(7, model.n_params))
+    with pytest.raises(DimensionMismatch):
+        model.accuracy(np.zeros((2, model.n_params + 1)), *_test_split(rng, 10, 12, 5))
+    # Chunks of `_CHUNK_ALIGN` columns: splits of one partial chunk, of a
+    # tail long enough to stand alone, of one that joins the chunk before it,
+    # and of a single column.
+    monkeypatch.setattr(models, "_SLAB_ELEMENTS", 1)
+    for n in (37, 4 * models._CHUNK_ALIGN + 70, 5 * models._CHUNK_ALIGN + 3, 1):
+        for features, y in (_test_split(rng, n, 12, 5), _batch(rng, n, 12, 5)):
+            got = model.accuracy(stack, features, y)
+            assert got.shape == (7,)
+            assert got.tolist() == [model.accuracy(row, features, y) for row in stack]
+
+
+def _argmax_calls(monkeypatch) -> list:
+    calls = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(a) or argmax(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp1"])
+def test_a_tied_or_nan_row_of_a_stack_takes_the_argmax_path_alone(kind, monkeypatch):
+    rng = np.random.default_rng(43)
+    model = build_model(ModelSpec(kind, hidden=5), 6, 4)
+    # Small integers keep every sum exact in any order, so classes 1 and 2
+    # of row 1, with equal weight columns and biases, tie bitwise. Rows 0 and
+    # 2 are ordinary, row 3 holds a NaN.
+    stack = rng.normal(size=(4, model.n_params))
+    stack[1] = rng.integers(-3, 4, size=model.n_params)
+    w_out, b_out = model.unflatten(stack[1])[-2:]
+    w_out[:, 2], b_out[2] = w_out[:, 1], b_out[1]
+    model.unflatten(stack[3])[-2][0, 1] = np.nan
+    features = rng.integers(-3, 4, size=(300, 6)).astype(np.float64)
+    y = rng.integers(0, 4, size=300)
+    with np.errstate(invalid="ignore"):
+        want = [_accuracy_by_expression(model, row, features, y) for row in stack]
+        calls = _argmax_calls(monkeypatch)
+        got = model.accuracy(stack, features, y)
+    assert got.tolist() == want
+    assert len(calls) == 2  # rows 1 and 3, in the one chunk of 300 columns
+    logits = _logits_by_expression(model, stack[1], features)
+    assert np.count_nonzero(logits[:, 2] == logits.max(axis=1)) > 10
+
+
+def test_stacked_accuracy_of_an_empty_test_set_raises():
+    model = SoftmaxRegression(4, 3)
+    with pytest.raises(EmptySelection, match="empty test set"):
+        model.accuracy(np.zeros((3, model.n_params)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
