@@ -36,11 +36,10 @@ bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32, once in the
 data level and once stacked in the run.
 
 Evaluation is scored in blocks. A `Simulation` holds the parameters of its
-evaluated rounds until `eval_block` of them are held, the last round runs or
-a round diverges, then fills in their test accuracy from one `accuracy`
-call over the stack (`_eval_block` says when blocks pay). Each round gets
-the accuracy its parameters get scored alone (see
-`models._DenseNet._stacked_accuracy` on the BLAS this was measured with).
+evaluated rounds until `eval_block` of them are held (a number the model
+alone decides, see `_eval_block`), the last round runs or a round diverges,
+then fills in their test accuracy from one `accuracy` call on their stack,
+however many rounds it holds.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .aggregators import aggregate
 from .attacks import byzantine_payloads
 from .core import ByzantineMask, select_byzantine_set, substream
 from .errors import ConfigError, DivergenceDetected, InsufficientClients
-from .filtering import _SLAB_ELEMENTS, build_reference, filter_and_aggregate
+from .filtering import build_reference, filter_and_aggregate
 from .models import build_model
 
 # CleanSpec and MethodSpec are unused here: tests/test_acceptance.py reads them.
@@ -325,24 +324,21 @@ _EVAL_ROUNDS = 16
 _EVAL_ROWS = 128
 
 
-def _eval_block(model, test_features: np.ndarray) -> int:
+def _eval_block(model) -> int:
     """How many evaluated rounds `Simulation` scores in one `accuracy` call:
-    min(16, 128 // width) for a first layer narrower than 128 on test
-    features of at least _SLAB_ELEMENTS float64s, else 1.
+    min(16, 128 // width) for a first layer `width` wide, at least 1.
 
     A stack of first layers turns R products of (width, d) @ (d, n) into
     one of (R * width, d) @ (d, cols) per chunk of test columns, which BLAS
-    runs at about twice the rate: 171-176 us against 337 us a round for a
-    softmax with 10 classes on 8,000 test rows of d = 50 (one thread, 2-vCPU
-    Xeon, OpenBLAS 0.3.31). On a smaller test split the saving is too small
-    to pay for holding rounds: a prototype that blocked 1,000 test rows of
-    d = 20 made softmax sweeps' cells 8.3% slower. A first layer 128 wide
+    runs at a higher rate, on large and small test splits alike: 171-176 us
+    against 337 us a round for a softmax with 10 classes on 8,000 test rows
+    of d = 50; 100 rounds on 1,000 test rows of d = 20, in blocks of 12,
+    took 4.24-4.32 ms a cell against 5.13-5.36 ms a round at a time (median
+    eval phase of a softmax-sweep's 99 cells, three alternating runs; one
+    thread, 2-vCPU Xeon, OpenBLAS 0.3.31). A first layer 128 wide or wider
     is already a product of 128 rows.
     """
-    width = model.widths[1]
-    if test_features.size < _SLAB_ELEMENTS or width >= _EVAL_ROWS:
-        return 1
-    return min(_EVAL_ROUNDS, _EVAL_ROWS // width)
+    return max(1, min(_EVAL_ROUNDS, _EVAL_ROWS // model.widths[1]))
 
 
 class Simulation:
@@ -379,7 +375,7 @@ class Simulation:
 
         self.model = build_model(config.model, data.features.shape[1], data.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
-        self.eval_block = _eval_block(self.model, data.test.features)
+        self.eval_block = _eval_block(self.model)
         # Evaluated rounds whose accuracy is not computed yet, with their
         # parameters (see `run_round`).
         self._unscored: list[tuple[RoundRecord, np.ndarray]] = []
@@ -510,16 +506,13 @@ class Simulation:
         return record
 
     def _score_unscored(self, wall: dict) -> None:
-        """Fill in the held rounds' test accuracy from one `accuracy` call
-        (a stack of their parameters, or one vector), timed as wall["eval"]."""
+        """Fill in the held rounds' test accuracy from one `accuracy` call on
+        the stack of their parameters, timed as wall["eval"]."""
         t_mark = time.perf_counter()
         records, params = zip(*self._unscored)
         test = self.data.test
-        if len(params) == 1:
-            accs = [self.model.accuracy(params[0], test.features, test.labels)]
-        else:
-            accs = self.model.accuracy(np.stack(params), test.features, test.labels).tolist()
-        for record, acc in zip(records, accs):
+        accs = self.model.accuracy(np.stack(params), test.features, test.labels)
+        for record, acc in zip(records, accs.tolist()):
             record.test_accuracy = acc
         self._unscored.clear()
         wall["eval"] = time.perf_counter() - t_mark

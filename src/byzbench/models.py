@@ -43,8 +43,8 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return loss, probs
 
 
-# Stacked evaluation's chunks of test columns start at multiples of this many
-# columns (see `_DenseNet._stacked_accuracy`).
+# `_DenseNet.accuracy`'s chunks of test columns start at multiples of this
+# many columns.
 _CHUNK_ALIGN = 64
 
 
@@ -119,70 +119,43 @@ class _DenseNet:
         return (float(loss[0]), grad[0]) if single else (loss, grad)
 
     def accuracy(self, params, features, y):
-        """Share of the (n, d) rows whose highest logit is at their label.
+        """Share of the (n, d) test rows whose highest logit is at their
+        label, for each row of an (R, p) parameter stack, as an (R,) array. A
+        (p,) vector is scored as a one-row stack and gives a float.
 
-        Scored class-major: each layer computes W.T @ out on (d, n) inputs,
-        giving (C, n) logits, which with few classes runs faster than the
-        row-major (n, C) product and its row-wise argmax. Pass `features` as
-        the transpose of a C-contiguous (d, n) array, as `data.take` returns
-        it; any other layout works, slower. The class-major logits may
-        differ from the training forward pass's in the last bits, so training
-        never reads them.
-        A row whose highest logit is tied, or that holds a NaN, is predicted
-        as argmax predicts it: the first highest (or first NaN) class.
-
-        A (p,) parameter vector gives a float. An (R, p) stack gives an (R,)
-        array whose entry r is the float params[r] alone gives (see
-        `_stacked_accuracy`).
-        """
-        y = np.asarray(y)
-        n = y.shape[0]
-        if n == 0:
-            raise EmptySelection("accuracy of an empty test set")
-        if np.ndim(params) == 2:
-            return self._stacked_accuracy(params, features, y)
-        parts = self.unflatten(params)
-        out = features.T
-        n_layers = len(parts) // 2
-        for k in range(n_layers):
-            out = parts[2 * k].T @ out
-            out += parts[2 * k + 1][:, None]
-            if k + 1 < n_layers:
-                np.maximum(out, 0.0, out=out)
-        top = out.max(axis=0)
-        hit = out == top
-        # A NaN column holds no hit, so a tie elsewhere could make up its count.
-        if np.count_nonzero(hit) == n and not np.isnan(top).any():
-            correct = np.count_nonzero(hit.ravel()[y * n + np.arange(n)])
-        else:
-            correct = np.count_nonzero(np.argmax(out, axis=0) == y)
-        return float(correct / n)
-
-    def _stacked_accuracy(self, stack, features, y) -> np.ndarray:
-        """`accuracy` of each row of an (R, p) stack, from one first-layer
-        product per chunk of test columns.
-
-        The R first layers are laid side by side as one (d, R * width) matrix
-        M, and M.T @ x runs on chunks of the (d, n) test columns whose
-        (R * width, cols) product holds at most _SLAB_ELEMENTS float64s (the
-        last chunk up to _CHUNK_ALIGN columns more). Round r's rows of that
-        product hold the dot products W_r.T @ x holds, so the larger product
-        runs at a higher rate and computes nothing twice. Later layers run as
-        one stacked matmul, a BLAS product per row. Each row's ties and NaNs
-        are found per chunk, and only that row's chunk takes the argmax path.
+        Scored class-major: the R first layers are laid side by side as one
+        (d, R * width) matrix M, and M.T @ x runs on chunks of the (d, n)
+        test columns whose (R * width, cols) product holds at most
+        _SLAB_ELEMENTS float64s (the last chunk up to _CHUNK_ALIGN columns
+        more). With few classes this runs faster than the row-major (n, C)
+        product and its row-wise argmax, and a stack's larger product runs
+        at a higher rate than R small ones. Later layers run as one stacked
+        matmul, a BLAS product per row. Pass `features` as the transpose of a
+        C-contiguous (d, n) array, as `data.take` returns it; any other
+        layout works, slower. The class-major logits may differ from the
+        training forward pass's in the last bits, so training never reads
+        them. A test row whose highest logit is tied, or that holds a NaN, is
+        predicted as argmax predicts it: the first highest (or first NaN)
+        class; only the chunk of a parameter row that holds one takes the
+        argmax path.
 
         BLAS may sum a product's edge columns in another order than its
         inner ones, so chunks start at multiples of _CHUNK_ALIGN columns, and
         a shorter tail joins the chunk before it (a one-column chunk would
         run as a matrix-vector product). On OpenBLAS 0.3.31 (SkylakeX
-        kernels, one thread) every chunk then held the single calls' logits
-        bitwise when n was a multiple of 16 and d at most 384; the last
-        chunk of other splits held some logits a last bit apart, which moves
-        an accuracy only where a test row's two highest logits are that close.
+        kernels, one thread) every chunk then held a row's logits bitwise
+        whatever the stack's height when n was a multiple of 16 and d at
+        most 384. The last chunk of other splits, the n = 1,000 test splits
+        of the softmax sweeps among them, may hold some logits a last bit
+        apart between stacks of different heights, which moves an accuracy
+        only where a test row's two highest logits are that close.
         """
-        stack = np.asarray(stack, dtype=np.float64)
+        y = np.asarray(y)
+        if y.shape[0] == 0:
+            raise EmptySelection("accuracy of an empty test set")
+        stack = np.atleast_2d(np.asarray(params, dtype=np.float64))
         if stack.shape[1:] != (self.n_params,):
-            raise DimensionMismatch(f"expected (R, {self.n_params}) params, got {stack.shape}")
+            raise DimensionMismatch(f"expected (R, {self.n_params}) params, got {np.shape(params)}")
         n_rows, n = stack.shape[0], y.shape[0]
         parts = [stack[:, bounds].reshape(n_rows, *shape) for bounds, shape in self._parts]
         dim, width = parts[0].shape[1:]
@@ -217,7 +190,8 @@ class _DenseNet:
                     correct[r] += np.count_nonzero(hit[r].ravel()[at_label])
                 else:
                     correct[r] += np.count_nonzero(np.argmax(out[r], axis=0) == labels)
-        return correct / n
+        accs = correct / n
+        return float(accs[0]) if np.ndim(params) == 1 else accs
 
 
 class SoftmaxRegression(_DenseNet):

@@ -828,9 +828,8 @@ def test_divergence_yields_partial_result(monkeypatch):
         attack=AttackSpec("signflip"),
         lr=LRSchedule(eta0=5000.0, decay=0.0),
     )
-    # Blocks of 128 // 16 = 8 rounds even on this small test split: the
-    # rounds held when a round diverges are scored all the same.
-    monkeypatch.setattr(flsim, "_SLAB_ELEMENTS", 0)
+    # Blocks of 128 // 16 = 8 rounds: the rounds held when a round diverges
+    # are scored all the same.
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_to_result(cfg)
         assert result.diverged
@@ -872,32 +871,45 @@ def test_filtered_mean_with_filter_disabled_matches_bare_mean():
     assert filtered.records[-1].selected == (0, 1, 2, 3, 4)
 
 
-# A test split of 2,100 rows of d = 64, 134,400 float64s, is large enough for
-# blocks: min(16, 128 // 4) = 16 rounds of a 4-class softmax per call.
+# A test split of 2,100 rows of d = 64: blocks of min(16, 128 // 4) = 16
+# rounds of a 4-class softmax per call.
 _BLOCKED = _cfg(dataset=DatasetSpec(n=6000, dim=64, classes=4, separation=4.0, test_fraction=0.35))
+# The softmax sweeps' test split: 1,000 rows of d = 20, not a multiple of 16,
+# in blocks of 128 // 10 = 12 rounds of a 10-class softmax.
+_SWEEP_SPLIT = _cfg(dataset=DatasetSpec(n=5000, dim=20, classes=10, separation=4.0))
 
 
-def _count_accuracy_calls(monkeypatch, cls) -> list:
+def _count_rows_per_call(monkeypatch, cls) -> list:
     calls = []
     accuracy = cls.accuracy
-    monkeypatch.setattr(cls, "accuracy", lambda self, params, *a: calls.append(np.ndim(params))
-                        or accuracy(self, params, *a))
+    monkeypatch.setattr(cls, "accuracy", lambda self, params, *a:
+                        calls.append(np.atleast_2d(params).shape[0]) or accuracy(self, params, *a))
     return calls
 
 
-@pytest.mark.parametrize("rounds, eval_interval", [(20, 1), (52, 3)])
-def test_blocked_eval_gives_the_records_of_one_round_per_call(monkeypatch, rounds, eval_interval):
-    cfg = replace(_BLOCKED, rounds=rounds, eval_interval=eval_interval,
+@pytest.mark.parametrize(
+    "base, rounds, eval_interval, rows_per_call",
+    [
+        # full blocks, then a partial one at the last round
+        pytest.param(_BLOCKED, 20, 1, [16, 4], id="20-1"),
+        pytest.param(_BLOCKED, 52, 3, [16, 2], id="52-3"),
+        pytest.param(_SWEEP_SPLIT, 26, 1, [12, 12, 2], id="sweep-split-26-1"),
+    ],
+)
+def test_blocked_eval_gives_the_records_of_one_round_per_call(
+    monkeypatch, base, rounds, eval_interval, rows_per_call
+):
+    cfg = replace(base, rounds=rounds, eval_interval=eval_interval,
                   requested_ratio=0.2, attack=AttackSpec("signflip"),
                   method=MethodSpec(filtered=True, base=AggregatorSpec("median")))
-    assert Simulation(cfg).eval_block == 16
-    calls = _count_accuracy_calls(monkeypatch, models.SoftmaxRegression)
+    assert Simulation(cfg).eval_block == rows_per_call[0]
+    calls = _count_rows_per_call(monkeypatch, models.SoftmaxRegression)
     blocked = run_to_result(cfg)
-    # one full block of 16 evaluated rounds, then a partial one at the last round
-    assert calls == [2, 2]
+    assert calls == rows_per_call
     evaluated = [r.round_index for r in blocked.records if r.test_accuracy is not None]
     assert evaluated == [t for t in range(rounds) if (t + 1) % eval_interval == 0 or t == rounds - 1]
-    assert [r.round_index for r in blocked.records if "eval" in r.wall] == [evaluated[15], rounds - 1]
+    block_ends = [evaluated[i - 1] for i in np.cumsum(rows_per_call)]
+    assert [r.round_index for r in blocked.records if "eval" in r.wall] == block_ends
     monkeypatch.setattr(flsim, "_EVAL_ROUNDS", 1)
     calls.clear()
     one_by_one = run_to_result(cfg)
@@ -909,22 +921,26 @@ def test_blocked_eval_gives_the_records_of_one_round_per_call(monkeypatch, round
 
 
 @pytest.mark.parametrize(
-    "cfg, cls",
+    "cfg, cls, rows_per_call",
     [
-        # a 20 x 1,000 test split, as softmax sweeps have: 20,000 float64s
-        (_cfg(dataset=DatasetSpec(n=5000, dim=20, classes=10, separation=4.0)),
-         models.SoftmaxRegression),
-        # first layers 128 wide or wider, on a test split large enough for blocks
-        (replace(_BLOCKED, model=ModelSpec("mlp1", hidden=128)), models.OneHiddenMLP),
-        (replace(_BLOCKED, model=ModelSpec("mlp1", hidden=200)), models.OneHiddenMLP),
+        # however small the test split, a narrow first layer is scored in blocks
+        pytest.param(_SWEEP_SPLIT, models.SoftmaxRegression, [12, 2], id="softmax-1000-test-rows"),
+        # first layers 128 wide or wider are scored one round per call
+        pytest.param(replace(_BLOCKED, model=ModelSpec("mlp1", hidden=128)), models.OneHiddenMLP,
+                     [1] * 14, id="mlp1-128"),
+        pytest.param(replace(_BLOCKED, model=ModelSpec("mlp1", hidden=200)), models.OneHiddenMLP,
+                     [1] * 14, id="mlp1-200"),
     ],
 )
-def test_small_test_splits_and_wide_layers_score_one_round_per_call(monkeypatch, cfg, cls):
-    cfg = replace(cfg, rounds=6)
-    calls = _count_accuracy_calls(monkeypatch, cls)
+def test_eval_blocks_follow_the_first_layer_width(monkeypatch, cfg, cls, rows_per_call):
+    cfg = replace(cfg, rounds=14)
+    calls = _count_rows_per_call(monkeypatch, cls)
     result = run_to_result(cfg)
-    assert calls == [1] * 6
-    assert all("eval" in r.wall and r.test_accuracy is not None for r in result.records)
+    assert calls == rows_per_call
+    assert all(r.test_accuracy is not None for r in result.records)
+    assert [r.round_index for r in result.records if "eval" in r.wall] == [
+        i - 1 for i in np.cumsum(rows_per_call)
+    ]
 
 
 def test_a_second_simulation_does_not_pin_the_heap_again(monkeypatch):

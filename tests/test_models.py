@@ -359,8 +359,9 @@ def test_stacked_accuracy_equals_the_row_by_row_calls(kind, monkeypatch):
     rng = np.random.default_rng(41)
     model = build_model(ModelSpec(kind, hidden=6), 12, 5)
     stack = rng.normal(size=(7, model.n_params))
-    with pytest.raises(DimensionMismatch):
-        model.accuracy(np.zeros((2, model.n_params + 1)), *_test_split(rng, 10, 12, 5))
+    for wrong in (np.zeros((2, model.n_params + 1)), np.zeros(model.n_params + 1)):
+        with pytest.raises(DimensionMismatch):
+            model.accuracy(wrong, *_test_split(rng, 10, 12, 5))
     # Chunks of `_CHUNK_ALIGN` columns: splits of one partial chunk, of a
     # tail long enough to stand alone, of one that joins the chunk before it,
     # and of a single column.
@@ -369,7 +370,11 @@ def test_stacked_accuracy_equals_the_row_by_row_calls(kind, monkeypatch):
         for features, y in (_test_split(rng, n, 12, 5), _batch(rng, n, 12, 5)):
             got = model.accuracy(stack, features, y)
             assert got.shape == (7,)
-            assert got.tolist() == [model.accuracy(row, features, y) for row in stack]
+            # a (p,) vector is scored as a one-row stack and gives a float
+            rows = [model.accuracy(row, features, y) for row in stack]
+            assert all(type(acc) is float for acc in rows)
+            assert rows == [model.accuracy(row[None], features, y)[0] for row in stack]
+            assert got.tolist() == rows
 
 
 def _argmax_calls(monkeypatch) -> list:
