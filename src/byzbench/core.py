@@ -18,6 +18,12 @@ from .errors import DimensionMismatch, EmptySelection, InvalidRatio
 # integer partition sizes and may sit 1 ulp below a nominal threshold.
 RATIO_TOL = 1e-12
 
+# The float64s one working block holds, at most (1 MB): a block of clients'
+# (clients, K, r) window slab in `filtering.window_scores`, a chunk of the
+# (R * width, cols) first-layer product in `models.accuracy`. So a block
+# and its temporaries stay in a 2 MB per-core L2 cache.
+_SLAB_ELEMENTS = 1 << 17
+
 
 def as_matrix(vectors) -> np.ndarray:
     """Stack client vectors into an (M, p) float64 matrix.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import aggregate
-from .core import as_matrix, weighted_average
+from .core import _SLAB_ELEMENTS, as_matrix, weighted_average
 from .errors import (
     DimensionMismatch,
     InvalidReference,
@@ -86,12 +86,6 @@ def sample_windows(
     return rng.integers(0, dim - width + 1, size=passes), width
 
 
-# window_scores works on blocks of clients whose (clients, K, r) slab holds
-# about this many float64s (1 MB), so a block's slab and its masks stay in a
-# 2 MB per-core L2 cache however many clients and windows a round has.
-_SLAB_ELEMENTS = 1 << 17
-
-
 def window_scores(
     reference: np.ndarray,
     uploads: np.ndarray,
@@ -107,9 +101,10 @@ def window_scores(
     window is exactly zero scores -inf.
 
     All K windows of a block of clients are copied into one (clients, K, r)
-    slab and scored together, in place, with the same per-element
-    operations and per-window reductions as scoring one window at a time, so
-    the scores are bitwise the same.
+    slab of about _SLAB_ELEMENTS float64s (see `core`) and scored together,
+    in place, with the same per-element operations and per-window
+    reductions as scoring one window at a time, so the scores are bitwise
+    the same.
     """
     n_clients, passes = uploads.shape[0], len(starts)
     ref = np.stack([reference[start : start + width] for start in starts])

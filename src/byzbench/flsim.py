@@ -35,11 +35,11 @@ holds 0.38x of it. The batch indices cost rounds x clients x batch_size x 8
 bytes: about 0.5 MB for 100 rounds of 20 clients at B = 32, once in the
 data level and once stacked in the run.
 
-Evaluation is scored in blocks. A `Simulation` holds the parameters of its
-evaluated rounds until `eval_block` of them are held (a number the model
-alone decides, see `_eval_block`), the last round runs or a round diverges,
-then fills in their test accuracy from one `accuracy` call on their stack,
-however many rounds it holds.
+A `Simulation` only trains: its `run_round` returns every record with
+`test_accuracy` None. `run_to_result` scores the evaluated rounds. It holds
+their parameters and scores the held rounds, from one `accuracy` call on
+their stack, whenever `_eval_block(model)` of them are held (a number the
+model alone decides), and once more after the last round or a divergence.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class RoundRecord:
     "attack", "clean" (server-shard gradient), then "reference" and "filter"
     (the window draw and the whole `filter_and_aggregate` call, survivor
     average included) for a filtered method or "aggregate" for a bare one,
-    "step", "eval". An evaluated round's `test_accuracy` is None until its
-    block of evaluated rounds is scored (see `Simulation.run_round`); "eval"
-    is the whole block's time, and only the round that completed the block
-    has it (on a divergence, the last round held, whose "total" grows by it).
+    "step", "eval". `run_to_result` scores evaluated rounds in blocks and
+    fills in their `test_accuracy`; a record from `Simulation.run_round`
+    alone keeps None. "eval" is a block's whole scoring time, and only the
+    last round of the block has it, added to its "total".
     """
 
     round_index: int
@@ -325,7 +325,7 @@ _EVAL_ROWS = 128
 
 
 def _eval_block(model) -> int:
-    """How many evaluated rounds `Simulation` scores in one `accuracy` call:
+    """How many evaluated rounds `run_to_result` scores in one `accuracy` call:
     min(16, 128 // width) for a first layer `width` wide, at least 1.
 
     A stack of first layers turns R products of (width, d) @ (d, n) into
@@ -375,10 +375,6 @@ class Simulation:
 
         self.model = build_model(config.model, data.features.shape[1], data.n_classes)
         self.params = self.model.init_params(substream(config.seed, "init"))
-        self.eval_block = _eval_block(self.model)
-        # Evaluated rounds whose accuracy is not computed yet, with their
-        # parameters (see `run_round`).
-        self._unscored: list[tuple[RoundRecord, np.ndarray]] = []
         self.prev_aggregate = np.zeros(self.model.n_params)
 
         self.method = config.resolved_method
@@ -398,11 +394,8 @@ class Simulation:
         return grad
 
     def run_round(self, round_index: int) -> RoundRecord:
-        """Run round `round_index` and return its record. An evaluated round
-        is held until `eval_block` rounds are, or the last round runs, or a
-        later round diverges; then every held round's `test_accuracy` is
-        filled in from one `accuracy` call, timed in the "eval" of the round
-        that completed the block."""
+        """Run round `round_index` and return its record, `test_accuracy`
+        None: `run_to_result` scores evaluated rounds."""
         cfg, data = self.config, self.data
         t_start = time.perf_counter()
         wall: dict[str, float] = {}
@@ -431,7 +424,7 @@ class Simulation:
             )
             uploads[ids] = rows
         if not np.isfinite(uploads).all():
-            raise self._diverged(f"non-finite client upload in round {round_index}")
+            raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         wall["attack"] = time.perf_counter() - t_mark
 
         clean_grad = None
@@ -483,7 +476,7 @@ class Simulation:
         self.params = self.params - cfg.lr.rate(round_index) * agg
         self.prev_aggregate = agg
         if not np.isfinite(self.params).all():
-            raise self._diverged(f"parameters diverged in round {round_index}")
+            raise DivergenceDetected(f"parameters diverged in round {round_index}")
         wall["step"] = time.perf_counter() - t_mark
 
         record = RoundRecord(
@@ -497,46 +490,49 @@ class Simulation:
             pass_segments=windows,
             wall=wall,
         )
-        last = round_index == cfg.rounds - 1
-        if (round_index + 1) % cfg.eval_interval == 0 or last:
-            self._unscored.append((record, self.params))
-            if len(self._unscored) == self.eval_block or last:
-                self._score_unscored(wall)
         wall["total"] = time.perf_counter() - t_start
         return record
 
-    def _score_unscored(self, wall: dict) -> None:
-        """Fill in the held rounds' test accuracy from one `accuracy` call on
-        the stack of their parameters, timed as wall["eval"]."""
-        t_mark = time.perf_counter()
-        records, params = zip(*self._unscored)
-        test = self.data.test
-        accs = self.model.accuracy(np.stack(params), test.features, test.labels)
-        for record, acc in zip(records, accs.tolist()):
-            record.test_accuracy = acc
-        self._unscored.clear()
-        wall["eval"] = time.perf_counter() - t_mark
 
-    def _diverged(self, message: str) -> DivergenceDetected:
-        """The error to raise for a diverged round, once the held rounds are
-        scored, their time charged to the last of them."""
-        if self._unscored:
-            wall = self._unscored[-1][0].wall
-            self._score_unscored(wall)
-            wall["total"] += wall["eval"]
-        return DivergenceDetected(message)
+def _score(sim: Simulation, held: list[tuple[RoundRecord, np.ndarray]]) -> None:
+    """Fill in the held rounds' test accuracy from one `accuracy` call on
+    the stack of their parameters, and empty `held`. The call's time is the
+    last held round's "eval" and is added to its "total"."""
+    if not held:
+        return
+    t_mark = time.perf_counter()
+    records, params = zip(*held)
+    test = sim.data.test
+    accs = sim.model.accuracy(np.stack(params), test.features, test.labels)
+    for record, acc in zip(records, accs.tolist()):
+        record.test_accuracy = acc
+    held.clear()
+    wall = records[-1].wall
+    wall["eval"] = time.perf_counter() - t_mark
+    wall["total"] += wall["eval"]
 
 
 def run_to_result(config: RunConfig) -> ExperimentResult:
-    """Run all rounds; on divergence, return the rounds finished with diverged=True."""
+    """Run all rounds; on divergence, return the rounds finished with
+    diverged=True. Each evaluated round is held with its parameters, which
+    no later step changes (a step binds a new array), and scored in blocks
+    of `_eval_block(model)` rounds; the rounds still held after the last
+    round or a divergence are scored then."""
     sim = Simulation(config)
+    block = _eval_block(sim.model)
     records: list[RoundRecord] = []
+    held: list[tuple[RoundRecord, np.ndarray]] = []
     diverged = False
     try:
         for t in range(config.rounds):
             records.append(sim.run_round(t))
+            if (t + 1) % config.eval_interval == 0 or t == config.rounds - 1:
+                held.append((records[-1], sim.params))
+                if len(held) == block:
+                    _score(sim, held)
     except DivergenceDetected:
         diverged = True
+    _score(sim, held)
     accs = [r.test_accuracy for r in records if r.test_accuracy is not None]
     return ExperimentResult(
         records=records,

@@ -12,8 +12,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .core import _SLAB_ELEMENTS
 from .errors import DimensionMismatch, EmptySelection
-from .filtering import _SLAB_ELEMENTS
 from .specs import ModelSpec
 
 

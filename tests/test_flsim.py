@@ -396,6 +396,12 @@ def test_rerun_is_bitwise_identical():
     assert _records_equal(a.records, b.records)
     assert a.max_accuracy == b.max_accuracy
     assert a.byzantine.members == b.byzantine.members
+    # run_to_result scores; a bare loop of rounds only trains
+    sim = Simulation(cfg)
+    bare = [sim.run_round(t) for t in range(cfg.rounds)]
+    assert [replace(r, wall={}) for r in bare] == [
+        replace(r, test_accuracy=None, wall={}) for r in a.records
+    ]
 
 
 def _same_result(a, b) -> bool:
@@ -902,7 +908,7 @@ def test_blocked_eval_gives_the_records_of_one_round_per_call(
     cfg = replace(base, rounds=rounds, eval_interval=eval_interval,
                   requested_ratio=0.2, attack=AttackSpec("signflip"),
                   method=MethodSpec(filtered=True, base=AggregatorSpec("median")))
-    assert Simulation(cfg).eval_block == rows_per_call[0]
+    assert flsim._eval_block(Simulation(cfg).model) == rows_per_call[0]
     calls = _count_rows_per_call(monkeypatch, models.SoftmaxRegression)
     blocked = run_to_result(cfg)
     assert calls == rows_per_call

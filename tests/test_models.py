@@ -362,11 +362,14 @@ def test_stacked_accuracy_equals_the_row_by_row_calls(kind, monkeypatch):
     for wrong in (np.zeros((2, model.n_params + 1)), np.zeros(model.n_params + 1)):
         with pytest.raises(DimensionMismatch):
             model.accuracy(wrong, *_test_split(rng, 10, 12, 5))
-    # Chunks of `_CHUNK_ALIGN` columns: splits of one partial chunk, of a
-    # tail long enough to stand alone, of one that joins the chunk before it,
-    # and of a single column.
-    monkeypatch.setattr(models, "_SLAB_ELEMENTS", 1)
-    for n in (37, 4 * models._CHUNK_ALIGN + 70, 5 * models._CHUNK_ALIGN + 3, 1):
+    # Chunks of `_CHUNK_ALIGN` (64) columns: splits of one partial chunk, of
+    # tails of 6 and 3 columns that join the chunk before it, and of a single
+    # column. Then the stack's chunks are 128 columns wide, and a split's
+    # 70-column tail stands alone while each row scores it as one chunk.
+    align, stack_width = models._CHUNK_ALIGN, 7 * model.widths[1]
+    for slab, n in ((1, 37), (1, 4 * align + 70), (1, 5 * align + 3), (1, 1),
+                    (2 * align * stack_width, 8 * align + 70)):
+        monkeypatch.setattr(models, "_SLAB_ELEMENTS", slab)
         for features, y in (_test_split(rng, n, 12, 5), _batch(rng, n, 12, 5)):
             got = model.accuracy(stack, features, y)
             assert got.shape == (7,)
