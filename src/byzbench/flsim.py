@@ -2,7 +2,7 @@
 
 Each round: honest clients compute one minibatch gradient at the current
 parameters, compromised clients substitute attack payloads, the server builds
-its aggregate (optionally through the segment filter) and takes one SGD step.
+its aggregate (`server_step`, optionally through the filter) and takes one SGD step.
 Every random draw comes from a keyed substream of the run seed, so reruns are
 bitwise identical and independent of execution order.
 
@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,23 +59,24 @@ from .aggregators import aggregate
 from .attacks import byzantine_payloads
 from .core import ByzantineMask, select_byzantine_set, substream
 from .errors import ConfigError, DivergenceDetected, InsufficientClients
-from .filtering import build_reference, filter_and_aggregate
+from .filtering import FilterResult, build_reference, filter_and_aggregate
 from .models import build_model
 
-# CleanSpec and MethodSpec are unused here: tests/test_acceptance.py reads them.
-from .specs import CleanSpec, DrawKey, MethodSpec, RunConfig
+# CleanSpec is unused here: tests/test_acceptance.py reads it.
+from .specs import CleanSpec, DrawKey, FilterParams, MethodSpec, RunConfig
 
 
 @dataclass
 class RoundRecord:
     """Everything observable about one round.
 
-    `wall` holds seconds per phase, and the phases add up to within a few
-    per cent of "total": "batches" (gathering the run's pre-drawn batch
-    rows), "gradients" (honest gradients and the upload matrix),
-    "attack", "clean" (server-shard gradient), then "reference" and "filter"
-    (the window draw and the whole `filter_and_aggregate` call, survivor
-    average included) for a filtered method or "aggregate" for a bare one,
+    `wall` holds seconds per phase, timed back to back by one `lap_clock`, so
+    the phases add up to "total": "batches" (gathering the run's pre-drawn
+    batch rows), "gradients" (honest gradients and the upload matrix),
+    "attack", "clean" (server-shard gradient), then the phases of
+    `server_step`, the server's rule: "reference" and "filter" (the window
+    draw and the whole `filter_and_aggregate` call, survivor average
+    included) for a filtered method or "aggregate" for a bare one, then
     "step", "eval". `run_to_result` scores evaluated rounds in blocks and
     fills in their `test_accuracy`; a record from `Simulation.run_round`
     alone keeps None. "eval" is a block's whole scoring time, and only the
@@ -318,6 +321,28 @@ def pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _OWN_MAPPING_BYTES)
 
 
+@functools.cache
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread (process-wide; where numpy
+    bundles none, as off its Linux wheels, it does nothing). Every
+    `Simulation` calls it first, as it does `pin_heap_thresholds`.
+
+    The library is opened by path: the process's global symbols do not hold
+    it. Results do not depend on the thread count, but time does: a block of
+    evaluated rounds is a product large enough for OpenBLAS to start a
+    thread per vCPU in every sweep worker. The shipped headline through the
+    CLI at --parallel 2 on 2 vCPUs took 23-32 s unpinned and 9.5-11.6 s
+    pinned, and 15-16 s either way at --parallel 1 (3 interleaved runs each).
+    """
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 # Evaluated rounds one `accuracy` call scores, at most, and the widest stack
 # of first layers it computes at once (see `_eval_block`).
 _EVAL_ROUNDS = 16
@@ -344,10 +369,12 @@ def _eval_block(model) -> int:
 class Simulation:
     """Materialized state for one run of `run_to_result`: its shared data
     level (`data`), the compromised set it draws on it (`mask`), its `honest`
-    clients and their `batches`, and the model. Building one pins the heap
-    first (`pin_heap_thresholds`), whoever builds it."""
+    clients and their `batches`, and the model. Building one pins BLAS to one
+    thread and the heap first (`pin_blas_threads`, `pin_heap_thresholds`),
+    whoever builds it."""
 
     def __init__(self, config: RunConfig):
+        pin_blas_threads()
         pin_heap_thresholds()
         self.config = config
         self.data = data = client_data(config)
@@ -396,102 +423,100 @@ class Simulation:
     def run_round(self, round_index: int) -> RoundRecord:
         """Run round `round_index` and return its record, `test_accuracy`
         None: `run_to_result` scores evaluated rounds."""
-        cfg, data = self.config, self.data
-        t_start = time.perf_counter()
+        cfg, data, method = self.config, self.data, self.method
         wall: dict[str, float] = {}
+        lap = lap_clock(wall)
 
         # `take` gathers the batch rows in about half the time indexing takes.
         features, labels = data.features, data.labels
         inputs = [(features.take(idx, axis=0), labels[idx]) for idx in self.batches[round_index]]
-        wall["batches"] = time.perf_counter() - t_start
+        lap("batches")
 
-        t_mark = time.perf_counter()
         results = [self.model.loss_and_gradient(self.params, x, y) for x, y in inputs]
         losses, honest_stack = (np.concatenate(parts) for parts in zip(*results))
         uploads = np.empty((cfg.clients, self.model.n_params))
         uploads[self.honest_rows] = honest_stack
         train_loss = float(self.honest_weights @ losses)
-        wall["gradients"] = time.perf_counter() - t_mark
+        lap("gradients")
 
-        t_mark = time.perf_counter()
         if cfg.attack is not None and self.mask.count:
             ids, rows = byzantine_payloads(
-                cfg.attack,
-                honest_stack,
-                self.mask.members,
-                cfg.clients,
+                cfg.attack, honest_stack, self.mask.members, cfg.clients,
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
             uploads[ids] = rows
         if not np.isfinite(uploads).all():
             raise DivergenceDetected(f"non-finite client upload in round {round_index}")
-        wall["attack"] = time.perf_counter() - t_mark
+        lap("attack")
 
         clean_grad = None
-        if self.method.clean_kind == "server":
-            t_mark = time.perf_counter()
+        if method.clean_kind == "server":
             clean_grad = self._clean_gradient(round_index)
-            wall["clean"] = time.perf_counter() - t_mark
+            lap("clean")
 
-        if self.method.filtered:
-            t_mark = time.perf_counter()
-            reference = build_reference(
-                self.method.reference,
-                self.method.base,
-                data.alpha,
-                uploads,
-                trusted=data.trusted,
-                clean_gradient=clean_grad,
-                center=self.prev_aggregate,
-            )
-            wall["reference"] = time.perf_counter() - t_mark
-            t_mark = time.perf_counter()
-            result = filter_and_aggregate(
-                reference,
-                uploads,
-                data.alpha,
-                self.filter_params,
-                substream(cfg.seed, "segments", round_index),
-            )
-            wall["filter"] = time.perf_counter() - t_mark
-            agg, selected, windows = result.aggregate, result.selected, result.windows
-        else:
-            t_mark = time.perf_counter()
-            agg = aggregate(
-                self.method.base,
-                data.alpha,
-                uploads,
-                center=self.prev_aggregate,
-                reference=clean_grad,
-            )
-            selected = tuple(range(cfg.clients))
-            windows = ()
-            wall["aggregate"] = time.perf_counter() - t_mark
-
+        result = server_step(
+            method, self.filter_params, data.alpha, uploads, lap, trusted=data.trusted,
+            clean_gradient=clean_grad, center=self.prev_aggregate,
+            segments=substream(cfg.seed, "segments", round_index) if method.filtered else None,
+        )
+        selected, agg = result.selected, result.aggregate
         honest_selected = sum(1 for m in selected if m not in self.mask.members)
-        precision = honest_selected / len(selected) if selected else 1.0
-        recall = honest_selected / len(self.honest)
-
-        t_mark = time.perf_counter()
         self.params = self.params - cfg.lr.rate(round_index) * agg
         self.prev_aggregate = agg
         if not np.isfinite(self.params).all():
             raise DivergenceDetected(f"parameters diverged in round {round_index}")
-        wall["step"] = time.perf_counter() - t_mark
+        lap("step")
 
-        record = RoundRecord(
+        return RoundRecord(
             round_index=round_index,
             train_loss=train_loss,
             test_accuracy=None,
             selected=selected,
-            filter_precision=precision,
-            filter_recall=recall,
+            filter_precision=honest_selected / len(selected) if selected else 1.0,
+            filter_recall=honest_selected / len(self.honest),
             aggregate_norm=float(np.linalg.norm(agg)),
-            pass_segments=windows,
+            pass_segments=result.windows,
             wall=wall,
         )
-        wall["total"] = time.perf_counter() - t_start
-        return record
+
+
+def lap_clock(wall: dict[str, float]) -> Callable[[str], None]:
+    """`lap(phase)` stores the seconds since the last lap (or since the clock
+    was made) in `wall[phase]` and adds them to `wall["total"]`."""
+    last = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        wall[phase] = now - last
+        wall["total"] = wall.get("total", 0.0) + wall[phase]
+        last = now
+
+    return lap
+
+
+def server_step(
+    method: MethodSpec, filter_params: FilterParams, alpha: np.ndarray, uploads: np.ndarray,
+    lap: Callable[[str], None], *, trusted: tuple[int, ...], clean_gradient: np.ndarray | None,
+    center: np.ndarray, segments: np.random.Generator | None,
+) -> FilterResult:
+    """The server's rule on one round's (M, p) `uploads`: a bare method's
+    aggregator over every upload ("aggregate" phase; every client selected,
+    no windows, no survivors), or a filtered method's reference ("reference")
+    and filter on windows drawn from `segments` ("filter"). `center` is the
+    last aggregate; `clean_gradient` the server shard's, or None. It reads no
+    more of a run, so training, replay and attacks that simulate the defence
+    can share it."""
+    if not method.filtered:
+        agg = aggregate(method.base, alpha, uploads, center=center, reference=clean_gradient)
+        lap("aggregate")
+        return FilterResult(tuple(range(len(uploads))), agg, (), np.empty((0, 0), dtype=np.intp))
+    reference = build_reference(method.reference, method.base, alpha, uploads, trusted=trusted,
+                                clean_gradient=clean_gradient, center=center)
+    lap("reference")
+    result = filter_and_aggregate(reference, uploads, alpha, filter_params, segments)
+    lap("filter")
+    return result
 
 
 def _score(sim: Simulation, held: list[tuple[RoundRecord, np.ndarray]]) -> None:
@@ -500,16 +525,14 @@ def _score(sim: Simulation, held: list[tuple[RoundRecord, np.ndarray]]) -> None:
     last held round's "eval" and is added to its "total"."""
     if not held:
         return
-    t_mark = time.perf_counter()
+    lap = lap_clock(held[-1][0].wall)
     records, params = zip(*held)
     test = sim.data.test
     accs = sim.model.accuracy(np.stack(params), test.features, test.labels)
     for record, acc in zip(records, accs.tolist()):
         record.test_accuracy = acc
     held.clear()
-    wall = records[-1].wall
-    wall["eval"] = time.perf_counter() - t_mark
-    wall["total"] += wall["eval"]
+    lap("eval")
 
 
 def run_to_result(config: RunConfig) -> ExperimentResult:

@@ -6,6 +6,8 @@ import importlib.util
 from pathlib import Path
 
 from byzbench import filtering, flsim
+from byzbench.flsim import run_to_result
+from byzbench.specs import AggregatorSpec, AttackSpec, DatasetSpec, MethodSpec, RunConfig
 
 _TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -17,14 +19,29 @@ def _load_tracing():
     return module
 
 
-def test_benchmark_tracer_finds_every_function():
-    tracer = _load_tracing().Tracer()
+def _run(method: MethodSpec):
+    run_to_result(RunConfig(
+        dataset=DatasetSpec(n=600, dim=8, classes=3), clients=5, batch_size=16, rounds=2,
+        min_client_size=16, requested_ratio=0.2, attack=AttackSpec("signflip"), method=method,
+    ))
+
+
+def test_benchmark_tracer_finds_every_function(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
     select, run_round = filtering.select_clients, flsim.Simulation.run_round
     tracer.install()
     try:
         assert tracer.missing == []
         assert filtering.select_clients is not select
+        # The post hooks read what the round returns, so run both kinds of round.
+        _run(MethodSpec(base=AggregatorSpec("median")))
+        _run(MethodSpec(filtered=True, base=AggregatorSpec("median")))
     finally:
         tracer.uninstall()
+    assert tracer.counters["filter.rounds"] == 2
+    table = tracing.reduce_spans(tracer.write(str(tmp_path / "spans.npz")))
+    assert table["aggregators.median.bare"]["calls"] == 2
+    assert table["aggregators.median.ref"]["calls"] == 2
     assert filtering.select_clients is select
     assert flsim.Simulation.run_round is run_round

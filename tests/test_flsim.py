@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import struct
 import time
 import tracemalloc
@@ -811,7 +814,7 @@ def test_round_wall_times_every_phase(monkeypatch, method, phases):
     wall = run_to_result(cfg).records[0].wall
     assert set(wall) == {"batches", "gradients", "attack", "step", "eval", "total"} | phases
     assert all(v > 0.0 for v in wall.values())
-    assert sum(v for key, v in wall.items() if key != "total") <= wall["total"]
+    assert sum(v for key, v in wall.items() if key != "total") == pytest.approx(wall["total"])
     if "filter" in phases:  # the whole filter call, not only its selection
         assert wall["filter"] > selections[0]
 
@@ -968,19 +971,53 @@ def test_a_second_simulation_does_not_pin_the_heap_again(monkeypatch):
     assert calls == [(flsim._M_MMAP_THRESHOLD, 4 << 20), (flsim._M_TRIM_THRESHOLD, 8 << 20)]
 
 
+def test_a_simulation_runs_numpy_blas_on_one_thread():
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*"))
+    if not paths:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    blas = ctypes.CDLL(paths[0])
+    blas.scipy_openblas_set_num_threads64_(2)
+    flsim.pin_blas_threads.cache_clear()
+    Simulation(_cfg(rounds=0))
+    assert blas.scipy_openblas_get_num_threads64_() == 1
+
+
+def test_a_bare_server_step_selects_every_client():
+    rng = np.random.default_rng(0)
+    uploads, alpha, center = rng.normal(size=(5, 7)), np.full(5, 0.2), rng.normal(size=7)
+    phases = []
+    result = flsim.server_step(
+        MethodSpec(base=AggregatorSpec("cclip")), FilterParams(), alpha, uploads, phases.append,
+        trusted=(), clean_gradient=None, center=center, segments=None,
+    )
+    want = aggregate(AggregatorSpec("cclip"), alpha, uploads, center=center)
+    assert _same_bits(result.aggregate, want) and phases == ["aggregate"]
+    assert result.selected == tuple(range(5)) and result.windows == () and not result.survivors.size
+
+
 def test_eval_interval_skips_rounds():
     result = run_to_result(_cfg(rounds=7, eval_interval=3))
     evaluated = [r.round_index for r in result.records if r.test_accuracy is not None]
     assert evaluated == [2, 5, 6]  # every third round plus the final one
 
 
-def test_round_record_fields_are_sane():
+def test_round_record_fields_are_sane(monkeypatch):
     cfg = _cfg(
         rounds=2,
         requested_ratio=0.2,
         attack=AttackSpec("gaussian"),
         method=MethodSpec(filtered=True, base=AggregatorSpec("median")),
+        filter_params=FilterParams(segment_len=5),  # windows narrower than p = 27
     )
+    steps = []
+    server_step = flsim.server_step
+
+    def captured(*args, **kwargs):
+        result = server_step(*args, **kwargs)
+        steps.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(flsim, "server_step", captured)
     result = run_to_result(cfg)
     for rec in result.records:
         assert 0.0 <= rec.filter_precision <= 1.0
@@ -989,6 +1026,16 @@ def test_round_record_fields_are_sane():
         assert len(rec.pass_segments) == cfg.filter_params.passes
         assert rec.wall_ms >= 0.0
         assert rec.n_selected == len(rec.selected)
+    # The server's rule replays outside the Simulation, on a fresh window stream.
+    assert len(steps) == len(result.records)
+    for rec, (args, kwargs, seen) in zip(result.records, steps):
+        args = (*args[:4], lambda phase: None)
+        segments = substream(cfg.seed, "segments", rec.round_index)
+        replay = server_step(*args, **{**kwargs, "segments": segments})
+        assert _same_bits(replay.aggregate, seen.aggregate)
+        assert np.linalg.norm(replay.aggregate) == rec.aggregate_norm
+        assert replay.selected == rec.selected and replay.windows == rec.pass_segments
+        assert np.array_equal(replay.survivors, seen.survivors)
 
 
 def test_result_labels():

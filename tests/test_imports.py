@@ -16,7 +16,6 @@ _PACKAGE = _ROOT / "src" / "byzbench"
 # (module, name) -> the file that reads the name from that module.
 _KEPT = {
     ("byzbench.flsim", "CleanSpec"): "tests/test_acceptance.py",
-    ("byzbench.flsim", "MethodSpec"): "tests/test_acceptance.py",
     ("byzbench.aggregators", "AGGREGATOR_KINDS"): "benchmarks/micro.py",
 }
 
@@ -69,4 +68,4 @@ def test_a_planted_unused_import_is_found():
     assert _unused("from __future__ import annotations\nimport os.path\nprint(1)\n") == {"os"}
     flsim = _modules()["byzbench.flsim"].read_text(encoding="utf-8")
     planted = flsim.replace("from .specs import", "from .specs import DatasetSpec,", 1)
-    assert _unused(planted) == {"CleanSpec", "MethodSpec", "DatasetSpec"}
+    assert _unused(planted) == {"CleanSpec", "DatasetSpec"}
