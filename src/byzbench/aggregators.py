@@ -143,7 +143,8 @@ def aggregate_gm(
     iterate's coefficients; the offset enters through the first column. Cost
     O(M^2 p + iters M^2), plus O(M^2 p) for each move of the origin (see
     _RECENTER), where a loop over the vectors costs O(iters M p); the iterate
-    is materialized once, at return.
+    is materialized once, at return. A move drops the old frame before it
+    builds the new one, so the solver holds one Gram frame, O(M p), at a time.
     """
     mat = as_matrix(vectors)
     alpha = np.asarray(weights, dtype=np.float64)
@@ -166,8 +167,12 @@ def aggregate_gm(
         sq = frame.sq_dists(lam)
         close = sq < frame.recenter
         if close.any():
-            # lam sums to one, so it names the same iterate in the new frame
-            frame = _GramFrame(mat, mat[int(np.argmax(close))])
+            # lam sums to one, so it names the same iterate in the new frame.
+            # The old frame, and `first`'s view of it, go before the new one
+            # is built, so only one frame is held at a time.
+            origin = mat[int(np.argmax(close))]
+            frame = first = None
+            frame = _GramFrame(mat, origin)
             sq = frame.sq_dists(lam)
         if objective_trace is not None:
             objective_trace.append(float(alpha @ np.sqrt(sq)))

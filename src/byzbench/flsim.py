@@ -6,6 +6,11 @@ its aggregate (`server_step`, optionally through the filter) and takes one SGD s
 Every random draw comes from a keyed substream of the run seed, so reruns are
 bitwise identical and independent of execution order.
 
+A round holds one (M, p) upload matrix. The honest (H, p) gradient stack
+comes from one `loss_and_gradient` call (one per client, then concatenated,
+when batch sizes differ), is copied into the uploads, and is dropped once
+the attack has read it, so the server's rule runs beside the uploads alone.
+
 Ground truth about which clients are compromised lives only in this module
 and the records it emits; aggregation and filtering code never sees it.
 
@@ -433,7 +438,12 @@ class Simulation:
         lap("batches")
 
         results = [self.model.loss_and_gradient(self.params, x, y) for x, y in inputs]
-        losses, honest_stack = (np.concatenate(parts) for parts in zip(*results))
+        del inputs
+        if len(results) == 1:  # one (H, B) stack: its arrays are taken as they are
+            losses, honest_stack = results[0]
+        else:
+            losses, honest_stack = (np.concatenate(parts) for parts in zip(*results))
+        del results
         uploads = np.empty((cfg.clients, self.model.n_params))
         uploads[self.honest_rows] = honest_stack
         train_loss = float(self.honest_weights @ losses)
@@ -445,6 +455,9 @@ class Simulation:
                 lambda m: substream(cfg.seed, "attack", round_index, m),
             )
             uploads[ids] = rows
+            del rows
+        # The round holds only the upload matrix from here on.
+        del honest_stack
         if not np.isfinite(uploads).all():
             raise DivergenceDetected(f"non-finite client upload in round {round_index}")
         lap("attack")

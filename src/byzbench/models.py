@@ -100,22 +100,25 @@ class _DenseNet:
         A (B, d) batch gives (float loss, (p,) gradient). An (H, B, d) stack
         gives (H,) losses and an (H, p) gradient stack whose row h is the
         result for batch h alone.
+
+        The stack is allocated once, and each layer's weight product and bias
+        sum write straight into that layer's columns of it.
         """
         parts = self.unflatten(np.asarray(params, dtype=np.float64))
         single = features.ndim == 2
         x, labels = (features[None], np.asarray(y)[None]) if single else (features, np.asarray(y))
         outputs = self._forward(parts, x)
         loss, g_out = _cross_entropy(outputs[-1], labels)
-        grads = [None] * len(parts)
+        grad = np.empty((x.shape[0], self.n_params))
+        grads = [grad[:, bounds].reshape(len(grad), *shape) for bounds, shape in self._parts]
         for k in reversed(range(len(parts) // 2)):
-            grads[2 * k] = np.swapaxes(outputs[k], 1, 2) @ g_out
-            grads[2 * k + 1] = g_out.sum(axis=1)
+            np.matmul(np.swapaxes(outputs[k], 1, 2), g_out, out=grads[2 * k])
+            g_out.sum(axis=1, out=grads[2 * k + 1])
             if k:
                 g_out = g_out @ parts[2 * k].T
                 # max(pre, 0) > 0 exactly where pre > 0, so the ReLU mask is
                 # read off the layer's input.
                 g_out *= outputs[k] > 0.0
-        grad = self.flatten(*grads)
         return (float(loss[0]), grad[0]) if single else (loss, grad)
 
     def accuracy(self, params, features, y):

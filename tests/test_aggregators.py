@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byzbench import aggregators
 from byzbench.aggregators import (
     aggregate,
     aggregate_cclip,
@@ -151,17 +152,41 @@ def test_krum_requires_f_plus_three():
         aggregate_krum(np.ones((5, 2)), -1)
 
 
-def test_krum_memory_stays_linear_in_p():
+@pytest.mark.parametrize(
+    "rule, colluders, frames",
+    [("krum", 0, 1), ("mca", 0, 1), ("gm", 0, 1), ("gm", 8, 2)],
+    ids=["krum", "mca", "gm", "gm-recentred"],
+)
+def test_gram_frame_memory_stays_linear_in_p(monkeypatch, rule, colluders, frames):
     m, p = 20, 20_000
     mat = np.random.default_rng(4).normal(size=(m, p))
+    # nine identical rows: GM converges onto them and moves its origin there
+    mat[:colluders] = mat[m - 1]
+    weights = np.full(m, 1.0 / m)
+    built = []
+
+    class Counted(aggregators._GramFrame):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(aggregators, "_GramFrame", Counted)
+    run = {
+        "krum": lambda: aggregate_krum(mat, 3),
+        "mca": lambda: aggregate_mca(weights, mat),
+        "gm": lambda: aggregate_gm(weights, mat),
+    }[rule]
     tracemalloc.start()
     try:
-        aggregate_krum(mat, 3)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a pairwise difference tensor would take m * m * p * 8 bytes = 64 MB
-    assert peak < 0.1 * m * m * p * 8
+    assert len(built) == frames
+    # A pairwise difference tensor would take m * m * p * 8 bytes = 64 MB.
+    # One frame's centred rows take m * p * 8: 1.10x-1.15x in all, and 2.05x
+    # for the re-centred GM when it held both frames at once.
+    assert peak < 1.5 * m * p * 8, f"peak {peak / (m * p * 8):.2f}x the input"
 
 
 # ------------------------------------------------------------------------- gm

@@ -654,6 +654,30 @@ def test_a_new_data_set_replaces_the_held_one_before_it_is_built(monkeypatch):
     assert peak <= 1.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the feature matrix"
 
 
+def test_a_wide_round_holds_few_upload_matrices():
+    # wide-model's shape: mlp1 with d = 50 and 128 hidden units, p = 7,818,
+    # 20 clients. Its GM control cells peaked highest of its first 36 cells
+    # (4.47x when the honest stack was built three times and held through
+    # the aggregator; 2.52x with the stack written in place and dropped).
+    cfg = _cfg(
+        dataset=DatasetSpec(n=5000, dim=50, classes=10, separation=4.0),
+        model=ModelSpec(kind="mlp1", hidden=128), clients=20, batch_size=32, rounds=4,
+        method=MethodSpec(base=AggregatorSpec("gm")),
+    )
+    sim = Simulation(cfg)
+    assert sim.model.n_params == 7818 and len(sim.honest) == 20
+    sim.run_round(0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        for t in range(1, cfg.rounds):
+            sim.run_round(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    upload_bytes = cfg.clients * sim.model.n_params * 8
+    assert peak < 3 * upload_bytes, f"peak {peak / upload_bytes:.2f}x the upload matrix"
+
+
 def test_batches_are_drawn_once_per_environment(monkeypatch):
     draws = {}
     draw = flsim.substream
